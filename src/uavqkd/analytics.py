@@ -12,10 +12,15 @@ The evaluation chain, conditioned on the lateral beam displacement rd:
   probability I, from which the three key-bit states, the raw key rate and
   the QBER follow.
 
+That average has a closed form for both capture models: the beam profile
+and the beam centre are Gaussian, so each Gaussian term of the capture
+model averages over the Rayleigh rd in erfc (grid) or in exp (exact), and
+the linearized analytics make no quadrature call.
+
 The linearization overestimates detection when c_pt * mu_p approaches
 0.1; a LinearizationWarning is emitted in that regime, and
 ``detect_prob(..., turbulence="averaged")`` evaluates the exact turbulence
-expectation for error attribution.
+expectation by quadrature, for error attribution.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .beam import CaptureGrid, capture_exact_many, capture_grid
 from .channel import FovModel, PointingModel, gg_pdf
@@ -150,33 +155,38 @@ def mu_q_conditional_pdf(u: float, rd: float, ctx: AnalyticContext) -> tuple[flo
 
 
 def detect_prob_given_rd(rd, ctx: AnalyticContext):
-    """P(n_q >= 1 | rd) = c_pt * (1 - fov_escape) * mu_p(rd)."""
-    return ctx.c_pt * (1.0 - ctx.fov_escape) * ctx.mu_p(rd)
+    """P(n_q >= 1 | rd) = c_pt * P_fov * mu_p(rd)."""
+    return ctx.c_pt * ctx.fov.accept_prob * ctx.mu_p(rd)
 
 
-def _turb_factor(s, alpha: float, beta: float):
-    """E[1 - exp(-s eta)] / s for unit-mean Gamma-Gamma eta.
+def _turb_mean(s: float, alpha: float, beta: float) -> float:
+    """E[1 - exp(-s eta)] for unit-mean Gamma-Gamma eta.
 
     Conditioning on the alpha factor X ~ Gamma(alpha, mean 1) reduces the
-    inner expectation to (1 + s X / beta)^(-beta), leaving one quadrature.
+    inner expectation to 1 - (1 + s X / beta)^(-beta), leaving one
+    quadrature; expm1/log1p keep it accurate for a vanishing s.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.ones_like(s)
+    if s <= 0.0:
+        return 0.0
+    log_norm = alpha * math.log(alpha) - math.lgamma(alpha)
 
-    def one(sv):
-        if sv <= 0:
-            return 1.0
+    def integrand(x):
+        fx = math.exp(log_norm + (alpha - 1.0) * math.log(x) - alpha * x)
+        return fx * -math.expm1(-beta * math.log1p(s * x / beta))
 
-        def integrand(x):
-            fx = alpha**alpha * x ** (alpha - 1.0) * np.exp(-alpha * x) / math.gamma(alpha)
-            return fx * (1.0 + sv * x / beta) ** (-beta)
+    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-10)
+    return val
 
-        val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-10)
-        return (1.0 - val) / sv
 
-    for i, sv in enumerate(s):
-        out[i] = one(float(sv))
-    return out
+def _rayleigh_average_grid(ctx: AnalyticContext) -> float:
+    """sum_i c_i E[exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma)."""
+    grid = ctx.grid
+    sigma, wz = ctx.pointing.sigma_rd, grid.wz
+    s2 = wz * wz + 4.0 * sigma * sigma
+    x = grid.centers_array()
+    z = (2.0 * math.sqrt(2.0) * sigma / (wz * math.sqrt(s2))) * x
+    j = np.exp(-2.0 * x * x / s2) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
+    return float(grid.weights_array() @ j) * (wz * wz / s2)
 
 
 def detect_prob(
@@ -186,80 +196,74 @@ def detect_prob(
 ):
     """Per-slot detection probability, averaged over the Rayleigh displacement.
 
-    The integral over rd is mapped onto the Rayleigh CDF (q = F(rd)) so the
-    integrand is well-scaled for any jitter level; truncation at rd = 8
-    sigma_rd discards < 2e-14 of the Rayleigh mass.
+    ``turbulence="linearized"`` is the paper's model (unit-mean turbulence
+    dropped via 1 - e^-x ~ x), I = c_pt * P_fov * E[mu_p(rd)], in closed
+    form. With s2 = wz^2 + 4 sigma_rd^2, completing the square in the
+    Rayleigh integral of each Gaussian term exp(-2 (x - rd)^2 / wz^2) gives
 
-    ``turbulence="linearized"`` is the closed-form model (unit-mean
-    turbulence dropped via 1 - e^-x ~ x); ``"averaged"`` keeps the exact
-    expectation over the fading distribution, for error attribution only.
+        J(x) = e^(-2 x^2 / s2) [e^(-z^2) + sqrt(pi) z erfc(-z)] wz^2 / s2,
+        z = 2 sqrt(2) sigma_rd x / (wz sqrt(s2)),
+
+    so the grid model is I = c_pt * P_fov * sum_i c_i J(x_i), and exact
+    capture (the beam lands on a centred Gaussian of variance s2 / 4 per
+    axis) is I = c_pt * P_fov * (1 - exp(-2 ra^2 / s2)). These make no
+    quadrature call; ``with_error=True`` returns ``(I, 0.0)``, as a closed
+    form has no quadrature error.
+
+    ``turbulence="averaged"`` keeps the exact expectation over the fading
+    distribution, for error attribution only. It integrates over the
+    Rayleigh CDF (q = F(rd)) by adaptive quadrature to absolute tolerance
+    ``ctx.quad_tol``, up to rd = min(8 sigma_rd, ra + 9 wz): the first
+    bound discards < 2e-14 of the Rayleigh mass, and past the second no
+    capture model holds more than e^-162 of the beam.
     """
     if turbulence not in ("linearized", "averaged"):
         raise ValueError("turbulence must be 'linearized' or 'averaged'")
     sigma = ctx.pointing.sigma_rd
-    mu_p0 = float(ctx.mu_p(0.0))
+    probe = np.zeros(1)
+    if ctx.mu_p_mode == "grid" and ctx.grid.dx > ctx.wz:
+        # segments wider than the beam: the grid sum peaks near the segment
+        # centres, where capture_grid warns if it exceeds 1
+        x = ctx.grid.centers_array()
+        probe = np.concatenate((probe, x[x > 0.0]))
+    mu_p0 = float(ctx.mu_p(probe)[0])
     if ctx.c_pt * mu_p0 > 0.1:
         warnings.warn(
             f"c_pt * mu_p(0) = {ctx.c_pt * mu_p0:.3f} > 0.1: the small-signal "
-            "linearization behind the analytic detection probability can err "
-            "by more than ~5% here",
+            "linearization behind the analytic detection probability overstates "
+            "it here (by 10.8% at c_pt * mu_p(0) = 0.119, the reference link)",
             LinearizationWarning,
             stacklevel=2,
         )
-    q_hi = -math.expm1(-32.0)  # Rayleigh CDF at rd = 8 sigma
+    p_fov = ctx.fov.accept_prob
+    if turbulence == "linearized":
+        if ctx.mu_p_mode == "exact":
+            mean_mu_p = -math.expm1(-2.0 * ctx.ra**2 / (ctx.wz**2 + 4.0 * sigma**2))
+        else:
+            mean_mu_p = _rayleigh_average_grid(ctx)
+        val = ctx.c_pt * p_fov * mean_mu_p
+        return (val, 0.0) if with_error else val
+
+    top = min(8.0 * sigma, ctx.ra + 9.0 * ctx.wz)
+    q_hi = -math.expm1(-0.5 * (top / sigma) ** 2)  # Rayleigh CDF at rd = top
 
     def integrand(q):
         rd = sigma * math.sqrt(-2.0 * math.log1p(-q))
-        base = ctx.c_pt * float(ctx.mu_p(rd))
-        if turbulence == "averaged":
-            base = base * float(_turb_factor(base, ctx.alpha, ctx.beta)[0])
-        return (1.0 - ctx.fov_escape) * base
+        return p_fov * _turb_mean(ctx.c_pt * float(ctx.mu_p(rd)), ctx.alpha, ctx.beta)
 
     val, err = integrate.quad(integrand, 0.0, q_hi, epsabs=ctx.quad_tol, epsrel=1e-10, limit=200)
     return (float(val), float(err)) if with_error else float(val)
 
 
-def state_probs(ctx: AnalyticContext) -> tuple[float, float, float]:
-    """Probabilities of the three disjoint single-bit states.
+def _metrics(i: float, ctx: AnalyticContext) -> PerformanceReport:
+    """Key-bit states, raw key rate and QBER from the detection probability I.
 
     State 1: signal only; State 2: single background photon only (the sole
     error source); State 3: signal plus one background photon landing on
-    the other detector (probability 1/2).
+    the other detector (probability 1/2). Their sum is P(exactly one
+    effective detection), the raw-key acceptance probability; the QBER is
+    half the State-2 share of accepted bits (NaN when none are accepted).
     """
-    i = detect_prob(ctx)
-    eb = math.exp(-ctx.mu_b)
-    return (eb * i, ctx.mu_b * eb * (1.0 - i), 0.5 * ctx.mu_b * eb * i)
-
-
-def p_eff_one(ctx: AnalyticContext) -> float:
-    """P(exactly one effective detection), the raw-key acceptance probability.
-
-    mu_b e^-mu_b + (e^-mu_b - mu_b e^-mu_b / 2) * I; identical to the sum
-    of the three state probabilities.
-    """
-    i = detect_prob(ctx)
-    eb = math.exp(-ctx.mu_b)
-    return ctx.mu_b * eb + (eb - 0.5 * ctx.mu_b * eb) * i
-
-
-def key_rate(ctx: AnalyticContext) -> float:
-    """Average raw key generation rate R_q * P(n_eff = 1) in bits/s."""
-    return ctx.R_q * p_eff_one(ctx)
-
-
-def qber(ctx: AnalyticContext) -> float:
-    """Average QBER: half the State-2 share of accepted bits."""
-    i = detect_prob(ctx)
-    eb = math.exp(-ctx.mu_b)
-    denom = ctx.mu_b * eb + (eb - 0.5 * ctx.mu_b * eb) * i
-    if denom <= 0.0:
-        raise ValueError("no key is generated (P(n_eff = 1) = 0); QBER undefined")
-    return 0.5 * ctx.mu_b * eb * (1.0 - i) / denom
-
-
-def evaluate(ctx: AnalyticContext) -> PerformanceReport:
-    """Full analytic point evaluation as a PerformanceReport."""
-    i = detect_prob(ctx)
     eb = math.exp(-ctx.mu_b)
     s1, s2, s3 = eb * i, ctx.mu_b * eb * (1.0 - i), 0.5 * ctx.mu_b * eb * i
     peff = s1 + s2 + s3
@@ -273,6 +277,35 @@ def evaluate(ctx: AnalyticContext) -> PerformanceReport:
         qber=(0.5 * s2 / peff) if peff > 0 else float("nan"),
         method="analytic",
     )
+
+
+def state_probs(ctx: AnalyticContext) -> tuple[float, float, float]:
+    """Probabilities of the three disjoint single-bit states (see ``_metrics``)."""
+    r = evaluate(ctx)
+    return r.p_s1, r.p_s2, r.p_s3
+
+
+def p_eff_one(ctx: AnalyticContext) -> float:
+    """P(exactly one effective detection), the raw-key acceptance probability."""
+    return evaluate(ctx).p_eff_one
+
+
+def key_rate(ctx: AnalyticContext) -> float:
+    """Average raw key generation rate R_q * P(n_eff = 1) in bits/s."""
+    return evaluate(ctx).key_rate
+
+
+def qber(ctx: AnalyticContext) -> float:
+    """Average QBER: half the State-2 share of accepted bits."""
+    r = evaluate(ctx)
+    if not r.p_eff_one > 0.0:
+        raise ValueError("no key is generated (P(n_eff = 1) = 0); QBER undefined")
+    return r.qber
+
+
+def evaluate(ctx: AnalyticContext) -> PerformanceReport:
+    """Full analytic point evaluation as a PerformanceReport."""
+    return _metrics(detect_prob(ctx), ctx)
 
 
 def with_frozen_mu_b(ctx: AnalyticContext, mu_b: float) -> AnalyticContext:

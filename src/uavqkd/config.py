@@ -14,6 +14,7 @@ Unknown keys are errors.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields, replace
 
@@ -177,6 +178,11 @@ def _check_range(key: str, value) -> None:
         if value not in allowed:
             raise ConfigError(f"{key}: {value!r} not one of {allowed}")
         return
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{key}: {value!r} is not an integer")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key}: {value!r} is not a finite number")
     if lo is not None and value < lo or hi is not None and value > hi:
         raise ConfigError(f"{key}: value {value} outside allowed range [{lo}, {hi}]")
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import make_context
+from uavqkd import analytics
 from uavqkd.analytics import (
     detect_prob,
     detect_prob_given_rd,
@@ -20,8 +21,51 @@ from uavqkd.analytics import (
     state_probs,
     with_frozen_mu_b,
 )
+from uavqkd.beam import capture_exact_many, capture_grid
 from uavqkd.channel import PointingModel
-from uavqkd.errors import LinearizationWarning
+from uavqkd.config import LinkConfig, build_context
+from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _oracle_detect_prob(ctx) -> float:
+    """Linearized detection probability by dense composite Gauss-Legendre over rd.
+
+    Panels no wider than half of min(sigma_rd, wz), up to min(8 sigma_rd,
+    ra + 9 wz): the first bound leaves e^-32 of the Rayleigh mass out, and
+    past the second no capture model holds more than e^-162 of the beam.
+    Grid capture sums, for each node, the segments within 9 wz of it;
+    exact capture is the noncentral chi-square CDF 1 - Q1(2 rd/wz, 2 ra/wz).
+    """
+    sigma, wz, ra = ctx.pointing.sigma_rd, ctx.wz, ctx.ra
+    top = min(8.0 * sigma, ra + 9.0 * wz)
+    panels = max(4, math.ceil(top / (0.5 * min(sigma, wz))))
+    edges = np.linspace(0.0, top, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = (edges[:-1, None] + half * (1.0 + _GL16[0])).ravel()
+    w = (half * _GL16[1]).ravel() * r / sigma**2 * np.exp(-0.5 * (r / sigma) ** 2)
+    if ctx.mu_p_mode == "exact":
+        mu = special.chndtr((2.0 * ra / wz) ** 2, 2.0, (2.0 * r / wz) ** 2)
+    else:
+        x, c, ng = ctx.grid.centers_array(), ctx.grid.weights_array(), ctx.grid.ng
+        k = min(ng, math.ceil(18.0 * wz / ctx.grid.dx) + 2)
+        mu = np.empty_like(r)
+        step = max(1, (1 << 20) // k)
+        for i in range(0, r.size, step):
+            rr = r[i : i + step, None]
+            idx = np.clip(np.searchsorted(x, rr - 9.0 * wz), 0, ng - k) + np.arange(k)
+            mu[i : i + step] = np.sum(c[idx] * np.exp(-2.0 * ((x[idx] - rr) / wz) ** 2), axis=1)
+    p_fov = -math.expm1(-0.5 * (ctx.fov.theta_fov / ctx.fov.sigma_aoa) ** 2)
+    return ctx.c_pt * p_fov * float(w @ mu)
+
+
+def _assert_matches_oracle(ctx) -> None:
+    # 2e-14 covers the Rayleigh mass the oracle leaves out beyond 8 sigma_rd
+    got, want = detect_prob(ctx), _oracle_detect_prob(ctx)
+    assert abs(got - want) <= 1e-9 * want + 2e-14 * ctx.c_pt, (
+        f"{ctx.mu_p_mode}: closed form {got:.15g} vs oracle {want:.15g}"
+    )
 
 
 class TestContext:
@@ -105,9 +149,62 @@ class TestDetectProb:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_quadrature_consistency(self, baseline_ctx):
-        val, err = detect_prob(baseline_ctx, with_error=True)
-        tight = detect_prob(replace(baseline_ctx, quad_tol=baseline_ctx.quad_tol / 2.0))
+        # the averaged path is the only one left that integrates numerically
+        val, err = detect_prob(baseline_ctx, with_error=True, turbulence="averaged")
+        tight = detect_prob(
+            replace(baseline_ctx, quad_tol=baseline_ctx.quad_tol / 2.0), turbulence="averaged"
+        )
         assert abs(val - tight) <= max(err, 1e-13)
+
+    def test_closed_form_reports_no_quadrature_error(self, baseline_ctx):
+        for mode in ("grid", "exact"):
+            ctx = replace(baseline_ctx, mu_p_mode=mode)
+            assert detect_prob(ctx, with_error=True) == (detect_prob(ctx), 0.0)
+
+    def test_closed_form_makes_no_quadrature_call(self, baseline_ctx, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("linearized detect_prob called integrate.quad")
+
+        calls = []
+
+        def counting_capture_grid(*args, **kwargs):
+            calls.append(args)
+            return capture_grid(*args, **kwargs)
+
+        monkeypatch.setattr(analytics.integrate, "quad", no_quad)
+        monkeypatch.setattr(analytics, "capture_grid", counting_capture_grid)
+        detect_prob(make_context(wz=0.30))
+        assert len(calls) <= 1  # mu_p(0) for the linearization check
+
+    def test_wide_jitter_regression(self):
+        # sigma_rd = 20 m on the reference link: an adaptive quadrature over
+        # the Rayleigh CDF placed no node where the beam lands and gave 8.5e-61
+        ctx = build_context(LinkConfig(sigma_theta_e=2e-2))
+        assert ctx.pointing.sigma_rd == pytest.approx(20.0)
+        _assert_matches_oracle(ctx)
+        _assert_matches_oracle(replace(ctx, mu_p_mode="exact"))
+        assert detect_prob(ctx) == pytest.approx(6.9e-7, rel=1e-2)
+        assert detect_prob(replace(ctx, mu_p_mode="exact")) == pytest.approx(6.72e-7, rel=1e-2)
+        # averaged path: E[1 - e^-s eta] lies in [s - s^2 E[eta^2] / 2, s], and
+        # s = c_pt mu_p <= 0.119 with E[eta^2] = 2.30 here
+        lin = detect_prob(ctx)
+        assert 0.86 * lin < detect_prob(ctx, turbulence="averaged") < lin
+
+    def test_grid_overflow_reported_between_segments(self):
+        # N_g = 2 segments 1.5 m wide for a 5 mm beam: capture 0 at rd = 0
+        # but ~240 with the beam centred on a segment
+        ctx = make_context(Ng=2, wz=0.005, ra=1.5, sigma_theta_e=7.5e-4)
+        with pytest.warns(CaptureOverflowWarning):
+            detect_prob(ctx)
+
+    def test_averaged_path_finite_for_vanishing_signal(self, baseline_ctx):
+        # 1 - E[e^-s eta] is computed directly, never as a difference divided by s
+        ctx = replace(baseline_ctx, mu_t=1e-300)
+        val = detect_prob(ctx, turbulence="averaged")
+        # the quadrature's tolerance is absolute (quad_tol), so at 1e-301 it
+        # stops at its first rule; the linearization itself is exact here
+        assert math.isfinite(val) and val > 0.0
+        assert val == pytest.approx(detect_prob(ctx), rel=1e-3)
 
     def test_linearization_warning_in_strong_signal_regime(self, baseline_ctx):
         # c_pt * mu_p(0) = 0.12 * 0.989 > 0.1 at the reference point
@@ -150,12 +247,24 @@ class TestKeyMetrics:
         assert qber(ctx) == 0.0
 
     def test_no_signal_limit(self):
-        # pointing jitter so large that the beam effectively never hits
+        # pointing jitter so large (sigma_rd = 20 m) that the beam rarely hits
         ctx = with_frozen_mu_b(make_context(sigma_theta_e=2e-2), 1.0)
+        sigma, wz, ra = ctx.pointing.sigma_rd, ctx.wz, ctx.ra
+        scale = ctx.c_pt * -math.expm1(-0.5 * (ctx.fov.theta_fov / ctx.fov.sigma_aoa) ** 2)
+        # exact-capture closed form; the grid model differs from it by at most
+        # the Rayleigh average of |grid - exact| capture, which vanishes past ra + 9 wz
+        i_exact = scale * -math.expm1(-2.0 * ra * ra / (wz * wz + 4.0 * sigma * sigma))
+        rd = np.linspace(0.0, ra + 9.0 * wz, 4001)
+        pdf = rd / sigma**2 * np.exp(-0.5 * (rd / sigma) ** 2)
+        gap = np.abs(capture_grid(ctx.grid, rd) - capture_exact_many(rd, wz, ra))
+        tol = scale * float(np.trapezoid(gap * pdf, rd)) * 1.01
+        eb = math.exp(-1.0)
         s1, s2, s3 = state_probs(ctx)
-        assert s1 < 1e-8 and s3 < 1e-8
-        assert s2 == pytest.approx(math.exp(-1.0), abs=1e-6)
-        assert p_eff_one(ctx) == pytest.approx(math.exp(-1.0), abs=1e-6)
+        assert s1 == pytest.approx(eb * i_exact, abs=eb * tol)
+        assert s2 == pytest.approx(eb * (1.0 - i_exact), abs=eb * tol)
+        assert s3 == pytest.approx(0.5 * eb * i_exact, abs=0.5 * eb * tol)
+        assert s1 < 1e-5 and s3 < 1e-5
+        assert p_eff_one(ctx) == pytest.approx(eb, rel=1e-5)
         assert qber(ctx) == pytest.approx(0.5, abs=1e-4)
 
     def test_state_decomposition_identity(self, baseline_ctx):
@@ -205,3 +314,19 @@ def test_qber_bounds_under_fuzzing(wz, sigma_theta_e, sigma_aoa, theta_fov, b_ex
     report = evaluate(ctx)
     assert 0.0 <= report.p_eff_one <= 1.0
     assert report.key_rate >= 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ng=st.floats(math.log10(2.0), 5.0).map(lambda e: int(round(10.0**e))),
+    sigma_rd=st.floats(-9.0, math.log10(200.0)).map(lambda e: 10.0**e),
+    wz=st.floats(math.log10(0.005), 1.0).map(lambda e: 10.0**e),
+    ra=st.floats(math.log10(0.015), math.log10(1.5)).map(lambda e: 10.0**e),
+)
+def test_closed_form_matches_quadrature_oracle(ng, sigma_rd, wz, ra):
+    ctx = make_context(Ng=ng, wz=wz, ra=ra)
+    ctx = replace(ctx, pointing=PointingModel(sigma_theta_e=sigma_rd / 1000.0, Lz=1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinearizationWarning)
+        _assert_matches_oracle(ctx)
+        _assert_matches_oracle(replace(ctx, mu_p_mode="exact"))

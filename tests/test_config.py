@@ -1,6 +1,9 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavqkd.config import (
     LinkConfig,
@@ -9,6 +12,7 @@ from uavqkd.config import (
     load_config,
     loads,
     parse_quantity,
+    validate,
 )
 from uavqkd.errors import ConfigError
 
@@ -174,3 +178,36 @@ class TestBuildContext:
         cfg = replace(LinkConfig(), eta_atm=None)
         with pytest.raises(ConfigError):
             build_context(cfg)
+
+
+_NUMERIC = [f.name for f in fields(LinkConfig) if isinstance(getattr(LinkConfig(), f.name), float)]
+_INTEGER = ["Ng", "n_slots", "seed"]
+
+
+class TestInputEdge:
+    def test_nan_beam_radius_rejected(self):
+        with pytest.raises(ConfigError, match="wz"):
+            build_context(LinkConfig(wz=math.nan))
+
+    def test_fractional_grid_rejected(self):
+        with pytest.raises(ConfigError, match="Ng"):
+            build_context(LinkConfig(Ng=10.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(_NUMERIC + ["mu_b", "theta_fov", "w0", "alpha_a"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_values_rejected(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            build_context(replace(LinkConfig(), **{name: bad}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(_INTEGER),
+           bad=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.text(max_size=3)))
+    def test_non_integer_counts_rejected(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            build_context(replace(LinkConfig(), **{name: bad}))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ng=st.integers(2, 100_000))
+    def test_integer_grid_accepted(self, ng):
+        validate(LinkConfig(Ng=ng))
