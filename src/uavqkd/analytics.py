@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate, special
 
-from .beam import CaptureGrid, capture_exact_many, capture_grid
+from .beam import CaptureGrid, capture_exact, capture_grid
 from .channel import FovModel, PointingModel, gg_pdf
 from .errors import LinearizationWarning
 
@@ -103,8 +103,7 @@ class AnalyticContext:
 
     def mu_p(self, rd):
         if self.mu_p_mode == "exact":
-            vals = capture_exact_many(np.atleast_1d(rd), self.wz, self.ra)
-            return vals if np.ndim(rd) else float(vals[0])
+            return capture_exact(rd, self.wz, self.ra)
         return capture_grid(self.grid, rd)
 
 

@@ -7,18 +7,20 @@ the Gaussian density
 
 where wz is the 1/e^2 beam radius and (rdx, rdy) the lateral displacement
 of the beam center. The probability that the photon lands inside the
-circular receiver aperture of radius ra (the capture probability mu_p) is
-evaluated three ways:
+circular receiver aperture of radius ra (the capture probability mu_p) has
+two evaluators and one approximation:
 
-* ``capture_exact``     -- quadrature of the exact integral,
-* ``capture_classical`` -- the wide-beam FSO approximation (valid only for
-                           wz >> ra, not clamped to [0, 1]),
+* ``capture_exact``     -- the closed form 1 - Q1(2 rd / wz, 2 ra / wz)
+                           (Marcum's Q, the noncentral chi-square CDF),
 * ``capture_grid``      -- a fast N_g-segment discretization of the exact
-                           1D reduction, accurate even for narrow beams.
+                           1D reduction, the paper's capture model,
+* ``capture_classical`` -- the wide-beam FSO approximation (valid only for
+                           wz >> ra, not clamped to [0, 1]).
 
 By rotational symmetry the displacement enters only through its norm, so
-all capture functions take a scalar rd >= 0; collapse a vector displacement
-to its norm before calling.
+all capture functions take rd >= 0, a norm (``capture_exact`` and
+``capture_grid`` also take an array of norms); collapse a vector
+displacement to its norm before calling.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .errors import CaptureOverflowWarning, NumericError
+from .errors import CaptureOverflowWarning
 
 __all__ = [
     "BeamGeometry",
@@ -73,73 +75,42 @@ def photon_density(x, y, wz: float, rd: tuple[float, float] = (0.0, 0.0)):
     return out if out.ndim else float(out)
 
 
-def _check_capture_args(rd: float, wz: float, ra: float) -> None:
+def _check_capture_args(rd, wz: float, ra: float) -> None:
     if wz <= 0 or ra <= 0:
         raise ValueError("capture probability requires wz > 0 and ra > 0")
-    if rd < 0:
+    if np.any(np.asarray(rd) < 0):
         raise ValueError("rd is a displacement norm and must be >= 0")
 
 
-# After reducing the 2D aperture integral to 1D (inner Gaussian integral in
-# closed form) and substituting x = ra sin(t), the integrand
-#   exp(-2 (ra sin t - rd)^2 / wz^2) * erf(sqrt(2) ra cos t / wz) * ra cos t
-# is analytic on [-pi/2, pi/2]; the sqrt-type edge singularity of the
-# untransformed integrand is gone, so both adaptive and fixed-order
-# Gauss-Legendre quadrature converge rapidly.
+def capture_exact(rd, wz: float, ra: float):
+    """Exact capture probability mu_p = 1 - Q1(2 rd / wz, 2 ra / wz).
 
+    The squared distance of the photon from the aperture centre, scaled
+    by 4 / wz^2, is noncentral chi-square with 2 degrees of freedom and
+    noncentrality (2 rd / wz)^2, so mu_p is its CDF at (2 ra / wz)^2
+    (Farid & Hranilovic, J. Lightwave Technol. 25(7), 2007). Scalar ``rd``
+    gives a float, array ``rd`` an array.
 
-def _capture_integrand(t, rd: float, wz: float, ra: float):
-    x = ra * np.sin(t)
-    c = ra * np.cos(t)
-    return np.exp(-2.0 * (x - rd) ** 2 / (wz * wz)) * special.erf(math.sqrt(2.0) * c / wz) * c
-
-
-def capture_exact(rd: float, wz: float, ra: float, tol: float = 1e-9) -> float:
-    """Capture probability mu_p by adaptive quadrature (abs tol ``tol``).
-
-    Raises NumericError with the residual estimate if the quadrature does
-    not reach the requested tolerance.
+    Against a 30-60 digit Rician integral, over wz in [5 mm, 10 m], ra in
+    [1.5 cm, 1.5 m] and rd in [0, ra + 10 wz]: the absolute error grows
+    with b = 2 ra / wz, to 1.2e-15 at b = 30, 1.1e-14 at b = 100 and
+    3.5e-14 at b = 600 (wz = 5 mm, ra = 1.5 m, rd just inside ra). Past the
+    aperture edge the relative error is <= 4e-11 down to values of ~1e-45
+    and ~3e-7 (1e-4 at b = 3) below ~1e-65; at small b, values below
+    ~1e-89 come back as exactly 0.
     """
-    _check_capture_args(rd, wz, ra)
-    pref = 2.0 / (math.sqrt(2.0 * math.pi) * wz)
-    val, abserr, *rest = integrate.quad(
-        _capture_integrand,
-        -math.pi / 2.0,
-        math.pi / 2.0,
-        args=(rd, wz, ra),
-        epsabs=tol / max(pref, 1.0) * 0.1,
-        epsrel=1e-12,
-        limit=200,
-        full_output=1,
-    )
-    if len(rest) > 1:  # quad appends a message on failure
-        raise NumericError(f"capture_exact quadrature failed: {rest[1]}", residual=pref * abserr)
-    if pref * abserr > tol:
-        raise NumericError("capture_exact did not reach tolerance", residual=pref * abserr)
-    return float(min(max(pref * val, 0.0), 1.0))
+    rd_arr = np.asarray(rd, dtype=float)
+    _check_capture_args(rd_arr, wz, ra)
+    nc = (2.0 * rd_arr / wz) ** 2
+    # chndtr is up to 1e-3 off for a subnormal noncentrality, where mu_p is
+    # that of a centred beam to double precision
+    nc = np.where(nc < np.finfo(float).tiny, 0.0, nc)
+    vals = special.chndtr((2.0 * ra / wz) ** 2, 2.0, nc)
+    return vals if vals.ndim else float(vals)
 
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def capture_exact_many(rd, wz: float, ra: float, nodes: int = 96) -> np.ndarray:
-    """Vectorized ``capture_exact`` over an array of displacements.
-
-    Fixed-order Gauss-Legendre on the smooth transformed integrand; with the
-    default 96 nodes it agrees with ``capture_exact`` to well below 1e-10.
-    """
-    if wz <= 0 or ra <= 0:
-        raise ValueError("capture probability requires wz > 0 and ra > 0")
-    rd = np.atleast_1d(np.asarray(rd, dtype=float))
-    if np.any(rd < 0):
-        raise ValueError("rd must be >= 0")
-    if nodes not in _GL_NODES:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        _GL_NODES[nodes] = (x * (math.pi / 2.0), w * (math.pi / 2.0))
-    t, w = _GL_NODES[nodes]
-    vals = _capture_integrand(t[None, :], rd[:, None], wz, ra) @ w
-    pref = 2.0 / (math.sqrt(2.0 * math.pi) * wz)
-    return np.clip(pref * vals, 0.0, 1.0)
+# The former fixed-node evaluator's name, still called by ``bench/``.
+capture_exact_many = capture_exact
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,13 @@ import argparse
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 
 from . import analytics, config, montecarlo, output
-from .beam import build_grid, capture_classical, capture_exact
+from .beam import build_grid, capture_classical, capture_exact, capture_grid
 from .errors import ConfigError, NumericError
 from .sweep import SWEEPABLE, SweepSpec, optimize, sweep
 
@@ -143,7 +144,14 @@ def _cmd_mc(args, cfg) -> str:
         cfg = replace(cfg, n_slots=args.slots)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    mc = montecarlo.run(config.build_context(cfg), cfg.n_slots, cfg.seed)
+    ctx = config.build_context(cfg)
+    start = time.perf_counter()
+    mc = montecarlo.run(ctx, cfg.n_slots, cfg.seed)
+    elapsed = time.perf_counter() - start
+    log.info(
+        "mc: slots=%d batches=%d clamp_rate=%.6g slots_per_s=%.4g",
+        mc.n_slots, mc.batches, mc.clamp_rate, mc.n_slots / elapsed,
+    )
     return output.emit(mc.estimates, args.format)
 
 
@@ -196,17 +204,16 @@ def _cmd_validate(args, cfg) -> str:
     rd_grid = np.linspace(0.0, rd_max, args.points)
     rows = []
     for wz in wz_values:
-        grid = build_grid(cfg.ra, wz, ng)
-        for rd in rd_grid:
+        exact = capture_exact(rd_grid, wz, cfg.ra)
+        approx = capture_grid(build_grid(cfg.ra, wz, ng), rd_grid)
+        for rd, mu_exact, mu_grid in zip(rd_grid, exact, approx):
             classical = capture_classical(rd, wz, cfg.ra)
             rows.append(
                 {
                     "wz": wz,
                     "rd": float(rd),
-                    "mu_p_exact": capture_exact(rd, wz, cfg.ra),
-                    "mu_p_grid": float(np.asarray(grid.weights) @ np.exp(
-                        -2.0 * (np.asarray(grid.centers) - rd) ** 2 / wz**2
-                    )),
+                    "mu_p_exact": float(mu_exact),
+                    "mu_p_grid": float(mu_grid),
                     "mu_p_classical": classical.value,
                     "classical_valid": classical.valid,
                 }

@@ -18,10 +18,10 @@ the reference point (wz = 10 cm, theta_fov = 100 urad) the clamped model's
 expected p_detect is 0.08127 against 0.08268 for the exact expectation, a
 -1.7% bias, or -10.4 standard errors at 4M slots.
 
-Capture probability uses the exact quadrature evaluator by default so
-that Monte Carlo vs analytic deviations isolate the grid/linearization
-approximations; ``use_grid_mu_p`` switches to the grid model for
-apples-to-apples comparisons.
+Capture probability uses the exact closed form (``capture_exact``) by
+default so that Monte Carlo vs analytic deviations isolate the
+grid/linearization approximations; ``use_grid_mu_p`` switches to the grid
+model for apples-to-apples comparisons.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import AnalyticContext, PerformanceReport
-from .beam import capture_exact_many, capture_grid
+from .beam import capture_exact, capture_grid
 from .channel import gg_sample
 
 __all__ = ["BATCH_SIZE", "McOptions", "SlotSample", "McReport", "simulate_slot", "run"]
@@ -76,6 +76,11 @@ class McReport:
     estimates: PerformanceReport
     clamp_rate: float
 
+    @property
+    def batches(self) -> int:
+        """Number of seeded batches the slots were split into."""
+        return -(-self.n_slots // self.batch_size)
+
 
 @dataclass
 class _Counts:
@@ -86,10 +91,9 @@ class _Counts:
     s3: int = 0  # signal + 1 background, kept by the polarization coin
     errors: int = 0  # erroneous State-2 bits
     clamped: int = 0
-    photons: int = 0
 
     def add(self, other: "_Counts") -> None:
-        for f in ("slots", "detect", "s1", "s2", "s3", "errors", "clamped", "photons"):
+        for f in ("slots", "detect", "s1", "s2", "s3", "errors", "clamped"):
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
@@ -116,7 +120,7 @@ def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: M
 def _mu_p_of(rd: np.ndarray, ctx: AnalyticContext, opt: McOptions) -> np.ndarray:
     if opt.use_grid_mu_p:
         return np.asarray(capture_grid(ctx.grid, rd))
-    return capture_exact_many(rd, ctx.wz, ctx.ra)
+    return capture_exact(rd, ctx.wz, ctx.ra)
 
 
 def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, opt: McOptions) -> _Counts:
@@ -143,7 +147,6 @@ def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, op
     c.s3 = int(np.count_nonzero(s3_kept))
     c.errors = int(np.count_nonzero(s2 & coin))  # background bit read in the wrong basis
     c.clamped = clamped
-    c.photons = int(n_t.sum())
     return c
 
 

@@ -18,7 +18,7 @@ from scipy import integrate, stats
 
 from conftest import make_config, make_context
 from uavqkd import analytics, montecarlo, output
-from uavqkd.beam import build_grid, capture_classical, capture_exact, capture_exact_many, capture_grid
+from uavqkd.beam import build_grid, capture_classical, capture_exact, capture_grid
 from uavqkd.channel import gg_cdf_interpolator, gg_pdf, gg_sample
 from uavqkd.config import build_context, dumps, loads
 from uavqkd.sweep import SweepSpec, optimize, sweep
@@ -51,7 +51,7 @@ def test_criterion_1_capture_model_comparison():
         rd = np.linspace(0.0, 0.2, 50)
         for wz in (0.05, 0.10):
             grid = build_grid(RA, wz, 10)
-            err = np.abs(capture_grid(grid, rd) - capture_exact_many(rd, wz, RA))
+            err = np.abs(capture_grid(grid, rd) - capture_exact(rd, wz, RA))
             assert err.max() < 0.01, (
                 f"wz={wz:g} m: N_g=10 grid error {err.max():.4f}, bound 0.01. Known model "
                 f"limitation (README): the midpoint strips are 2ra/N_g = {100 * grid.dx:.1f} cm "

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from conftest import make_context
+from conftest import log_uniform_field, make_context
 from uavqkd import analytics
 from uavqkd.analytics import (
     detect_prob,
@@ -21,7 +21,7 @@ from uavqkd.analytics import (
     state_probs,
     with_frozen_mu_b,
 )
-from uavqkd.beam import capture_exact_many, capture_grid
+from uavqkd.beam import capture_exact, capture_grid
 from uavqkd.channel import PointingModel
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
@@ -256,7 +256,7 @@ class TestKeyMetrics:
         i_exact = scale * -math.expm1(-2.0 * ra * ra / (wz * wz + 4.0 * sigma * sigma))
         rd = np.linspace(0.0, ra + 9.0 * wz, 4001)
         pdf = rd / sigma**2 * np.exp(-0.5 * (rd / sigma) ** 2)
-        gap = np.abs(capture_grid(ctx.grid, rd) - capture_exact_many(rd, wz, ra))
+        gap = np.abs(capture_grid(ctx.grid, rd) - capture_exact(rd, wz, ra))
         tol = scale * float(np.trapezoid(gap * pdf, rd)) * 1.01
         eb = math.exp(-1.0)
         s1, s2, s3 = state_probs(ctx)
@@ -318,10 +318,10 @@ def test_qber_bounds_under_fuzzing(wz, sigma_theta_e, sigma_aoa, theta_fov, b_ex
 
 @settings(max_examples=30, deadline=None)
 @given(
-    ng=st.floats(math.log10(2.0), 5.0).map(lambda e: int(round(10.0**e))),
+    ng=log_uniform_field("Ng").map(lambda v: int(round(v))),
     sigma_rd=st.floats(-9.0, math.log10(200.0)).map(lambda e: 10.0**e),
-    wz=st.floats(math.log10(0.005), 1.0).map(lambda e: 10.0**e),
-    ra=st.floats(math.log10(0.015), math.log10(1.5)).map(lambda e: 10.0**e),
+    wz=log_uniform_field("wz"),
+    ra=log_uniform_field("ra"),
 )
 def test_closed_form_matches_quadrature_oracle(ng, sigma_rd, wz, ra):
     ctx = make_context(Ng=ng, wz=wz, ra=ra)

@@ -1,9 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import log_uniform_field
 from uavqkd.beam import (
     ApertureSpec,
     BeamGeometry,
@@ -17,6 +21,38 @@ from uavqkd.beam import (
 )
 
 RA = 0.15
+
+
+def _rician_capture(rd, wz, ra):
+    """Capture probability as the Rician integral, to 30 digits.
+
+    The photon's distance from the aperture centre, scaled by 2 / wz, is
+    Rician with parameter a = 2 rd / wz, so mu_p is
+    int_0^b r exp(-(r^2 + a^2) / 2) I0(a r) dr with b = 2 ra / wz. a and b
+    come from the same rounded squares as the closed form's arguments, so
+    the comparison measures the evaluator, not the rounding of its inputs.
+    The integrand lies below e^-800 of its peak farther than 40 from r = a,
+    so only that window is integrated.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.sqrt(mpmath.mpf((2.0 * rd / wz) ** 2))
+        b = mpmath.sqrt(mpmath.mpf((2.0 * ra / wz) ** 2))
+        lo, hi = max(a - 40, 0), min(a + 40, b)
+        if lo >= hi:
+            return 0.0
+
+        def f(r):
+            return r * mpmath.exp(-((r - a) ** 2) / 2) * mpmath.besseli(0, a * r) * mpmath.exp(-a * r)
+
+        breaks = {lo, hi} | {mpmath.mpf(p) for p in (a - 12, a - 4, a, a + 4, a + 12, 1, 4, 12) if lo < p < hi}
+        return float(mpmath.quad(f, sorted(breaks)))
+
+
+@st.composite
+def _capture_box(draw):
+    wz = draw(log_uniform_field("wz"))
+    ra = draw(log_uniform_field("ra"))
+    return draw(st.floats(0.0, ra + 10.0 * wz)), wz, ra
 
 
 class TestBeamRadius:
@@ -98,21 +134,51 @@ class TestCaptureExact:
         se = math.sqrt(hits * (1.0 - hits) / n)
         assert abs(capture_exact(rd, wz, RA) - hits) < 3.0 * se
 
-    def test_vectorized_matches_scalar(self):
+    def test_scalar_gives_float_array_gives_array(self):
+        assert type(capture_exact(0.05, 0.08, RA)) is float
         rd = np.linspace(0.0, 0.3, 40)
-        many = capture_exact_many(rd, 0.08, RA)
-        scalars = np.array([capture_exact(r, 0.08, RA) for r in rd])
-        assert np.max(np.abs(many - scalars)) < 1e-10
+        vals = capture_exact(rd, 0.08, RA)
+        assert isinstance(vals, np.ndarray) and vals.shape == rd.shape
+        assert isinstance(capture_exact([0.0], 0.08, RA), np.ndarray)
+
+    def test_old_name_is_an_alias(self):
+        assert capture_exact_many is capture_exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(_capture_box())
+    @example((1.49, 0.005, 1.5))  # near chndtr's worst error: 2.0e-14 here
+    @example((0.0, 0.005, 0.015))
+    @example((0.0, 10.0, 0.015))
+    @example((1.55, 0.005, 1.5))
+    @example((2.004504958609584e-161, 1.0, 1.0))  # subnormal noncentrality: chndtr was 8.4e-4 off
+    def test_matches_rician_oracle_over_config_box(self, point):
+        # chndtr's rounding error grows with b = 2 ra / wz: measured worst
+        # 1.2e-15 at b = 30, 1.1e-14 at 100, 3.5e-14 at 600 (the box's edge)
+        rd, wz, ra = point
+        b = 2.0 * ra / wz
+        assert abs(capture_exact(rd, wz, ra) - _rician_capture(rd, wz, ra)) <= 1e-14 + 1e-16 * b
+
+    @pytest.mark.parametrize("rd,wz,ra", [(0.0, 0.005, 0.15), (0.1, 0.005, 1.5)])
+    def test_narrow_beam_fully_captured(self, rd, wz, ra):
+        # the former fixed-node rule gave 0.755 and adaptive quadrature 0.0 here
+        assert capture_exact(rd, wz, ra) == 1.0
 
     def test_monotone_in_displacement(self):
         rd = np.linspace(0.0, 0.4, 60)
-        vals = capture_exact_many(rd, 0.07, RA)
+        vals = capture_exact(rd, 0.07, RA)
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_rejects_negative_rd(self):
         with pytest.raises(ValueError):
             capture_exact(-0.1, 0.1, RA)
+        with pytest.raises(ValueError):
+            capture_exact(np.array([0.0, -1e-3]), 0.1, RA)
+
+    @pytest.mark.parametrize("wz,ra", [(0.0, RA), (-0.1, RA), (0.1, 0.0), (0.1, -RA)])
+    def test_rejects_nonpositive_geometry(self, wz, ra):
+        with pytest.raises(ValueError):
+            capture_exact(0.0, wz, ra)
 
 
 class TestCaptureClassical:
@@ -168,11 +234,11 @@ class TestCaptureGrid:
         # quadrature + Monte Carlo cross-check of the exact integral.
         grid = build_grid(RA, 0.05, 10)
         rd = np.linspace(0.0, 0.2, 50)
-        err = np.abs(capture_grid(grid, rd) - capture_exact_many(rd, 0.05, RA))
+        err = np.abs(capture_grid(grid, rd) - capture_exact(rd, 0.05, RA))
         assert err.max() == pytest.approx(0.0395, abs=0.001)
         # the wider reference beam halves the aliasing error
         grid = build_grid(RA, 0.10, 10)
-        err = np.abs(capture_grid(grid, rd) - capture_exact_many(rd, 0.10, RA))
+        err = np.abs(capture_grid(grid, rd) - capture_exact(rd, 0.10, RA))
         assert err.max() == pytest.approx(0.0183, abs=0.001)
 
     def test_fine_grid_accuracy(self):
@@ -180,12 +246,12 @@ class TestCaptureGrid:
         # the aperture edge; 200 segments reach a few 1e-4 absolute
         grid = build_grid(RA, 0.10, 200)
         rd = np.linspace(0.0, 2 * RA, 80)
-        err = np.abs(capture_grid(grid, rd) - capture_exact_many(rd, 0.10, RA))
+        err = np.abs(capture_grid(grid, rd) - capture_exact(rd, 0.10, RA))
         assert err.max() < 5e-4
 
     def test_convergence_is_monotone(self):
         rd = np.linspace(0.0, 2 * RA, 60)
-        exact = capture_exact_many(rd, 0.08, RA)
+        exact = capture_exact(rd, 0.08, RA)
         errs = []
         for ng in (5, 10, 20, 40, 80):
             grid = build_grid(RA, 0.08, ng)

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import logging
+import math
 
+import numpy as np
 import pytest
 
-from uavqkd import cli
+from uavqkd import cli, config, montecarlo, output
+from uavqkd.beam import capture_exact
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +95,24 @@ class TestMc:
         assert row["method"] == "monte_carlo"
         assert row["se_p_detect"] > 0
 
+    def test_logs_run_diagnostics(self, caplog, capsys, cfg_file):
+        with caplog.at_level(logging.INFO, logger="uavqkd"):
+            code, out = run_cli(
+                capsys, "--config", cfg_file, "--quiet", "--format", "json",
+                "mc", "--slots", "70000", "--seed", "3",
+            )
+        assert code == cli.EXIT_OK
+        assert set(json.loads(out)[0]) == set(output.PERF_COLUMNS)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc:")]
+        assert len(lines) == 1
+        fields = dict(kv.split("=") for kv in lines[0].split()[1:])
+        assert set(fields) == {"slots", "batches", "clamp_rate", "slots_per_s"}
+        assert int(fields["slots"]) == 70000 and int(fields["batches"]) == 2
+        ctx = config.build_context(config.load_config(cfg_file))
+        expected = montecarlo.run(ctx, 70000, 3).clamp_rate
+        assert float(fields["clamp_rate"]) == pytest.approx(expected, rel=1e-5)
+        assert float(fields["slots_per_s"]) > 0
+
 
 class TestSweep:
     def test_values_with_units(self, capsys, cfg_file):
@@ -167,3 +189,22 @@ class TestValidate:
         assert float(first["mu_p_classical"]) == pytest.approx(18.0)
         assert first["classical_valid"] == "False"
         assert abs(float(first["mu_p_exact"]) - float(first["mu_p_grid"])) < 0.01
+
+    def test_columns_are_the_shared_evaluators(self, capsys):
+        code, out = run_cli(
+            capsys, "--quiet", "--format", "json",
+            "validate", "--wz", "2cm,5cm,10cm", "--rd-max", "0.3", "--points", "25", "--ng", "10",
+        )
+        assert code == cli.EXIT_OK
+        rows = json.loads(out)
+        assert len(rows) == 75
+        ra = config.LinkConfig().ra
+        for row in rows:
+            wz, rd = row["wz"], row["rd"]
+            # the grid model as its docstring states it, summed here
+            dx = 2.0 * ra / 10
+            xs = -ra + dx * (np.arange(10) + 0.5)
+            cs = [2.0 * dx / (math.sqrt(2.0 * math.pi) * wz) * math.erf(math.sqrt(2.0) / wz * math.sqrt(ra * ra - x * x)) for x in xs]
+            grid = sum(c * math.exp(-2.0 * (x - rd) ** 2 / wz**2) for x, c in zip(xs, cs))
+            assert row["mu_p_grid"] == pytest.approx(grid, abs=1e-15)
+            assert row["mu_p_exact"] == pytest.approx(capture_exact(rd, wz, ra), abs=1e-15)
