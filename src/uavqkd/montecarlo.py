@@ -1,9 +1,9 @@
 """Slot-level Monte Carlo simulation of the quantum link.
 
 Every analytic quantity has an independent estimator here. Each quantum
-slot draws its own source photon count, pointing displacement, turbulence
-fade, angle-of-arrival acceptance and background count, then classifies
-the slot into one of the key-accounting outcomes.
+slot draws its own pointing displacement, turbulence fade, angle-of-arrival
+acceptance, signal detection and background count, then classifies the
+slot into one of the key-accounting outcomes.
 
 Determinism: a 64-bit master seed expands into one child stream per batch
 of ``BATCH_SIZE`` slots via ``numpy.random.SeedSequence.spawn``. Batches
@@ -11,12 +11,21 @@ own private streams and accumulators and the aggregation is a plain sum,
 so results are bit-identical for a fixed (seed, n_slots, batch size)
 regardless of how many workers process the batches.
 
-The per-photon survival probability multiplies the unit-mean turbulence
-fade, which can exceed 1; the Bernoulli parameter is clamped to 1 and the
-clamp rate is reported as a diagnostic. The clamp biases detection low: at
-the reference point (wz = 10 cm, theta_fov = 100 urad) the clamped model's
-expected p_detect is 0.08127 against 0.08268 for the exact expectation, a
--1.7% bias, or -10.4 standard errors at 4M slots.
+A Poisson source thinned by a per-photon survival factor t leaves a
+Poisson count, so the detected signal count is n_q ~ Poisson(mu_t t) on
+FoV-accepted slots. The factor t = eta_atm mu_d mu_p eta multiplies the
+unit-mean turbulence fade and can exceed 1, which binomial thinning of a
+drawn source count cannot represent; the Poisson form needs no clamp, so
+p_detect estimates the exact expectation E[P_fov (1 - e^(-mu_t t))]. (A
+clamp at 1 biased it by -1.7% at the reference point, wz = 10 cm,
+theta_fov = 100 urad.) ``clamp_rate`` reports the share of slots with
+t > 1, the slots such a clamp would have changed.
+
+Each slot decides n_q >= 1 with one uniform against 1 - e^(-mu_t t). The
+draw stream therefore does not depend on the values of t: numpy's
+``binomial`` and ``poisson`` draw nothing for a zero parameter, so with
+them a capture value underflowing to 0 instead of 1e-300 would shift
+every later draw of its batch.
 
 Capture probability uses the exact closed form (``capture_exact``) by
 default so that Monte Carlo vs analytic deviations isolate the
@@ -90,7 +99,7 @@ class _Counts:
     s2: int = 0  # background only (bit always produced)
     s3: int = 0  # signal + 1 background, kept by the polarization coin
     errors: int = 0  # erroneous State-2 bits
-    clamped: int = 0
+    clamped: int = 0  # survival factor t > 1 (drawn unclamped)
 
     def add(self, other: "_Counts") -> None:
         for f in ("slots", "detect", "s1", "s2", "s3", "errors", "clamped"):
@@ -125,16 +134,12 @@ def _mu_p_of(rd: np.ndarray, ctx: AnalyticContext, opt: McOptions) -> np.ndarray
 
 def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, opt: McOptions) -> _Counts:
     rng = np.random.default_rng(ss)
-    n_t = rng.poisson(ctx.mu_t, m)
     rd, eta, accept = _draw_channel(rng, ctx, m, opt)
-    raw = ctx.eta_atm * ctx.mu_d * _mu_p_of(rd, ctx, opt) * eta
-    clamped = int(np.count_nonzero(raw > 1.0))
-    p_surv = np.where(accept, np.minimum(raw, 1.0), 0.0)
-    n_q = rng.binomial(n_t, p_surv)
+    t = ctx.eta_atm * ctx.mu_d * _mu_p_of(rd, ctx, opt) * eta
+    sig = rng.random(m) < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0))  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
     coin = rng.random(m) < 0.5  # fair polarization coin
 
-    sig = n_q >= 1
     s1 = sig & (n_b == 0)
     s2 = ~sig & (n_b == 1)
     s3_kept = sig & (n_b == 1) & coin
@@ -146,19 +151,20 @@ def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, op
     c.s2 = int(np.count_nonzero(s2))
     c.s3 = int(np.count_nonzero(s3_kept))
     c.errors = int(np.count_nonzero(s2 & coin))  # background bit read in the wrong basis
-    c.clamped = clamped
+    c.clamped = int(np.count_nonzero(t > 1.0))
     return c
 
 
 def simulate_slot(rng: np.random.Generator, ctx: AnalyticContext, options: McOptions | None = None) -> SlotSample:
     """Simulate a single quantum slot and classify its outcome."""
     opt = options or McOptions()
-    n_t = int(rng.poisson(ctx.mu_t))
     rd, eta, accept = _draw_channel(rng, ctx, 1, opt)
     rd_v, eta_v, acc_v = float(rd[0]), float(eta[0]), bool(accept[0])
-    raw = ctx.eta_atm * ctx.mu_d * float(_mu_p_of(rd[:1], ctx, opt)[0]) * eta_v
-    p_surv = min(raw, 1.0) if acc_v else 0.0
-    n_q = int(rng.binomial(n_t, p_surv))
+    t = ctx.eta_atm * ctx.mu_d * float(_mu_p_of(rd[:1], ctx, opt)[0]) * eta_v if acc_v else 0.0
+    # n_q and the n_t - n_q lost photons are independent Poisson counts; for
+    # t <= 1 this is binomial thinning of n_t ~ Poisson(mu_t).
+    n_q = int(rng.poisson(ctx.mu_t * t))
+    n_t = n_q + int(rng.poisson(ctx.mu_t * max(1.0 - t, 0.0)))
     n_b = int(rng.poisson(ctx.mu_b))
     coin = bool(rng.random() < 0.5)
 

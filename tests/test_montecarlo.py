@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import make_context
-from uavqkd.analytics import with_frozen_mu_b
+from uavqkd.analytics import detect_prob, with_frozen_mu_b
 from uavqkd.channel import gg_cdf_interpolator
 from uavqkd.montecarlo import (
     BATCH_SIZE,
@@ -72,6 +72,23 @@ class TestOutcomeOracles:
         target = 1.0 - math.exp(-0.5 * 0.4 * 0.6 * mu_p0)
         se = math.sqrt(target * (1.0 - target) / 1_000_000)
         assert abs(report.p_detect - target) < 3.0 * se
+
+    def test_unbiased_where_survival_factor_exceeds_one(self, baseline_ctx):
+        # ~1.8% of slots here have t > 1; clamping them at 1 put p_detect
+        # 1.7% (5 SE at 1M slots) below the exact expectation
+        rep = run(baseline_ctx, 1_000_000, seed=17)
+        assert rep.clamp_rate > 0.01
+        exact = detect_prob(replace(baseline_ctx, mu_p_mode="exact"), turbulence="averaged")
+        est = rep.estimates
+        assert abs(est.p_detect - exact) < 3.0 * est.se["p_detect"]
+
+    def test_stream_does_not_depend_on_capture_underflow(self, baseline_ctx):
+        # capture is 1.6e-65 at rd = 1 m and exactly 0 at 1.2 m; neither
+        # detects, so every other draw of the batch must be the same
+        tiny = run(baseline_ctx, 2 * BATCH_SIZE, seed=18, options=McOptions(force_rd=1.0))
+        zero = run(baseline_ctx, 2 * BATCH_SIZE, seed=18, options=McOptions(force_rd=1.2))
+        assert tiny.estimates.p_detect == 0.0
+        assert tiny == zero
 
 
 class TestEstimates:
