@@ -18,14 +18,15 @@ unit-mean turbulence fade and can exceed 1, which binomial thinning of a
 drawn source count cannot represent; the Poisson form needs no clamp, so
 p_detect estimates the exact expectation E[P_fov (1 - e^(-mu_t t))]. (A
 clamp at 1 biased it by -1.7% at the reference point, wz = 10 cm,
-theta_fov = 100 urad.) ``clamp_rate`` reports the share of slots with
-t > 1, the slots such a clamp would have changed.
+theta_fov = 100 urad, where 1.8% of slots have t > 1.) Nothing is
+clamped, so ``McReport.clamp_rate`` is 0.
 
 Each slot decides n_q >= 1 with one uniform against 1 - e^(-mu_t t). The
 draw stream therefore does not depend on the values of t: numpy's
 ``binomial`` and ``poisson`` draw nothing for a zero parameter, so with
 them a capture value underflowing to 0 instead of 1e-300 would shift
-every later draw of its batch.
+every later draw of its batch. ``run`` and ``simulate_slot`` share one
+draw routine and one outcome classifier.
 
 Capture probability uses the exact closed form (``capture_exact``) by
 default so that Monte Carlo vs analytic deviations isolate the
@@ -66,8 +67,7 @@ class McOptions:
 class SlotSample:
     """One simulated quantum slot."""
 
-    n_t: int
-    n_q: int
+    detected: bool  # n_q >= 1
     n_b: int
     outcome: str
     r_d: float
@@ -83,27 +83,23 @@ class McReport:
     seed: int
     batch_size: int
     estimates: PerformanceReport
-    clamp_rate: float
 
     @property
     def batches(self) -> int:
         """Number of seeded batches the slots were split into."""
         return -(-self.n_slots // self.batch_size)
 
+    @property
+    def clamp_rate(self) -> float:
+        """Share of slots whose survival factor was clamped: 0, the draw clamps nothing."""
+        return 0.0
 
-@dataclass
-class _Counts:
-    slots: int = 0
-    detect: int = 0  # n_q >= 1
-    s1: int = 0  # signal only
-    s2: int = 0  # background only (bit always produced)
-    s3: int = 0  # signal + 1 background, kept by the polarization coin
-    errors: int = 0  # erroneous State-2 bits
-    clamped: int = 0  # survival factor t > 1 (drawn unclamped)
 
-    def add(self, other: "_Counts") -> None:
-        for f in ("slots", "detect", "s1", "s2", "s3", "errors", "clamped"):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+# Slot states: no bit; State 1 (signal only); State 2 (background only)
+# read in the right / wrong basis; State 3 (signal + one background) kept
+# by the polarization coin; discarded multi-count.
+_NONE, _S1, _S2_OK, _S2_ERR, _S3, _MULTI = range(6)
+_STATE_OUTCOME = ("no_bit", "bit_ok", "bit_ok", "bit_error", "bit_ok", "discarded_multi")
 
 
 def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: McOptions):
@@ -132,53 +128,37 @@ def _mu_p_of(rd: np.ndarray, ctx: AnalyticContext, opt: McOptions) -> np.ndarray
     return capture_exact(rd, ctx.wz, ctx.ra)
 
 
-def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, opt: McOptions) -> _Counts:
-    rng = np.random.default_rng(ss)
+def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: McOptions):
+    """Draw and classify m slots: (state, detected, n_b, r_d, eta_turb, fov_accept)."""
     rd, eta, accept = _draw_channel(rng, ctx, m, opt)
     t = ctx.eta_atm * ctx.mu_d * _mu_p_of(rd, ctx, opt) * eta
     sig = rng.random(m) < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0))  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
-    coin = rng.random(m) < 0.5  # fair polarization coin
+    heads = rng.random(m) < 0.5  # fair polarization coin
 
-    s1 = sig & (n_b == 0)
-    s2 = ~sig & (n_b == 1)
-    s3_kept = sig & (n_b == 1) & coin
+    state = np.where(n_b >= 2, _MULTI, np.where(sig, _S1, _NONE))
+    one_b = n_b == 1
+    state[one_b] = np.where(sig, np.where(heads, _S3, _MULTI), np.where(heads, _S2_ERR, _S2_OK))[one_b]
+    return state, sig, n_b, rd, eta, accept
 
-    c = _Counts()
-    c.slots = m
-    c.detect = int(np.count_nonzero(sig))
-    c.s1 = int(np.count_nonzero(s1))
-    c.s2 = int(np.count_nonzero(s2))
-    c.s3 = int(np.count_nonzero(s3_kept))
-    c.errors = int(np.count_nonzero(s2 & coin))  # background bit read in the wrong basis
-    c.clamped = int(np.count_nonzero(t > 1.0))
-    return c
+
+def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, opt: McOptions) -> np.ndarray:
+    """[detected slots, then the count of each slot state] for one seeded batch."""
+    state, sig, *_ = _draw_slots(np.random.default_rng(ss), ctx, m, opt)
+    return np.concatenate(([np.count_nonzero(sig)], np.bincount(state, minlength=len(_STATE_OUTCOME))))
 
 
 def simulate_slot(rng: np.random.Generator, ctx: AnalyticContext, options: McOptions | None = None) -> SlotSample:
     """Simulate a single quantum slot and classify its outcome."""
-    opt = options or McOptions()
-    rd, eta, accept = _draw_channel(rng, ctx, 1, opt)
-    rd_v, eta_v, acc_v = float(rd[0]), float(eta[0]), bool(accept[0])
-    t = ctx.eta_atm * ctx.mu_d * float(_mu_p_of(rd[:1], ctx, opt)[0]) * eta_v if acc_v else 0.0
-    # n_q and the n_t - n_q lost photons are independent Poisson counts; for
-    # t <= 1 this is binomial thinning of n_t ~ Poisson(mu_t).
-    n_q = int(rng.poisson(ctx.mu_t * t))
-    n_t = n_q + int(rng.poisson(ctx.mu_t * max(1.0 - t, 0.0)))
-    n_b = int(rng.poisson(ctx.mu_b))
-    coin = bool(rng.random() < 0.5)
-
-    if n_q >= 1 and n_b == 0:
-        outcome = "bit_ok"
-    elif n_q == 0 and n_b == 1:
-        outcome = "bit_error" if coin else "bit_ok"
-    elif n_q >= 1 and n_b == 1:
-        outcome = "bit_ok" if coin else "discarded_multi"
-    elif n_b >= 2:
-        outcome = "discarded_multi"
-    else:
-        outcome = "no_bit"
-    return SlotSample(n_t=n_t, n_q=n_q, n_b=n_b, outcome=outcome, r_d=rd_v, eta_turb=eta_v, fov_accept=acc_v)
+    state, sig, n_b, rd, eta, accept = _draw_slots(rng, ctx, 1, options or McOptions())
+    return SlotSample(
+        detected=bool(sig[0]),
+        n_b=int(n_b[0]),
+        outcome=_STATE_OUTCOME[state[0]],
+        r_d=float(rd[0]),
+        eta_turb=float(eta[0]),
+        fov_accept=bool(accept[0]),
+    )
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -200,21 +180,20 @@ def run(
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_SIZE] * (n_batches - 1) + [n_slots - BATCH_SIZE * (n_batches - 1)]
 
-    total = _Counts()
     if workers <= 1:
-        for ss, m in zip(children, sizes):
-            total.add(_simulate_batch(ss, ctx, m, opt))
+        counts = [_simulate_batch(ss, ctx, m, opt) for ss, m in zip(children, sizes)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for c in pool.map(_simulate_batch, children, [ctx] * n_batches, sizes, [opt] * n_batches):
-                total.add(c)
+            counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes, [opt] * n_batches))
+    detect, _, s1, s2_ok, s2_err, s3, _ = (int(c) for c in np.sum(counts, axis=0))
 
-    n = total.slots
-    bits = total.s1 + total.s2 + total.s3
-    p_detect = total.detect / n
-    p_s1, p_s2, p_s3 = total.s1 / n, total.s2 / n, total.s3 / n
+    n = n_slots
+    s2 = s2_ok + s2_err
+    bits = s1 + s2 + s3
+    p_detect = detect / n
+    p_s1, p_s2, p_s3 = s1 / n, s2 / n, s3 / n
     peff = bits / n
-    qber_est = (total.errors / bits) if bits > 0 else float("nan")
+    qber_est = (s2_err / bits) if bits > 0 else float("nan")
     r_q = ctx.R_q
     se = {
         "p_detect": _binom_se(p_detect, n),
@@ -241,5 +220,4 @@ def run(
         seed=seed,
         batch_size=BATCH_SIZE,
         estimates=report,
-        clamp_rate=total.clamped / n,
     )

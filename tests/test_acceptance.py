@@ -140,7 +140,7 @@ def test_criterion_4_analytic_mc_cross_validation(label, overrides):
                 f"c_pt*mu_p(0)={ctx.c_pt * ctx.mu_p(0.0):.4f}; exact-expectation p_detect="
                 f"{exact:.6g} is {(exact - a) / a:+.1%} from the analytic "
                 f"(grid {(exact_lin - a) / a:+.1%}, linearization {(exact - exact_lin) / a:+.1%}); "
-                f"MC z vs exact expectation = {z:+.1f} (its survival clamp biases it low). "
+                f"MC z vs exact expectation = {z:+.1f}. "
                 "Known model limitation (README)"
             )
         assert not misses, f"{label}: " + "; ".join(misses)

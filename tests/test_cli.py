@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from uavqkd import cli, config, montecarlo, output
+from uavqkd import cli, config, output
 from uavqkd.beam import capture_exact
 
 
@@ -108,9 +108,7 @@ class TestMc:
         fields = dict(kv.split("=") for kv in lines[0].split()[1:])
         assert set(fields) == {"slots", "batches", "clamp_rate", "slots_per_s"}
         assert int(fields["slots"]) == 70000 and int(fields["batches"]) == 2
-        ctx = config.build_context(config.load_config(cfg_file))
-        expected = montecarlo.run(ctx, 70000, 3).clamp_rate
-        assert float(fields["clamp_rate"]) == pytest.approx(expected, rel=1e-5)
+        assert float(fields["clamp_rate"]) == 0.0  # the Poisson slot draw clamps nothing
         assert float(fields["slots_per_s"]) > 0
 
 
