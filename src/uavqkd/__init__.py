@@ -4,41 +4,31 @@ from .analytics import (
     AnalyticContext,
     PerformanceReport,
     detect_prob,
-    detect_prob_given_rd,
     evaluate,
     key_rate,
-    mu_q_conditional_pdf,
     p_eff_one,
     qber,
     state_probs,
 )
 from .beam import (
-    ApertureSpec,
-    BeamGeometry,
     CaptureGrid,
     beam_radius,
     build_grid,
     capture_classical,
     capture_exact,
     capture_grid,
-    photon_density,
 )
 from .channel import (
-    BackgroundModel,
-    ChannelParams,
-    FovModel,
-    PointingModel,
     atm_transmittance,
     background_mean,
     fov_accept_prob,
     fov_geometry,
     gg_pdf,
     gg_sample,
-    rayleigh_pdf,
 )
 from .config import LinkConfig, build_context, load_config
 from .errors import ConfigError, LinearizationWarning, NumericError
-from .montecarlo import McOptions, McReport, SlotSample, run, simulate_slot
+from .montecarlo import McOptions, McReport, run
 from .sweep import OptimizeResult, SweepResult, SweepSpec, optimize, sweep
 
 __version__ = "0.1.0"

@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 from .beam import CaptureGrid, capture_exact, capture_grid
-from .channel import FovModel, PointingModel, gg_pdf
+from .channel import fov_accept_prob
 from .errors import LinearizationWarning
 
 __all__ = [
     "AnalyticContext",
     "PerformanceReport",
-    "mu_q_conditional_pdf",
-    "detect_prob_given_rd",
     "detect_prob",
     "state_probs",
     "p_eff_one",
@@ -52,15 +50,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticContext:
-    """Immutable bundle of everything the closed-form metrics need."""
+    """Immutable bundle of everything the closed-form metrics need.
+
+    ``sigma_rd`` is the per-axis scale of the Rayleigh pointing
+    displacement at the receiver (sigma_theta_e * Lz); ``theta_fov`` and
+    ``sigma_aoa`` are the FoV half-angle and the per-axis angle-of-arrival
+    spread.
+    """
 
     mu_t: float
     eta_atm: float
     mu_d: float
     T_qs: float
     grid: CaptureGrid
-    pointing: PointingModel
-    fov: FovModel
+    sigma_rd: float
+    theta_fov: float
+    sigma_aoa: float
     mu_b: float
     alpha: float
     beta: float
@@ -74,6 +79,8 @@ class AnalyticContext:
             raise ValueError("eta_atm and mu_d must be in (0, 1]")
         if self.T_qs <= 0:
             raise ValueError("T_qs must be > 0")
+        if not self.sigma_rd > 0 or not self.theta_fov > 0 or not self.sigma_aoa > 0:
+            raise ValueError("sigma_rd, theta_fov and sigma_aoa must be > 0")
         if self.mu_b < 0:
             raise ValueError("mu_b must be >= 0")
         if self.mu_p_mode not in ("grid", "exact"):
@@ -97,9 +104,9 @@ class AnalyticContext:
         return self.grid.ra
 
     @property
-    def fov_escape(self) -> float:
-        """Probability the photon misses the acceptance cone."""
-        return math.exp(-(self.fov.theta_fov**2) / (2.0 * self.fov.sigma_aoa**2))
+    def p_fov(self) -> float:
+        """Probability the photon lies inside the acceptance cone."""
+        return fov_accept_prob(self.theta_fov, self.sigma_aoa)
 
     def mu_p(self, rd):
         if self.mu_p_mode == "exact":
@@ -133,31 +140,6 @@ class PerformanceReport:
         return {k: 1.96 * v for k, v in self.se.items()}
 
 
-def mu_q_conditional_pdf(u: float, rd: float, ctx: AnalyticContext) -> tuple[float, float]:
-    """Conditional law of the mean detected photon count given rd.
-
-    Returns ``(point_mass_at_zero, density_at_u)``: a point mass
-    exp(-theta_fov^2 / (2 sigma_aoa^2)) for the photon rejected by the
-    acceptance cone, plus the Gamma-Gamma density scaled by
-    c_pt * mu_p(rd) on u > 0. If mu_p(rd) vanishes, all mass sits at zero.
-    """
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    pm = ctx.fov_escape
-    scale = ctx.c_pt * ctx.mu_p(rd)
-    if scale <= 0.0:
-        return 1.0, 0.0
-    if u == 0.0:
-        return pm, 0.0
-    dens = (1.0 - pm) * gg_pdf(u / scale, ctx.alpha, ctx.beta) / scale
-    return pm, float(dens)
-
-
-def detect_prob_given_rd(rd, ctx: AnalyticContext):
-    """P(n_q >= 1 | rd) = c_pt * P_fov * mu_p(rd)."""
-    return ctx.c_pt * ctx.fov.accept_prob * ctx.mu_p(rd)
-
-
 def _turb_mean(s: float, alpha: float, beta: float) -> float:
     """E[1 - exp(-s eta)] for unit-mean Gamma-Gamma eta.
 
@@ -180,12 +162,12 @@ def _turb_mean(s: float, alpha: float, beta: float) -> float:
 def _rayleigh_average_grid(ctx: AnalyticContext) -> float:
     """sum_i c_i E[exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma)."""
     grid = ctx.grid
-    sigma, wz = ctx.pointing.sigma_rd, grid.wz
+    sigma, wz = ctx.sigma_rd, grid.wz
     s2 = wz * wz + 4.0 * sigma * sigma
-    x = grid.centers_array()
+    x = grid.centers
     z = (2.0 * math.sqrt(2.0) * sigma / (wz * math.sqrt(s2))) * x
     j = np.exp(-2.0 * x * x / s2) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
-    return float(grid.weights_array() @ j) * (wz * wz / s2)
+    return float(grid.weights @ j) * (wz * wz / s2)
 
 
 def detect_prob(
@@ -218,12 +200,12 @@ def detect_prob(
     """
     if turbulence not in ("linearized", "averaged"):
         raise ValueError("turbulence must be 'linearized' or 'averaged'")
-    sigma = ctx.pointing.sigma_rd
+    sigma = ctx.sigma_rd
     probe = np.zeros(1)
     if ctx.mu_p_mode == "grid" and ctx.grid.dx > ctx.wz:
         # segments wider than the beam: the grid sum peaks near the segment
         # centres, where capture_grid warns if it exceeds 1
-        x = ctx.grid.centers_array()
+        x = ctx.grid.centers
         probe = np.concatenate((probe, x[x > 0.0]))
     mu_p0 = float(ctx.mu_p(probe)[0])
     if ctx.c_pt * mu_p0 > 0.1:
@@ -234,7 +216,7 @@ def detect_prob(
             LinearizationWarning,
             stacklevel=2,
         )
-    p_fov = ctx.fov.accept_prob
+    p_fov = ctx.p_fov
     if turbulence == "linearized":
         if ctx.mu_p_mode == "exact":
             mean_mu_p = -math.expm1(-2.0 * ctx.ra**2 / (ctx.wz**2 + 4.0 * sigma**2))
@@ -305,8 +287,3 @@ def qber(ctx: AnalyticContext) -> float:
 def evaluate(ctx: AnalyticContext) -> PerformanceReport:
     """Full analytic point evaluation as a PerformanceReport."""
     return _metrics(detect_prob(ctx), ctx)
-
-
-def with_frozen_mu_b(ctx: AnalyticContext, mu_b: float) -> AnalyticContext:
-    """Copy of the context with mu_b pinned, decoupling it from FoV geometry."""
-    return replace(ctx, mu_b=mu_b)

@@ -36,12 +36,9 @@ from scipy import special
 from .errors import CaptureOverflowWarning
 
 __all__ = [
-    "BeamGeometry",
-    "ApertureSpec",
     "CaptureGrid",
     "ClassicalCapture",
     "beam_radius",
-    "photon_density",
     "capture_exact",
     "capture_exact_many",
     "capture_classical",
@@ -61,24 +58,10 @@ def beam_radius(w0: float, wavelength: float, Lz: float) -> float:
     return w0 * math.sqrt(1.0 + t * t)
 
 
-def photon_density(x, y, wz: float, rd: tuple[float, float] = (0.0, 0.0)):
-    """Transverse photon probability density (1/m^2) at (x, y).
-
-    Integrates to 1 over the plane; peak value 2 / (pi wz^2) at the beam
-    center ``rd``.
-    """
-    if wz <= 0:
-        raise ValueError("photon_density requires wz > 0")
-    dx = np.asarray(x, dtype=float) - rd[0]
-    dy = np.asarray(y, dtype=float) - rd[1]
-    out = (2.0 / (math.pi * wz * wz)) * np.exp(-2.0 * (dx * dx + dy * dy) / (wz * wz))
-    return out if out.ndim else float(out)
-
-
 def _check_capture_args(rd, wz: float, ra: float) -> None:
-    if wz <= 0 or ra <= 0:
+    if not wz > 0 or not ra > 0:
         raise ValueError("capture probability requires wz > 0 and ra > 0")
-    if np.any(np.asarray(rd) < 0):
+    if not np.all(np.asarray(rd) >= 0):
         raise ValueError("rd is a displacement norm and must be >= 0")
 
 
@@ -134,27 +117,24 @@ def capture_classical(rd: float, wz: float, ra: float) -> ClassicalCapture:
     return ClassicalCapture(value=value, valid=wz >= 4.0 * ra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaptureGrid:
     """Precomputed segment centers x_i and weights c_i for the grid model.
 
     dx = 2 ra / Ng, x_i are segment midpoints of [-ra, ra], and
     c_i = (2 dx / (sqrt(2 pi) wz)) erf(sqrt(2 / wz^2) sqrt(ra^2 - x_i^2)).
-    Immutable after construction; safe to share between threads.
+    ``centers`` and ``weights`` are read-only float arrays, so the grid is
+    immutable after construction and safe to share between threads. The
+    arrays make field-wise equality and hashing meaningless, so grids
+    compare by identity (``build_grid`` caches one per (ra, wz, Ng)).
     """
 
     ra: float
     wz: float
     ng: int
     dx: float
-    centers: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def centers_array(self) -> np.ndarray:
-        return np.asarray(self.centers)
-
-    def weights_array(self) -> np.ndarray:
-        return np.asarray(self.weights)
+    centers: np.ndarray
+    weights: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -166,21 +146,16 @@ def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
     """
     if ng < 2:
         raise ValueError("grid needs at least 2 segments")
-    if ra <= 0 or wz <= 0:
+    if not ra > 0 or not wz > 0:
         raise ValueError("build_grid requires ra > 0 and wz > 0")
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
     weights = (2.0 * dx / (math.sqrt(2.0 * math.pi) * wz)) * special.erf(
         math.sqrt(2.0 / (wz * wz)) * np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
     )
-    return CaptureGrid(
-        ra=ra,
-        wz=wz,
-        ng=ng,
-        dx=dx,
-        centers=tuple(float(c) for c in centers),
-        weights=tuple(float(w) for w in weights),
-    )
+    centers.setflags(write=False)
+    weights.setflags(write=False)
+    return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights)
 
 
 def capture_grid(grid: CaptureGrid, rd, wz: float | None = None):
@@ -194,8 +169,7 @@ def capture_grid(grid: CaptureGrid, rd, wz: float | None = None):
     rd_arr = np.atleast_1d(np.asarray(rd, dtype=float))
     if np.any(rd_arr < 0):
         raise ValueError("rd must be >= 0")
-    xi = grid.centers_array()
-    ci = grid.weights_array()
+    xi, ci = grid.centers, grid.weights
     vals = np.exp(-2.0 * (xi[None, :] - rd_arr[:, None]) ** 2 / (grid.wz**2)) @ ci
     if np.any(vals > 1.0 + 1e-6):
         warnings.warn(
@@ -204,47 +178,3 @@ def capture_grid(grid: CaptureGrid, rd, wz: float | None = None):
             stacklevel=2,
         )
     return vals if np.ndim(rd) else float(vals[0])
-
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Beam parameters at the receiver plane.
-
-    ``wz`` may be given directly (it is what the sweeps vary) or derived
-    from an initial waist ``w0``; when both are present they must be
-    consistent with the free-space divergence formula.
-    """
-
-    wz: float
-    wavelength: float
-    Lz: float
-    w0: float | None = None
-
-    def __post_init__(self):
-        if self.wz <= 0 or self.wavelength <= 0 or self.Lz <= 0:
-            raise ValueError("BeamGeometry requires wz, wavelength, Lz > 0")
-        if self.w0 is not None:
-            expected = beam_radius(self.w0, self.wavelength, self.Lz)
-            if abs(self.wz - expected) > 1e-12 * expected:
-                raise ValueError(
-                    f"wz={self.wz} inconsistent with w0-derived value {expected}"
-                )
-
-    @classmethod
-    def from_waist(cls, w0: float, wavelength: float, Lz: float) -> "BeamGeometry":
-        return cls(wz=beam_radius(w0, wavelength, Lz), wavelength=wavelength, Lz=Lz, w0=w0)
-
-
-@dataclass(frozen=True)
-class ApertureSpec:
-    """Receiver aperture radius (the converging lens radius)."""
-
-    ra: float
-
-    def __post_init__(self):
-        if self.ra <= 0:
-            raise ValueError("aperture radius must be > 0")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.ra * self.ra

@@ -1,33 +1,26 @@
 """Probability models for the free-space channel.
 
 Covers deterministic atmospheric transmittance (Beer-Lambert), turbulence
-fading (Gamma-Gamma with unit mean), transmitter pointing displacement
-(Rayleigh), receiver angle-of-arrival acceptance (narrow field of view),
-and background photon arrival statistics.
+fading (Gamma-Gamma with unit mean), receiver angle-of-arrival acceptance
+(narrow field of view), and background photon arrival statistics. The
+Rayleigh pointing displacement, of scale sigma_rd = sigma_theta_e * Lz,
+enters the analytics in closed form and the Monte Carlo as a drawn norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import special
 
 __all__ = [
     "PLANCK_H",
     "PLANCK_HBAR",
     "SPEED_OF_LIGHT",
-    "ChannelParams",
-    "PointingModel",
-    "FovModel",
-    "BackgroundModel",
     "atm_transmittance",
     "gg_pdf",
-    "gg_cdf",
-    "gg_cdf_interpolator",
     "gg_sample",
-    "rayleigh_pdf",
     "fov_accept_prob",
     "fov_geometry",
     "solid_angle",
@@ -67,52 +60,11 @@ def gg_pdf(eta, alpha: float, beta: float):
     return out if out.ndim else float(out)
 
 
-def gg_cdf(eta: float, alpha: float, beta: float) -> float:
-    """CDF of the Gamma-Gamma distribution by conditioning on one factor.
-
-    With eta = X * Y, X ~ Gamma(alpha, mean 1), Y ~ Gamma(beta, mean 1):
-    F(eta) = E_X[ P(Y <= eta / X) ], evaluated by quadrature over X with
-    the regularized lower incomplete gamma for the inner probability.
-    """
-    if eta <= 0:
-        return 0.0
-
-    def integrand(x):
-        fx = special.gamma(alpha) ** -1 * alpha**alpha * x ** (alpha - 1.0) * np.exp(-alpha * x)
-        return fx * special.gammainc(beta, beta * eta / x)
-
-    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=300, epsabs=1e-11, epsrel=1e-10)
-    return float(min(max(val, 0.0), 1.0))
-
-
-def gg_cdf_interpolator(alpha: float, beta: float, lo: float, hi: float, n: int = 1200):
-    """Monotone interpolator of the Gamma-Gamma CDF on [lo, hi].
-
-    Intended for KS tests on large samples where a quadrature call per
-    sample point would be too slow.
-    """
-    grid = np.geomspace(max(lo, 1e-12), hi, n)
-    cdf = np.array([gg_cdf(g, alpha, beta) for g in grid])
-    cdf = np.maximum.accumulate(cdf)
-    return interpolate.PchipInterpolator(grid, cdf, extrapolate=True)
-
-
 def gg_sample(rng: np.random.Generator, alpha: float, beta: float, size=None):
     """Draw Gamma-Gamma variates as a product of two unit-mean Gammas."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("Gamma-Gamma parameters must be > 0")
     return rng.gamma(alpha, 1.0 / alpha, size) * rng.gamma(beta, 1.0 / beta, size)
-
-
-def rayleigh_pdf(r, sigma_rd: float):
-    """Density of the displacement norm: (r / sigma^2) exp(-r^2 / (2 sigma^2))."""
-    if sigma_rd <= 0:
-        raise ValueError("sigma_rd must be > 0")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ValueError("rayleigh_pdf is defined for r >= 0")
-    out = (r_arr / sigma_rd**2) * np.exp(-(r_arr**2) / (2.0 * sigma_rd**2))
-    return out if out.ndim else float(out)
 
 
 def fov_accept_prob(theta_fov: float, sigma_aoa: float) -> float:
@@ -161,127 +113,3 @@ def background_mean(
     else:
         raise ValueError(f"unknown energy convention {energy_convention!r}")
     return B_lambda * A_r * omega_fov * delta_lambda_nm * T_qs / e_photon
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Atmosphere and turbulence parameters.
-
-    Exactly one of ``eta_atm`` (direct transmittance) or ``alpha_a``
-    (attenuation coefficient) drives the deterministic loss; a direct
-    value wins if both are set.
-    """
-
-    alpha: float
-    beta: float
-    B_lambda: float
-    eta_atm: float | None = None
-    alpha_a: float | None = None
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("turbulence parameters must be > 0")
-        if self.B_lambda < 0:
-            raise ValueError("spectral radiance must be >= 0")
-        if self.eta_atm is None and self.alpha_a is None:
-            raise ValueError("one of eta_atm or alpha_a is required")
-        if self.eta_atm is not None and not 0.0 < self.eta_atm <= 1.0:
-            raise ValueError("eta_atm must be in (0, 1]")
-        if self.alpha_a is not None and self.alpha_a < 0:
-            raise ValueError("alpha_a must be >= 0")
-
-    def transmittance(self, Lz: float) -> float:
-        if self.eta_atm is not None:
-            return self.eta_atm
-        return atm_transmittance(self.alpha_a, Lz)
-
-
-@dataclass(frozen=True)
-class PointingModel:
-    """Transmitter FSM jitter; lateral displacement scale sigma_rd = sigma_theta_e * Lz."""
-
-    sigma_theta_e: float
-    Lz: float
-
-    def __post_init__(self):
-        if self.sigma_theta_e <= 0 or self.Lz <= 0:
-            raise ValueError("PointingModel requires sigma_theta_e > 0 and Lz > 0")
-
-    @property
-    def sigma_rd(self) -> float:
-        return self.sigma_theta_e * self.Lz
-
-    def sample_displacement(self, rng: np.random.Generator, size=None):
-        """Norm of the 2D Gaussian displacement (Rayleigh distributed)."""
-        g = rng.normal(0.0, self.sigma_rd, (2,) if size is None else (2, size))
-        out = np.hypot(g[0], g[1])
-        return float(out) if size is None else out
-
-
-@dataclass(frozen=True)
-class FovModel:
-    """Receiver field-of-view acceptance.
-
-    ``theta_fov`` may be given directly (it is swept independently) or
-    derived from the fiber core radius and lens focal length via
-    ``FovModel.from_optics``.
-    """
-
-    theta_fov: float
-    sigma_aoa: float
-    r_f: float | None = None
-    L_f: float | None = None
-
-    def __post_init__(self):
-        if self.theta_fov <= 0 or self.sigma_aoa <= 0:
-            raise ValueError("FovModel requires theta_fov > 0 and sigma_aoa > 0")
-
-    @classmethod
-    def from_optics(cls, r_f: float, L_f: float, sigma_aoa: float) -> "FovModel":
-        theta, _ = fov_geometry(r_f, L_f)
-        return cls(theta_fov=theta, sigma_aoa=sigma_aoa, r_f=r_f, L_f=L_f)
-
-    @property
-    def omega_fov(self) -> float:
-        return solid_angle(self.theta_fov)
-
-    @property
-    def accept_prob(self) -> float:
-        return fov_accept_prob(self.theta_fov, self.sigma_aoa)
-
-    def sample_accept(self, rng: np.random.Generator, size=None):
-        """Draw the binary visibility indicator from bivariate Gaussian AoA."""
-        g = rng.normal(0.0, self.sigma_aoa, (2,) if size is None else (2, size))
-        out = np.hypot(g[0], g[1]) <= self.theta_fov
-        return bool(out) if size is None else out
-
-
-@dataclass(frozen=True)
-class BackgroundModel:
-    """Geometry and radiometry behind the mean background photon count."""
-
-    A_r: float
-    omega_fov: float
-    delta_lambda_nm: float
-    T_qs: float
-    wavelength: float
-    B_lambda: float
-    energy_convention: str = "planck_h"
-
-    def __post_init__(self):
-        if min(self.A_r, self.omega_fov, self.delta_lambda_nm, self.T_qs, self.wavelength) <= 0:
-            raise ValueError("BackgroundModel geometry fields must be > 0")
-        if self.B_lambda < 0:
-            raise ValueError("spectral radiance must be >= 0")
-
-    @property
-    def mu_b(self) -> float:
-        return background_mean(
-            self.B_lambda,
-            self.A_r,
-            self.omega_fov,
-            self.delta_lambda_nm,
-            self.T_qs,
-            self.wavelength,
-            self.energy_convention,
-        )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -197,10 +198,25 @@ def _cmd_optimize(args, cfg) -> str:
     return output.render(rows, args.format, output.PERF_COLUMNS)
 
 
+def _check_flag(flag: str, key: str, value) -> None:
+    """Range-check a CLI override with the config validator of ``key``."""
+    try:
+        config._check_range(key, value)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _cmd_validate(args, cfg) -> str:
     wz_values = _qty_list(args.wz, "length")
+    for wz in wz_values:
+        _check_flag("--wz", "wz", wz)
     rd_max = _qty(args.rd_max, "length")
-    ng = args.ng or cfg.Ng
+    if not math.isfinite(rd_max) or rd_max < 0:
+        raise ConfigError(f"--rd-max: {rd_max} is not a finite length >= 0")
+    ng = args.ng if args.ng is not None else cfg.Ng
+    _check_flag("--ng", "Ng", ng)
+    if args.points < 1:
+        raise ConfigError(f"--points: {args.points} is not >= 1")
     rd_grid = np.linspace(0.0, rd_max, args.points)
     rows = []
     for wz in wz_values:

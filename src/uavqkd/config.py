@@ -19,15 +19,8 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from .analytics import AnalyticContext
-from .beam import BeamGeometry, beam_radius, build_grid
-from .channel import (
-    ChannelParams,
-    FovModel,
-    PointingModel,
-    fov_geometry,
-    solid_angle,
-    background_mean,
-)
+from .beam import beam_radius, build_grid
+from .channel import atm_transmittance, background_mean, fov_geometry, solid_angle
 from .errors import ConfigError
 
 __all__ = ["LinkConfig", "load_config", "loads", "dumps", "build_context", "parse_quantity"]
@@ -152,9 +145,7 @@ class LinkConfig:
         # A direct transmittance wins over the attenuation coefficient.
         if self.eta_atm is not None:
             return self.eta_atm
-        return ChannelParams(
-            alpha=self.alpha, beta=self.beta, B_lambda=self.B_lambda, alpha_a=self.alpha_a
-        ).transmittance(self.Lz)
+        return atm_transmittance(self.alpha_a, self.Lz)
 
     def resolved_mu_b(self) -> float:
         if self.mu_b is not None:
@@ -273,11 +264,8 @@ def build_context(cfg: LinkConfig) -> AnalyticContext:
     observe a stale derived value.
     """
     validate(cfg)
-    wz = cfg.resolved_wz()
-    BeamGeometry(wz=wz, wavelength=cfg.wavelength, Lz=cfg.Lz)  # validates geometry
-    grid = build_grid(cfg.ra, wz, cfg.Ng)
+    grid = build_grid(cfg.ra, cfg.resolved_wz(), cfg.Ng)
     theta_fov = cfg.resolved_theta_fov()
-    fov = FovModel(theta_fov=theta_fov, sigma_aoa=cfg.sigma_aoa, r_f=cfg.r_f, L_f=cfg.L_f)
     mu_b = cfg.resolved_mu_b()
     return AnalyticContext(
         mu_t=cfg.mu_t,
@@ -285,8 +273,9 @@ def build_context(cfg: LinkConfig) -> AnalyticContext:
         mu_d=cfg.mu_d,
         T_qs=cfg.T_qs,
         grid=grid,
-        pointing=PointingModel(sigma_theta_e=cfg.sigma_theta_e, Lz=cfg.Lz),
-        fov=fov,
+        sigma_rd=cfg.sigma_theta_e * cfg.Lz,
+        theta_fov=theta_fov,
+        sigma_aoa=cfg.sigma_aoa,
         mu_b=mu_b,
         alpha=cfg.alpha,
         beta=cfg.beta,

@@ -25,8 +25,8 @@ Each slot decides n_q >= 1 with one uniform against 1 - e^(-mu_t t). The
 draw stream therefore does not depend on the values of t: numpy's
 ``binomial`` and ``poisson`` draw nothing for a zero parameter, so with
 them a capture value underflowing to 0 instead of 1e-300 would shift
-every later draw of its batch. ``run`` and ``simulate_slot`` share one
-draw routine and one outcome classifier.
+every later draw of its batch. ``_draw_slots`` is the one routine that
+draws and classifies slots.
 
 Capture probability uses the exact closed form (``capture_exact``) by
 default so that Monte Carlo vs analytic deviations isolate the
@@ -46,11 +46,9 @@ from .analytics import AnalyticContext, PerformanceReport
 from .beam import capture_exact, capture_grid
 from .channel import gg_sample
 
-__all__ = ["BATCH_SIZE", "McOptions", "SlotSample", "McReport", "simulate_slot", "run"]
+__all__ = ["BATCH_SIZE", "McOptions", "McReport", "run"]
 
 BATCH_SIZE = 1 << 16  # fixed so the batch partition never depends on worker count
-
-OUTCOMES = ("no_bit", "bit_ok", "bit_error", "discarded_multi")
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,6 @@ class McOptions:
     force_rd: float | None = None
     force_eta: float | None = None
     force_fov: bool | None = None
-
-
-@dataclass(frozen=True)
-class SlotSample:
-    """One simulated quantum slot."""
-
-    detected: bool  # n_q >= 1
-    n_b: int
-    outcome: str
-    r_d: float
-    eta_turb: float
-    fov_accept: bool
 
 
 @dataclass(frozen=True)
@@ -108,11 +94,11 @@ def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: M
     Draw order is fixed; the force_* hooks consume the same random numbers
     so that pinning one factor does not shift the others.
     """
-    g = rng.normal(0.0, ctx.pointing.sigma_rd, (2, m))
+    g = rng.normal(0.0, ctx.sigma_rd, (2, m))
     rd = np.hypot(g[0], g[1])
     eta = gg_sample(rng, ctx.alpha, ctx.beta, m)
-    a = rng.normal(0.0, ctx.fov.sigma_aoa, (2, m))
-    accept = np.hypot(a[0], a[1]) <= ctx.fov.theta_fov
+    a = rng.normal(0.0, ctx.sigma_aoa, (2, m))
+    accept = np.hypot(a[0], a[1]) <= ctx.theta_fov
     if opt.force_rd is not None:
         rd = np.full(m, opt.force_rd)
     if opt.force_eta is not None:
@@ -146,19 +132,6 @@ def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, op
     """[detected slots, then the count of each slot state] for one seeded batch."""
     state, sig, *_ = _draw_slots(np.random.default_rng(ss), ctx, m, opt)
     return np.concatenate(([np.count_nonzero(sig)], np.bincount(state, minlength=len(_STATE_OUTCOME))))
-
-
-def simulate_slot(rng: np.random.Generator, ctx: AnalyticContext, options: McOptions | None = None) -> SlotSample:
-    """Simulate a single quantum slot and classify its outcome."""
-    state, sig, n_b, rd, eta, accept = _draw_slots(rng, ctx, 1, options or McOptions())
-    return SlotSample(
-        detected=bool(sig[0]),
-        n_b=int(n_b[0]),
-        outcome=_STATE_OUTCOME[state[0]],
-        r_d=float(rd[0]),
-        eta_turb=float(eta[0]),
-        fov_accept=bool(accept[0]),
-    )
 
 
 def _binom_se(p: float, n: int) -> float:

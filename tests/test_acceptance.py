@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import make_config, make_context
+from oracles import gg_cdf_interpolator
 from uavqkd import analytics, montecarlo, output
 from uavqkd.beam import build_grid, capture_classical, capture_exact, capture_grid
-from uavqkd.channel import gg_cdf_interpolator, gg_pdf, gg_sample
+from uavqkd.channel import gg_pdf, gg_sample
 from uavqkd.config import build_context, dumps, loads
 from uavqkd.sweep import SweepSpec, optimize, sweep
 
@@ -167,8 +168,8 @@ def _detect_prob_closed_form(ctx) -> float:
     (sigma wz/2 per axis) are both Gaussian, so the photon lands on a centred
     Gaussian and mu_p averages to 1 - exp(-2 ra^2 / (wz^2 + 4 sigma_rd^2)).
     """
-    s = ctx.pointing.sigma_rd
-    return ctx.c_pt * (1.0 - ctx.fov_escape) * -math.expm1(-2.0 * ctx.ra**2 / (ctx.wz**2 + 4.0 * s * s))
+    s = ctx.sigma_rd
+    return ctx.c_pt * ctx.p_fov * -math.expm1(-2.0 * ctx.ra**2 / (ctx.wz**2 + 4.0 * s * s))
 
 
 def test_criterion_6_optimal_waist_location():
@@ -192,10 +193,8 @@ def test_criterion_6_optimal_waist_location():
             assert abs(exact - closed) <= 1e-9 * closed, f"exact-mode {exact:.12g} vs closed form {closed:.12g}"
             # The grid peak averages the grid capture over rd in [0, 8 sigma_rd],
             # so it lies within the grid's worst conditional error there.
-            rd = np.linspace(0.0, 8.0 * ctx.pointing.sigma_rd, 801)
-            bound = np.abs(
-                analytics.detect_prob_given_rd(rd, ctx) - analytics.detect_prob_given_rd(rd, exact_ctx)
-            ).max()
+            rd = np.linspace(0.0, 8.0 * ctx.sigma_rd, 801)
+            bound = ctx.c_pt * ctx.p_fov * np.abs(ctx.mu_p(rd) - exact_ctx.mu_p(rd)).max()
             assert abs(grid_peak - closed) <= bound, (
                 f"wz={ctx.wz:g}: grid peak {grid_peak:.6g} vs closed form {closed:.6g}, grid bound {bound:.3g}"
             )

@@ -6,23 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import special
 
 from conftest import log_uniform_field, make_context
 from uavqkd import analytics
-from uavqkd.analytics import (
-    detect_prob,
-    detect_prob_given_rd,
-    evaluate,
-    key_rate,
-    mu_q_conditional_pdf,
-    p_eff_one,
-    qber,
-    state_probs,
-    with_frozen_mu_b,
-)
+from uavqkd.analytics import detect_prob, evaluate, key_rate, p_eff_one, qber, state_probs
 from uavqkd.beam import capture_exact, capture_grid
-from uavqkd.channel import PointingModel
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
 
@@ -38,7 +27,7 @@ def _oracle_detect_prob(ctx) -> float:
     Grid capture sums, for each node, the segments within 9 wz of it;
     exact capture is the noncentral chi-square CDF 1 - Q1(2 rd/wz, 2 ra/wz).
     """
-    sigma, wz, ra = ctx.pointing.sigma_rd, ctx.wz, ctx.ra
+    sigma, wz, ra = ctx.sigma_rd, ctx.wz, ctx.ra
     top = min(8.0 * sigma, ra + 9.0 * wz)
     panels = max(4, math.ceil(top / (0.5 * min(sigma, wz))))
     edges = np.linspace(0.0, top, panels + 1)
@@ -48,7 +37,7 @@ def _oracle_detect_prob(ctx) -> float:
     if ctx.mu_p_mode == "exact":
         mu = special.chndtr((2.0 * ra / wz) ** 2, 2.0, (2.0 * r / wz) ** 2)
     else:
-        x, c, ng = ctx.grid.centers_array(), ctx.grid.weights_array(), ctx.grid.ng
+        x, c, ng = ctx.grid.centers, ctx.grid.weights, ctx.grid.ng
         k = min(ng, math.ceil(18.0 * wz / ctx.grid.dx) + 2)
         mu = np.empty_like(r)
         step = max(1, (1 << 20) // k)
@@ -56,7 +45,7 @@ def _oracle_detect_prob(ctx) -> float:
             rr = r[i : i + step, None]
             idx = np.clip(np.searchsorted(x, rr - 9.0 * wz), 0, ng - k) + np.arange(k)
             mu[i : i + step] = np.sum(c[idx] * np.exp(-2.0 * ((x[idx] - rr) / wz) ** 2), axis=1)
-    p_fov = -math.expm1(-0.5 * (ctx.fov.theta_fov / ctx.fov.sigma_aoa) ** 2)
+    p_fov = -math.expm1(-0.5 * (ctx.theta_fov / ctx.sigma_aoa) ** 2)
     return ctx.c_pt * p_fov * float(w @ mu)
 
 
@@ -84,62 +73,17 @@ class TestContext:
             replace(baseline_ctx, mu_b=-1.0)
         with pytest.raises(ValueError):
             replace(baseline_ctx, mu_p_mode="approximate")
-
-
-class TestConditionalLaw:
-    def test_total_mass(self, baseline_ctx):
-        rd = 0.05
-        pm, _ = mu_q_conditional_pdf(0.0, rd, baseline_ctx)
-        cont, _ = integrate.quad(
-            lambda u: mu_q_conditional_pdf(u, rd, baseline_ctx)[1],
-            0.0,
-            np.inf,
-            limit=200,
-        )
-        assert pm + cont == pytest.approx(1.0, abs=1e-6)
-
-    def test_conditional_mean(self, baseline_ctx):
-        rd = 0.05
-        mean, _ = integrate.quad(
-            lambda u: u * mu_q_conditional_pdf(u, rd, baseline_ctx)[1],
-            0.0,
-            np.inf,
-            limit=200,
-        )
-        expected = (1.0 - baseline_ctx.fov_escape) * baseline_ctx.c_pt * baseline_ctx.mu_p(rd)
-        assert mean == pytest.approx(expected, abs=1e-4)
-
-    def test_degenerate_at_zero_capture(self, baseline_ctx):
-        pm, dens = mu_q_conditional_pdf(1.0, 10.0, baseline_ctx)
-        assert pm == 1.0 and dens == 0.0
-
-    def test_domain_error(self, baseline_ctx):
-        with pytest.raises(ValueError):
-            mu_q_conditional_pdf(-1.0, 0.0, baseline_ctx)
-
-
-class TestDetectProbGivenRd:
-    def test_wide_fov_centered_beam(self):
-        # theta_fov >> sigma_aoa: acceptance ~ 1, so the value is c_pt * mu_p(0)
-        ctx = make_context(theta_fov=2e-3, sigma_aoa=5e-6)
-        assert detect_prob_given_rd(0.0, ctx) == pytest.approx(0.12 * 0.9889, abs=1e-2)
-
-    def test_blind_receiver(self):
-        ctx = make_context(theta_fov=5e-7, sigma_aoa=2e-3)
-        assert detect_prob_given_rd(0.0, ctx) < 1e-7
-
-    def test_vectorized(self, baseline_ctx):
-        rd = np.linspace(0.0, 0.3, 20)
-        vals = np.asarray(detect_prob_given_rd(rd, baseline_ctx))
-        assert vals.shape == rd.shape
-        assert np.all(np.diff(vals) <= 1e-15)
+        for field in ("theta_fov", "sigma_aoa"):
+            for bad in (0.0, math.nan):
+                with pytest.raises(ValueError, match=field):
+                    replace(baseline_ctx, **{field: bad})
 
 
 class TestDetectProb:
     def test_collapses_to_conditional_at_tiny_jitter(self, baseline_ctx):
         # sigma_rd = 1e-9 m: the Rayleigh average collapses onto rd = 0
-        ctx = replace(baseline_ctx, pointing=PointingModel(sigma_theta_e=1e-12, Lz=1000.0))
-        assert detect_prob(ctx) == pytest.approx(detect_prob_given_rd(0.0, ctx), abs=1e-6)
+        ctx = replace(baseline_ctx, sigma_rd=1e-9)
+        assert detect_prob(ctx) == pytest.approx(ctx.c_pt * ctx.p_fov * ctx.mu_p(0.0), abs=1e-6)
 
     def test_monotone_in_pointing_jitter(self):
         vals = [
@@ -180,7 +124,7 @@ class TestDetectProb:
         # sigma_rd = 20 m on the reference link: an adaptive quadrature over
         # the Rayleigh CDF placed no node where the beam lands and gave 8.5e-61
         ctx = build_context(LinkConfig(sigma_theta_e=2e-2))
-        assert ctx.pointing.sigma_rd == pytest.approx(20.0)
+        assert ctx.sigma_rd == pytest.approx(20.0)
         _assert_matches_oracle(ctx)
         _assert_matches_oracle(replace(ctx, mu_p_mode="exact"))
         assert detect_prob(ctx) == pytest.approx(6.9e-7, rel=1e-2)
@@ -233,14 +177,14 @@ class TestDetectProb:
     def test_fov_ratio_invariance(self, baseline_ctx):
         # with mu_b frozen, only theta_fov / sigma_aoa matters
         scaled = make_context(theta_fov=200e-6, sigma_aoa=100e-6)
-        scaled = with_frozen_mu_b(scaled, baseline_ctx.mu_b)
+        scaled = replace(scaled, mu_b=baseline_ctx.mu_b)
         assert detect_prob(scaled) == pytest.approx(detect_prob(baseline_ctx), rel=1e-10)
         assert key_rate(scaled) == pytest.approx(key_rate(baseline_ctx), rel=1e-10)
 
 
 class TestKeyMetrics:
     def test_dark_limit(self, baseline_ctx):
-        ctx = with_frozen_mu_b(baseline_ctx, 0.0)
+        ctx = replace(baseline_ctx, mu_b=0.0)
         i = detect_prob(ctx)
         assert state_probs(ctx) == pytest.approx((i, 0.0, 0.0), rel=1e-12)
         assert p_eff_one(ctx) == pytest.approx(i, rel=1e-12)
@@ -248,9 +192,9 @@ class TestKeyMetrics:
 
     def test_no_signal_limit(self):
         # pointing jitter so large (sigma_rd = 20 m) that the beam rarely hits
-        ctx = with_frozen_mu_b(make_context(sigma_theta_e=2e-2), 1.0)
-        sigma, wz, ra = ctx.pointing.sigma_rd, ctx.wz, ctx.ra
-        scale = ctx.c_pt * -math.expm1(-0.5 * (ctx.fov.theta_fov / ctx.fov.sigma_aoa) ** 2)
+        ctx = replace(make_context(sigma_theta_e=2e-2), mu_b=1.0)
+        sigma, wz, ra = ctx.sigma_rd, ctx.wz, ctx.ra
+        scale = ctx.c_pt * -math.expm1(-0.5 * (ctx.theta_fov / ctx.sigma_aoa) ** 2)
         # exact-capture closed form; the grid model differs from it by at most
         # the Rayleigh average of |grid - exact| capture, which vanishes past ra + 9 wz
         i_exact = scale * -math.expm1(-2.0 * ra * ra / (wz * wz + 4.0 * sigma * sigma))
@@ -325,7 +269,7 @@ def test_qber_bounds_under_fuzzing(wz, sigma_theta_e, sigma_aoa, theta_fov, b_ex
 )
 def test_closed_form_matches_quadrature_oracle(ng, sigma_rd, wz, ra):
     ctx = make_context(Ng=ng, wz=wz, ra=ra)
-    ctx = replace(ctx, pointing=PointingModel(sigma_theta_e=sigma_rd / 1000.0, Lz=1000.0))
+    ctx = replace(ctx, sigma_rd=sigma_rd)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinearizationWarning)
         _assert_matches_oracle(ctx)

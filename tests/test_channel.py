@@ -1,27 +1,29 @@
 import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import uavqkd
+from conftest import make_context
+from oracles import gg_cdf, gg_cdf_interpolator
 from uavqkd.channel import (
     PLANCK_H,
     SPEED_OF_LIGHT,
-    BackgroundModel,
-    ChannelParams,
-    FovModel,
-    PointingModel,
     atm_transmittance,
     background_mean,
     fov_accept_prob,
     fov_geometry,
-    gg_cdf,
-    gg_cdf_interpolator,
     gg_pdf,
     gg_sample,
-    rayleigh_pdf,
     solid_angle,
 )
+from uavqkd.config import LinkConfig, build_context, validate
+from uavqkd.errors import ConfigError
 
 ALPHA, BETA = 2.1, 1.8
 
@@ -128,25 +130,16 @@ class TestGammaGammaSampling:
 
 
 class TestRayleigh:
-    def test_unit_mass(self):
-        mass, _ = integrate.quad(rayleigh_pdf, 0, np.inf, args=(0.05,), limit=200)
-        assert mass == pytest.approx(1.0, abs=1e-9)
-
+    # the Rayleigh displacement is drawn by montecarlo._draw_channel and
+    # averaged in closed form by analytics.detect_prob; both read ctx.sigma_rd
     def test_sigma_rd_product(self):
-        assert PointingModel(sigma_theta_e=100e-6, Lz=1000.0).sigma_rd == pytest.approx(0.1)
+        assert make_context(sigma_theta_e=100e-6, Lz=1000.0).sigma_rd == pytest.approx(0.1)
+        assert make_context(sigma_theta_e=100e-6, Lz=2500.0).sigma_rd == pytest.approx(0.25)
 
-    def test_two_axis_sampling_matches_pdf(self):
-        pointing = PointingModel(sigma_theta_e=50e-6, Lz=1000.0)
-        rng = np.random.default_rng(17)
-        draws = pointing.sample_displacement(rng, 100_000)
-        res = stats.kstest(draws, stats.rayleigh(scale=pointing.sigma_rd).cdf)
-        assert res.pvalue > 0.01
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            rayleigh_pdf(0.1, 0.0)
-        with pytest.raises(ValueError):
-            rayleigh_pdf(-0.1, 1.0)
+    def test_domain_errors(self, baseline_ctx):
+        for bad in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="sigma_rd"):
+                replace(baseline_ctx, sigma_rd=bad)
 
 
 class TestFov:
@@ -174,21 +167,10 @@ class TestFov:
         assert theta == 0.0 and omega == 0.0
 
     def test_model_consistency(self):
-        model = FovModel.from_optics(5e-6, 0.15, 50e-6)
-        assert model.theta_fov == pytest.approx(math.atan2(5e-6, 0.15), rel=1e-12)
-        assert model.omega_fov == pytest.approx(
-            2.0 * math.pi * (1.0 - math.cos(model.theta_fov)), rel=1e-12
-        )
-        assert model.accept_prob == pytest.approx(
-            fov_accept_prob(model.theta_fov, 50e-6), rel=1e-12
-        )
-
-    def test_acceptance_sampling_matches_closed_form(self):
-        model = FovModel(theta_fov=1e-4, sigma_aoa=50e-6)
-        rng = np.random.default_rng(5)
-        hits = model.sample_accept(rng, 200_000).mean()
-        se = math.sqrt(model.accept_prob * (1.0 - model.accept_prob) / 200_000)
-        assert abs(hits - model.accept_prob) < 3.0 * se
+        # with theta_fov unset, the context derives it from the fiber optics
+        ctx = build_context(LinkConfig(r_f=5e-6, L_f=0.15, sigma_aoa=50e-6))
+        assert ctx.theta_fov == pytest.approx(math.atan2(5e-6, 0.15), rel=1e-12)
+        assert ctx.p_fov == fov_accept_prob(ctx.theta_fov, 50e-6)
 
 
 class TestBackground:
@@ -233,36 +215,34 @@ class TestBackground:
             background_mean(1e-6, 1.0, 1e-8, 1.0, 1e-8, 1.55e-6, "joules")
 
     def test_model_wrapper(self):
-        model = BackgroundModel(
-            A_r=self.A_R,
-            omega_fov=solid_angle(100e-6),
-            delta_lambda_nm=1.0,
-            T_qs=1e-8,
-            wavelength=1.55e-6,
-            B_lambda=1e-6,
-        )
-        assert model.mu_b == pytest.approx(1.7327552631619765e-4, rel=1e-12)
+        # LinkConfig.resolved_mu_b assembles A_r = pi ra^2 and the FoV solid angle
+        cfg = LinkConfig(ra=0.15, theta_fov=100e-6, B_lambda=1e-6, delta_lambda=1.0, T_qs=1e-8)
+        assert cfg.resolved_mu_b() == pytest.approx(1.7327552631619765e-4, rel=1e-12)
 
 
 class TestChannelParams:
+    # the atmosphere parameters live in LinkConfig, checked by config.validate
     def test_requires_one_transmittance_source(self):
-        with pytest.raises(ValueError):
-            ChannelParams(alpha=ALPHA, beta=BETA, B_lambda=1e-6)
+        with pytest.raises(ConfigError, match="eta_atm or alpha_a"):
+            validate(LinkConfig(eta_atm=None, alpha_a=None))
 
     def test_direct_value_wins(self):
-        params = ChannelParams(
-            alpha=ALPHA, beta=BETA, B_lambda=1e-6, eta_atm=0.4, alpha_a=1e-2
-        )
-        assert params.transmittance(1000.0) == 0.4
+        assert LinkConfig(eta_atm=0.4, alpha_a=1e-2).resolved_eta_atm() == 0.4
 
     def test_derived_transmittance(self):
-        params = ChannelParams(
-            alpha=ALPHA, beta=BETA, B_lambda=1e-6, alpha_a=math.log(2.5) / 1000.0
-        )
-        assert params.transmittance(1000.0) == pytest.approx(0.4, rel=1e-12)
+        cfg = LinkConfig(eta_atm=None, alpha_a=math.log(2.5) / 1000.0, Lz=1000.0)
+        assert cfg.resolved_eta_atm() == pytest.approx(0.4, rel=1e-12)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            ChannelParams(alpha=ALPHA, beta=BETA, B_lambda=1e-6, eta_atm=1.5)
-        with pytest.raises(ValueError):
-            ChannelParams(alpha=-1.0, beta=BETA, B_lambda=1e-6, eta_atm=0.4)
+        with pytest.raises(ConfigError, match="eta_atm"):
+            validate(LinkConfig(eta_atm=1.5))
+        with pytest.raises(ConfigError, match="alpha"):
+            validate(LinkConfig(alpha=-1.0))
+
+
+def test_import_loads_no_interpolation():
+    # scipy.interpolate serves only the test oracles; the package must not load it
+    src = str(Path(uavqkd.__file__).resolve().parents[1])
+    code = "import sys, uavqkd; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -206,3 +206,14 @@ class TestValidate:
             grid = sum(c * math.exp(-2.0 * (x - rd) ** 2 / wz**2) for x, c in zip(xs, cs))
             assert row["mu_p_grid"] == pytest.approx(grid, abs=1e-15)
             assert row["mu_p_exact"] == pytest.approx(capture_exact(rd, wz, ra), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--wz", "nan"), ("--wz", "inf"), ("--rd-max", "nan"), ("--rd-max", "inf"), ("--ng", "0"), ("--points", "0")],
+    )
+    def test_bad_flag_is_a_validation_error(self, capsys, flag, value):
+        code = cli.main(["--quiet", "validate", flag, value])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        assert flag in captured.err

@@ -164,8 +164,8 @@ class TestBuildContext:
         assert ctx.R_q == pytest.approx(1e8, rel=1e-12)
         assert ctx.grid.wz == pytest.approx(0.10)
         assert ctx.grid.ng == 10
-        assert ctx.pointing.sigma_rd == pytest.approx(0.05)
-        assert ctx.fov.theta_fov == pytest.approx(1e-4)
+        assert ctx.sigma_rd == pytest.approx(0.05)
+        assert ctx.theta_fov == pytest.approx(1e-4)
         assert ctx.mu_b == pytest.approx(1.7327552631619765e-4, rel=1e-12)
 
     def test_w0_derived_beam(self):
