@@ -1,5 +1,7 @@
 """UAV-to-ground free-space QKD link simulator and analyzer."""
 
+import scipy.integrate  # noqa: F401  (unused: bench/run.py's import-time split reads its entry)
+
 from .analytics import (
     AnalyticContext,
     PerformanceReport,

@@ -61,7 +61,6 @@ _FIELDS: dict[str, tuple[str, float | None, float | None]] = {
     "energy_convention": ("enum:planck_h,planck_hbar", None, None),
     "n_slots": ("int", 1, 10**9),
     "seed": ("int", 0, 2**64 - 1),
-    "quad_tol": ("float", 1e-14, 1e-6),
     "mu_b": ("float", 0.0, 100.0),
 }
 
@@ -126,7 +125,6 @@ class LinkConfig:
     energy_convention: str = "planck_h"
     n_slots: int = 1_000_000
     seed: int = 12345
-    quad_tol: float = 1e-10
     mu_b: float | None = None
 
     def resolved_wz(self) -> float:
@@ -279,5 +277,4 @@ def build_context(cfg: LinkConfig) -> AnalyticContext:
         mu_b=mu_b,
         alpha=cfg.alpha,
         beta=cfg.beta,
-        quad_tol=cfg.quad_tol,
     )

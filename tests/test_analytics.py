@@ -2,12 +2,15 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import oracles
 from conftest import log_uniform_field, make_context
 from uavqkd import analytics
 from uavqkd.analytics import detect_prob, evaluate, key_rate, p_eff_one, qber, state_probs
@@ -93,21 +96,24 @@ class TestDetectProb:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_quadrature_consistency(self, baseline_ctx):
-        # the averaged path is the only one left that integrates numerically
-        val, err = detect_prob(baseline_ctx, with_error=True, turbulence="averaged")
-        tight = detect_prob(
-            replace(baseline_ctx, quad_tol=baseline_ctx.quad_tol / 2.0), turbulence="averaged"
-        )
-        assert abs(val - tight) <= max(err, 1e-13)
-
-    def test_closed_form_reports_no_quadrature_error(self, baseline_ctx):
+        # the fixed-node engine against the nested adaptive quadrature oracle
         for mode in ("grid", "exact"):
             ctx = replace(baseline_ctx, mu_p_mode=mode)
-            assert detect_prob(ctx, with_error=True) == (detect_prob(ctx), 0.0)
+            got, want = detect_prob(ctx, turbulence="averaged"), oracles.detect_prob_averaged(ctx)
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_closed_form_reports_no_quadrature_error(self, baseline_ctx):
+        # no mode integrates adaptively, so there is no error estimate to return
+        for mode in ("grid", "exact"):
+            ctx = replace(baseline_ctx, mu_p_mode=mode)
+            for turbulence in ("linearized", "averaged"):
+                assert type(detect_prob(ctx, turbulence=turbulence)) is float
+        with pytest.raises(TypeError):
+            detect_prob(baseline_ctx, with_error=True)
 
     def test_closed_form_makes_no_quadrature_call(self, baseline_ctx, monkeypatch):
         def no_quad(*args, **kwargs):
-            raise AssertionError("linearized detect_prob called integrate.quad")
+            raise AssertionError("detect_prob called scipy.integrate.quad")
 
         calls = []
 
@@ -115,10 +121,14 @@ class TestDetectProb:
             calls.append(args)
             return capture_grid(*args, **kwargs)
 
-        monkeypatch.setattr(analytics.integrate, "quad", no_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
         monkeypatch.setattr(analytics, "capture_grid", counting_capture_grid)
         detect_prob(make_context(wz=0.30))
         assert len(calls) <= 1  # mu_p(0) for the linearization check
+        calls.clear()
+        detect_prob(baseline_ctx, turbulence="averaged")
+        assert len(calls) == 1  # mu_p once, on all the Rayleigh nodes
+        detect_prob(replace(baseline_ctx, mu_p_mode="exact"), turbulence="averaged")
 
     def test_wide_jitter_regression(self):
         # sigma_rd = 20 m on the reference link: an adaptive quadrature over
@@ -145,10 +155,20 @@ class TestDetectProb:
         # 1 - E[e^-s eta] is computed directly, never as a difference divided by s
         ctx = replace(baseline_ctx, mu_t=1e-300)
         val = detect_prob(ctx, turbulence="averaged")
-        # the quadrature's tolerance is absolute (quad_tol), so at 1e-301 it
-        # stops at its first rule; the linearization itself is exact here
+        # the linearization is exact here, and the fixed-node engine is
+        # relative-accurate however small the signal
         assert math.isfinite(val) and val > 0.0
-        assert val == pytest.approx(detect_prob(ctx), rel=1e-3)
+        assert val == pytest.approx(detect_prob(ctx), rel=1e-12)
+
+    def test_averaged_path_sees_grid_spikes(self):
+        # N_g = 2 segments 1.5 m wide for a 5 mm beam: the grid model is two
+        # 5 mm spikes at rd = 0.75 m, which an adaptive quadrature over the
+        # Rayleigh CDF stepped over (8.0e-15 for 1.88e-3 at sigma_rd = 2 m)
+        ctx = make_context(Ng=2, wz=0.005, ra=1.5, sigma_theta_e=2e-3)
+        assert ctx.sigma_rd == pytest.approx(2.0)
+        got = detect_prob(ctx, turbulence="averaged")
+        assert got == pytest.approx(oracles.detect_prob_averaged(ctx), rel=1e-9)
+        assert got == pytest.approx(1.885e-3, rel=1e-3)
 
     def test_linearization_warning_in_strong_signal_regime(self, baseline_ctx):
         # c_pt * mu_p(0) = 0.12 * 0.989 > 0.1 at the reference point
@@ -274,3 +294,55 @@ def test_closed_form_matches_quadrature_oracle(ng, sigma_rd, wz, ra):
         warnings.simplefilter("ignore", LinearizationWarning)
         _assert_matches_oracle(ctx)
         _assert_matches_oracle(replace(ctx, mu_p_mode="exact"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ng=log_uniform_field("Ng").map(lambda v: int(round(v))),
+    wz=log_uniform_field("wz"),
+    ra=log_uniform_field("ra"),
+    sigma_theta_e=log_uniform_field("sigma_theta_e"),
+    lz=log_uniform_field("Lz"),
+    mu_t=log_uniform_field("mu_t"),
+    alpha=log_uniform_field("alpha"),
+    beta=log_uniform_field("beta"),
+)
+def test_averaged_engine_matches_nested_quadrature_oracle(ng, wz, ra, sigma_theta_e, lz, mu_t, alpha, beta):
+    ctx = make_context(
+        Ng=ng, wz=wz, ra=ra, sigma_theta_e=sigma_theta_e, Lz=lz, mu_t=mu_t, alpha=alpha, beta=beta
+    )
+    for mode in ("grid", "exact"):
+        c = replace(ctx, mu_p_mode=mode)
+        got, want = detect_prob(c, turbulence="averaged"), oracles.detect_prob_averaged(c)
+        assert abs(got - want) <= 1e-9 * want, f"{mode}: engine {got:.15g} vs oracle {want:.15g}"
+
+
+def test_averaged_engine_matches_oracle_at_grid_corner():
+    # N_g = 2, wz = 5 mm, ra = 1.5 m across the jitter range of the box,
+    # with the strongest signal the box allows; at sigma_rd = 0.065 m the
+    # spike at rd = 0.75 m lies past 8 sigma_rd, and a cut there returns 0
+    # for 4.5e-29
+    for sigma_theta_e, lz in ((5e-6, 1e2), (6.5e-5, 1e3), (1e-4, 1e3), (7.5e-4, 1e3), (2e-3, 1e3), (2e-2, 1e4)):
+        ctx = make_context(Ng=2, wz=0.005, ra=1.5, sigma_theta_e=sigma_theta_e, Lz=lz, mu_t=5.0)
+        for mode in ("grid", "exact"):
+            c = replace(ctx, mu_p_mode=mode)
+            got, want = detect_prob(c, turbulence="averaged"), oracles.detect_prob_averaged(c)
+            assert abs(got - want) <= 1e-9 * want, f"{mode} sigma_rd={c.sigma_rd}: {got!r} vs {want!r}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=log_uniform_field("alpha"),
+    beta=log_uniform_field("beta"),
+    s=st.floats(-8.0, 3.3).map(lambda e: 10.0**e),
+)
+def test_fading_mean_matches_tricomi_u(alpha, beta, s):
+    # E[exp(-s eta)] = z^alpha U(alpha, alpha - beta + 1, z), z = alpha beta / s,
+    # for unit-mean Gamma-Gamma eta; mpmath at 40 digits, because
+    # scipy.special.hyperu is itself off by orders of magnitude at
+    # alpha = beta = 25, s = 1e3
+    got = analytics._fading_mean(np.array([s]), alpha, beta)[0]
+    with mpmath.workdps(40):
+        z = mpmath.mpf(alpha) * mpmath.mpf(beta) / mpmath.mpf(s)
+        want = float(1 - z**alpha * mpmath.hyperu(alpha, alpha - beta + 1, z))
+    assert got == pytest.approx(want, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -236,6 +237,32 @@ class TestCaptureGrid:
         grid = build_grid(RA, 0.06, 40)
         vals = capture_grid(grid, np.linspace(0.0, 0.4, 50))
         assert np.all(np.diff(vals) <= 1e-12)
+
+    @pytest.mark.parametrize("ra,wz,n", [(1.5, 0.005, 4096), (RA, 0.10, 512)])
+    def test_bounded_memory_matches_dense_sum(self, ra, wz, n):
+        # N_g = 100,000: a dense (displacements x segments) matrix would take
+        # 3.3 GB (n = 4096) or 410 MB (n = 512); the first case sums a
+        # window of 3,002 segments per displacement, the second all of them
+        grid = build_grid(ra, wz, 100_000)
+        rd = np.linspace(0.0, ra + 12.0 * wz, n)
+        tracemalloc.start()
+        try:
+            vals = capture_grid(grid, rd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        sub = rd[::31]
+        dense = np.exp(-2.0 * (grid.centers[None, :] - sub[:, None]) ** 2 / wz**2) @ grid.weights
+        np.testing.assert_allclose(vals[::31], dense, rtol=1e-14, atol=0.0)
+
+    def test_keeps_the_shape_of_rd(self):
+        grid = build_grid(RA, 0.01, 300)
+        rd = np.linspace(0.0, 0.3, 12).reshape(3, 4)
+        vals = capture_grid(grid, rd)
+        assert vals.shape == (3, 4)
+        assert vals[1, 2] == capture_grid(grid, rd[1, 2])
+        assert isinstance(capture_grid(grid, 0.1), float)
 
     def test_wz_mismatch_rejected(self):
         grid = build_grid(RA, 0.10, 10)

@@ -103,6 +103,11 @@ class TestLoads:
         with pytest.raises(ConfigError, match="unknown key"):
             loads("waist = 10 cm")
 
+    def test_retired_quad_tol_key(self):
+        # no evaluation integrates adaptively any more, so its tolerance is gone
+        with pytest.raises(ConfigError, match="unknown key 'quad_tol'"):
+            loads("quad_tol = 1e-10")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             loads("mu_t = 0.5\nmu_t = 0.6")
