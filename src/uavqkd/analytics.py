@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .beam import _CHUNK, CaptureGrid, capture_exact, capture_grid
+from .beam import _CHUNK, _OVERFLOW, CaptureGrid, _warn_overflow, capture_exact, capture_grid
 from .channel import fov_accept_prob
 from .errors import LinearizationWarning
 
@@ -239,12 +239,16 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized") -> floa
         b = ctx.c_pt * ctx.mu_p(r)
         return ctx.p_fov * float(w @ _fading_mean(b, ctx.alpha, ctx.beta))
 
-    probe = np.zeros(1)
-    if spikes:
-        # capture_grid warns if the sum exceeds 1 at a segment centre
+    if ctx.mu_p_mode == "exact":
+        mu_p0 = capture_exact(0.0, ctx.wz, ctx.ra)
+    elif spikes:
+        # capture_grid warns if the sum exceeds 1 at rd = 0 or a segment centre
         x = ctx.grid.centers
-        probe = np.concatenate((probe, x[x > 0.0]))
-    mu_p0 = float(ctx.mu_p(probe)[0])
+        mu_p0 = float(capture_grid(ctx.grid, np.concatenate(([0.0], x[x > 0.0])))[0])
+    else:
+        mu_p0 = ctx.grid.mu_p0
+        if mu_p0 > _OVERFLOW:
+            _warn_overflow(mu_p0)
     if ctx.c_pt * mu_p0 > 0.1:
         warnings.warn(
             f"c_pt * mu_p(0) = {ctx.c_pt * mu_p0:.3f} > 0.1: the small-signal "

@@ -36,6 +36,7 @@ from scipy import special
 from .errors import CaptureOverflowWarning
 
 _CHUNK = 1 << 16  # elements per temporary in capture_grid and the turbulence average
+_OVERFLOW = 1.0 + 1e-6  # a grid capture value above this is reported
 
 __all__ = [
     "CaptureGrid",
@@ -129,6 +130,8 @@ class CaptureGrid:
     immutable after construction and safe to share between threads. The
     arrays make field-wise equality and hashing meaningless, so grids
     compare by identity (``build_grid`` caches one per (ra, wz, Ng)).
+    ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
+    returns it, kept with the grid for the linearization check.
     """
 
     ra: float
@@ -137,6 +140,7 @@ class CaptureGrid:
     dx: float
     centers: np.ndarray
     weights: np.ndarray
+    mu_p0: float
 
 
 @lru_cache(maxsize=256)
@@ -157,7 +161,43 @@ def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
     )
     centers.setflags(write=False)
     weights.setflags(write=False)
-    return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights)
+    mu_p0 = float(_grid_sum(centers, weights, wz, dx, np.zeros(1))[0])
+    return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights, mu_p0=mu_p0)
+
+
+def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray) -> np.ndarray:
+    """sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) for a flat array ``rd``: the
+    grid model's one kernel, behind ``capture_grid`` and ``CaptureGrid.mu_p0``."""
+    ng = x.size
+    wz2 = wz**2
+    k = min(ng, math.ceil(18.0 * wz / dx) + 2)  # segments within 9 wz
+    step = max(1, _CHUNK // k)
+    vals = np.empty(rd.size)
+    for i in range(0, rd.size, step):
+        r = rd[i : i + step, None]
+        if k == ng:
+            d = x - r
+        else:
+            lo = np.minimum(np.searchsorted(x, r[:, 0] - 9.0 * wz), ng - k)
+            idx = lo[:, None] + np.arange(k)
+            d = x[idx] - r
+        d *= d
+        d *= -2.0
+        d /= wz2
+        np.exp(d, out=d)
+        # np.sum adds pairwise, so a window sums as accurately as the dense dot
+        vals[i : i + step] = d @ c if k == ng else np.sum(d * c[idx], axis=1)
+    return vals
+
+
+def _warn_overflow(peak: float) -> None:
+    """CaptureOverflowWarning for a grid capture value ``peak`` > _OVERFLOW,
+    attributed to the caller of the function that calls this one."""
+    warnings.warn(
+        f"grid capture probability exceeded 1 by {peak - 1.0:.2e}",
+        CaptureOverflowWarning,
+        stacklevel=3,
+    )
 
 
 def capture_grid(grid: CaptureGrid, rd, wz: float | None = None):
@@ -177,29 +217,7 @@ def capture_grid(grid: CaptureGrid, rd, wz: float | None = None):
     rd_arr = rd_in.ravel()
     if (rd_arr < 0).any():
         raise ValueError("rd must be >= 0")
-    x, c, ng = grid.centers, grid.weights, grid.ng
-    wz2 = grid.wz**2
-    k = min(ng, math.ceil(18.0 * grid.wz / grid.dx) + 2)  # segments within 9 wz
-    step = max(1, _CHUNK // k)
-    vals = np.empty(rd_arr.size)
-    for i in range(0, rd_arr.size, step):
-        r = rd_arr[i : i + step, None]
-        if k == ng:
-            d = x - r
-        else:
-            lo = np.minimum(np.searchsorted(x, r[:, 0] - 9.0 * grid.wz), ng - k)
-            idx = lo[:, None] + np.arange(k)
-            d = x[idx] - r
-        d *= d
-        d *= -2.0
-        d /= wz2
-        np.exp(d, out=d)
-        # np.sum adds pairwise, so a window sums as accurately as the dense dot
-        vals[i : i + step] = d @ c if k == ng else np.sum(d * c[idx], axis=1)
-    if (vals > 1.0 + 1e-6).any():
-        warnings.warn(
-            f"grid capture probability exceeded 1 by {float(vals.max()) - 1.0:.2e}",
-            CaptureOverflowWarning,
-            stacklevel=2,
-        )
+    vals = _grid_sum(grid.centers, grid.weights, grid.wz, grid.dx, rd_arr)
+    if (vals > _OVERFLOW).any():
+        _warn_overflow(float(vals.max()))
     return vals.reshape(rd_in.shape) if rd_in.ndim else float(vals[0])

@@ -10,13 +10,14 @@ Subcommands:
 
 Global flags: --config, --out, --format {table,csv,json} (--plot-data is an
 alias for --format csv), --quiet. The UAVQKD_CONFIG environment variable
-supplies a default config path. Exit codes: 0 success, 1 usage error,
-2 validation error, 3 numeric failure.
+supplies the config path when --config is not given; it is read at each
+call of ``main``. Exit codes: 0 success, 1 usage error, 2 validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import analytics, config, montecarlo, output
 from .beam import build_grid, capture_classical, capture_exact, capture_grid
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .sweep import SWEEPABLE, SweepSpec, optimize, sweep
 
 log = logging.getLogger("uavqkd")
@@ -36,7 +37,6 @@ log = logging.getLogger("uavqkd")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
-EXIT_NUMERIC = 3
 
 _AXIS_KIND = {
     "wz": "length",
@@ -81,9 +81,16 @@ def _parse_range(text: str, kind: str) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, n).tolist())
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built once per process.
+
+    Parsing leaves the parser unchanged (each call fills a new namespace),
+    so every ``main`` call shares it; nothing read from the environment
+    is frozen into it.
+    """
     p = _Parser(prog="uavqkd", description="UAV-to-ground free-space QKD link simulator")
-    p.add_argument("--config", default=os.environ.get("UAVQKD_CONFIG"), help="config file path")
+    p.add_argument("--config", default=None, help="config file path (default: $UAVQKD_CONFIG)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--plot-data", action="store_true", help="alias for --format csv")
@@ -118,7 +125,8 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> config.LinkConfig:
-    cfg = config.load_config(args.config) if args.config else config.LinkConfig()
+    path = os.environ.get("UAVQKD_CONFIG") if args.config is None else args.config
+    cfg = config.load_config(path) if path else config.LinkConfig()
     if not args.quiet:
         log.info("resolved parameters:\n%s", config.dumps(cfg).rstrip())
     return cfg
@@ -264,9 +272,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -160,6 +160,10 @@ class LinkConfig:
         )
 
 
+# LinkConfig's field names in declaration order, listed once for validate and dumps
+_FIELD_NAMES = tuple(f.name for f in fields(LinkConfig))
+
+
 def _check_range(key: str, value) -> None:
     kind, lo, hi = _FIELDS[key]
     if kind.startswith("enum:"):
@@ -167,11 +171,16 @@ def _check_range(key: str, value) -> None:
         if value not in allowed:
             raise ConfigError(f"{key}: {value!r} not one of {allowed}")
         return
+    # An exact int or float settles the type test without the slower ABC
+    # isinstance dispatch; every other type takes the ABC test as before.
+    t = type(value)
     if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if t is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ConfigError(f"{key}: {value!r} is not an integer")
-    elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{key}: {value!r} is not a finite number")
+    else:
+        real = t is float or t is int or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+        if not real or not math.isfinite(value):
+            raise ConfigError(f"{key}: {value!r} is not a finite number")
     if lo is not None and value < lo or hi is not None and value > hi:
         raise ConfigError(f"{key}: value {value} outside allowed range [{lo}, {hi}]")
 
@@ -217,13 +226,13 @@ def load_config(path: str) -> LinkConfig:
 
 def validate(cfg: LinkConfig) -> None:
     """Range-check every set field and the cross-field constraints."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    for name in _FIELD_NAMES:
+        value = getattr(cfg, name)
         if value is None:
-            if f.name in _OPTIONAL or f.name in ("eta_atm", "wz"):
+            if name in _OPTIONAL or name in ("eta_atm", "wz"):
                 continue
-            raise ConfigError(f"{f.name} is required")
-        _check_range(f.name, value)
+            raise ConfigError(f"{name} is required")
+        _check_range(name, value)
     if cfg.eta_atm is None and cfg.alpha_a is None:
         raise ConfigError("one of eta_atm or alpha_a is required")
     cfg.resolved_wz()
@@ -242,15 +251,15 @@ _CANONICAL_UNIT = {
 def dumps(cfg: LinkConfig) -> str:
     """Serialize in canonical SI units; load(dumps(cfg)) round-trips exactly."""
     lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    for name in _FIELD_NAMES:
+        value = getattr(cfg, name)
         if value is None:
             continue
-        kind = _FIELDS[f.name][0]
+        kind = _FIELDS[name][0]
         if kind in _CANONICAL_UNIT:
-            lines.append(f"{f.name} = {value!r} {_CANONICAL_UNIT[kind]}")
+            lines.append(f"{name} = {value!r} {_CANONICAL_UNIT[kind]}")
         else:
-            lines.append(f"{f.name} = {value!r}" if kind != "int" and not kind.startswith("enum") else f"{f.name} = {value}")
+            lines.append(f"{name} = {value!r}" if kind != "int" and not kind.startswith("enum") else f"{name} = {value}")
     return "\n".join(lines) + "\n"
 
 

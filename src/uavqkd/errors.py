@@ -6,7 +6,11 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numerical routine (quadrature) failed to reach its tolerance."""
+    """A numerical routine failed to reach its tolerance.
+
+    No routine of the package raises it now (capture probability and both
+    detection averages are closed forms or fixed-node products); it stays
+    exported for callers that test for it."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

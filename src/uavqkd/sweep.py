@@ -2,7 +2,9 @@
 
 Sweeps rebuild the full derived-quantity chain (beam geometry, capture
 grid, FoV geometry, background mean, composite transmissivity) at every
-point, so overlays can never see a stale cache. The optimizer maximizes
+point, so overlays can never see a stale cache. Monte Carlo points run
+on seeds spawned from the config seed, one per point; a sweep that runs no
+Monte Carlo spawns none. The optimizer maximizes
 the analytic key rate under a QBER ceiling with a coarse global grid
 followed by golden-section refinement; Monte Carlo is intentionally not
 part of the objective (its noise breaks a line search) and is meant for
@@ -77,13 +79,14 @@ def _point_config(base: LinkConfig, spec: SweepSpec, v: float, ov: float | None)
 def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
     """Evaluate the link at every (axis x overlay) combination, in order.
 
-    Monte Carlo points draw per-point seeds from the config seed via
-    SeedSequence spawning, so the same spec and seed reproduce the same
-    SweepResult exactly.
+    When the engine runs the Monte Carlo, points draw per-point seeds from
+    the config seed via SeedSequence spawning, so the same spec and seed
+    reproduce the same SweepResult exactly; an analytic sweep spawns none.
     """
     overlays: tuple[float | None, ...] = spec.overlay_values if spec.overlay else (None,)
     points = [(v, ov) for ov in overlays for v in spec.values]
-    mc_seeds = np.random.SeedSequence(base.seed).spawn(len(points))
+    run_mc = spec.engine in ("monte_carlo", "both")
+    mc_seeds = np.random.SeedSequence(base.seed).spawn(len(points)) if run_mc else [None] * len(points)
 
     rows: list[SweepRow] = []
     for (v, ov), ss in zip(points, mc_seeds):
@@ -93,7 +96,7 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
             raise ValueError(f"sweep point {spec.axis}={v}, overlay={ov}: {exc}") from exc
         if spec.engine in ("analytic", "both"):
             rows.append(SweepRow(v, ov, analytics.evaluate(ctx)))
-        if spec.engine in ("monte_carlo", "both"):
+        if run_mc:
             seed = int(ss.generate_state(1, dtype=np.uint64)[0])
             mc = montecarlo.run(ctx, base.n_slots, seed)
             rows.append(SweepRow(v, ov, mc.estimates))

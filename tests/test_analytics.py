@@ -14,7 +14,7 @@ import oracles
 from conftest import log_uniform_field, make_context
 from uavqkd import analytics
 from uavqkd.analytics import detect_prob, evaluate, key_rate, p_eff_one, qber, state_probs
-from uavqkd.beam import capture_exact, capture_grid
+from uavqkd.beam import build_grid, capture_exact, capture_grid
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
 
@@ -124,7 +124,7 @@ class TestDetectProb:
         monkeypatch.setattr(scipy.integrate, "quad", no_quad)
         monkeypatch.setattr(analytics, "capture_grid", counting_capture_grid)
         detect_prob(make_context(wz=0.30))
-        assert len(calls) <= 1  # mu_p(0) for the linearization check
+        assert len(calls) == 0  # mu_p(0) for the linearization check is kept with the grid
         calls.clear()
         detect_prob(baseline_ctx, turbulence="averaged")
         assert len(calls) == 1  # mu_p once, on all the Rayleigh nodes
@@ -150,6 +150,26 @@ class TestDetectProb:
         ctx = make_context(Ng=2, wz=0.005, ra=1.5, sigma_theta_e=7.5e-4)
         with pytest.warns(CaptureOverflowWarning):
             detect_prob(ctx)
+
+    @pytest.mark.parametrize(
+        "ng,wz,ra,linearization",
+        [
+            (2, 0.005, 1.5, 0),  # spikes between segments, seen by the segment-centre probe
+            (5, 0.065, 0.15, 1),  # dx/wz = 0.92: the grid sum at rd = 0 exceeds 1
+        ],
+    )
+    def test_warnings_once_per_call(self, ng, wz, ra, linearization):
+        build_grid.cache_clear()
+        ctx = make_context(Ng=ng, wz=wz, ra=ra, sigma_theta_e=7.5e-4)
+        assert (ctx.grid.dx > wz) == (ng == 2)
+        for _ in range(3):  # the first call, then calls on the same cached grid
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                detect_prob(ctx)
+            got = [w.category for w in caught]
+            assert got.count(CaptureOverflowWarning) == 1
+            assert got.count(LinearizationWarning) == linearization
+            assert len(got) == 1 + linearization
 
     def test_averaged_path_finite_for_vanishing_signal(self, baseline_ctx):
         # 1 - E[e^-s eta] is computed directly, never as a difference divided by s

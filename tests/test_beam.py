@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from uavqkd.beam import (
     capture_exact_many,
     capture_grid,
 )
+from uavqkd.errors import CaptureOverflowWarning
 
 RA = 0.15
 
@@ -286,3 +288,20 @@ class TestCaptureGrid:
         # the cached grid is shared, so its arrays must be read-only
         with pytest.raises(ValueError):
             grid.weights[0] = 0.0
+
+    @pytest.mark.parametrize("ng", [2, 3, 10, 101, 1000, 10_000, 100_000])
+    @pytest.mark.parametrize("ra,wz", [(RA, 0.10), (1.5, 0.005), (0.015, 10.0)])
+    def test_cached_mu_p0_is_capture_grid_at_zero(self, ng, ra, wz):
+        # one evaluator: the value kept with the grid is the grid sum itself,
+        # bit for bit, on the dense and on the windowed path
+        grid = build_grid(ra, wz, ng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CaptureOverflowWarning)
+            assert grid.mu_p0 == capture_grid(grid, 0.0)
+        assert isinstance(grid.mu_p0, float)
+
+    def test_cached_mu_p0_covers_the_windowed_path(self):
+        # the parameter grid above reaches the windowed sum: fewer segments
+        # lie within 9 wz of rd = 0 than the grid has
+        grid = build_grid(1.5, 0.005, 1000)
+        assert math.ceil(18.0 * grid.wz / grid.dx) + 2 < grid.ng

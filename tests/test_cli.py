@@ -217,3 +217,33 @@ class TestValidate:
         assert code == cli.EXIT_VALIDATION
         assert captured.out == ""
         assert flag in captured.err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_env_config_read_at_call_time(self, capsys, cfg_file, monkeypatch):
+        monkeypatch.delenv("UAVQKD_CONFIG", raising=False)
+        code, default = run_cli(capsys, "--quiet", "--format", "json", "eval")
+        assert code == cli.EXIT_OK
+        # set after the parser exists: the next call must still honour it
+        monkeypatch.setenv("UAVQKD_CONFIG", cfg_file)
+        code, from_env = run_cli(capsys, "--quiet", "--format", "json", "eval")
+        assert code == cli.EXIT_OK
+        code, explicit = run_cli(capsys, "--quiet", "--format", "json", "--config", cfg_file, "eval")
+        assert from_env == explicit != default
+        monkeypatch.delenv("UAVQKD_CONFIG")
+        assert run_cli(capsys, "--quiet", "--format", "json", "eval")[1] == default
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys, caplog, cfg_file):
+        sweep = ["sweep", "--axis", "wz", "--values", "5cm,10cm"]
+        code, out = run_cli(capsys, "--config", cfg_file, "--quiet", "--plot-data", *sweep)
+        assert code == cli.EXIT_OK and out.startswith("axis,axis_value")
+        code, out = run_cli(capsys, "--config", cfg_file, "--quiet", "--format", "json", *sweep)
+        assert code == cli.EXIT_OK and json.loads(out)[0]["axis"] == "wz"
+        with caplog.at_level(logging.INFO, logger="uavqkd"):
+            code, out = run_cli(capsys, "--config", cfg_file, *sweep)
+        assert code == cli.EXIT_OK
+        assert out.split()[:2] == ["axis", "axis_value"]  # the table format
+        assert any(r.getMessage().startswith("resolved parameters") for r in caplog.records)

@@ -1,12 +1,16 @@
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavqkd.config import (
     LinkConfig,
+    _check_range,
     build_context,
     dumps,
     load_config,
@@ -216,3 +220,56 @@ class TestInputEdge:
     @given(ng=st.integers(2, 100_000))
     def test_integer_grid_accepted(self, ng):
         validate(LinkConfig(Ng=ng))
+
+
+class _FloatSub(float):
+    pass
+
+
+# The verdicts of the ABC-only type test that preceded the exact-type
+# shortcut in _check_range, recorded from that implementation: None
+# accepts, a string is the ConfigError message.
+_VERDICTS = [
+    ("mu_t", True, "mu_t: True is not a finite number"),
+    ("mu_t", np.bool_(True), "mu_t: np.True_ is not a finite number"),
+    ("mu_t", np.int64(1), None),
+    ("mu_t", np.int64(10), "mu_t: value 10 outside allowed range [0.05, 5.0]"),
+    ("mu_t", np.float64(0.5), None),
+    ("mu_t", _FloatSub(0.5), None),
+    ("mu_t", Fraction(1, 2), None),
+    ("mu_t", Decimal("0.5"), "mu_t: Decimal('0.5') is not a finite number"),
+    ("mu_t", "1.0", "mu_t: '1.0' is not a finite number"),
+    ("mu_t", math.nan, "mu_t: nan is not a finite number"),
+    ("mu_t", math.inf, "mu_t: inf is not a finite number"),
+    ("mu_t", -math.inf, "mu_t: -inf is not a finite number"),
+    ("mu_t", 0.5, None),
+    ("mu_t", 1, None),
+    ("mu_t", 10, "mu_t: value 10 outside allowed range [0.05, 5.0]"),
+    ("mu_t", 7.0, "mu_t: value 7.0 outside allowed range [0.05, 5.0]"),
+    ("Ng", True, "Ng: True is not an integer"),
+    ("Ng", np.bool_(True), "Ng: np.True_ is not an integer"),
+    ("Ng", np.int64(1), "Ng: value 1 outside allowed range [2, 100000]"),
+    ("Ng", np.int64(10), None),
+    ("Ng", np.float64(0.5), "Ng: np.float64(0.5) is not an integer"),
+    ("Ng", _FloatSub(0.5), "Ng: 0.5 is not an integer"),
+    ("Ng", Fraction(1, 2), "Ng: Fraction(1, 2) is not an integer"),
+    ("Ng", Decimal("0.5"), "Ng: Decimal('0.5') is not an integer"),
+    ("Ng", "1.0", "Ng: '1.0' is not an integer"),
+    ("Ng", math.nan, "Ng: nan is not an integer"),
+    ("Ng", math.inf, "Ng: inf is not an integer"),
+    ("Ng", -math.inf, "Ng: -inf is not an integer"),
+    ("Ng", 0.5, "Ng: 0.5 is not an integer"),
+    ("Ng", 1, "Ng: value 1 outside allowed range [2, 100000]"),
+    ("Ng", 10, None),
+    ("Ng", 7.0, "Ng: 7.0 is not an integer"),
+]
+
+
+@pytest.mark.parametrize("key,value,verdict", _VERDICTS, ids=lambda v: repr(v))
+def test_check_range_verdicts_unchanged(key, value, verdict):
+    if verdict is None:
+        _check_range(key, value)
+    else:
+        with pytest.raises(ConfigError) as exc:
+            _check_range(key, value)
+        assert str(exc.value) == verdict

@@ -1,10 +1,11 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import make_config
-from uavqkd import analytics
+from uavqkd import analytics, montecarlo
 from uavqkd.config import build_context
 from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
 
@@ -76,6 +77,31 @@ class TestSweep:
         cfg = replace(baseline_cfg, n_slots=20_000)
         spec = SweepSpec(axis="wz", values=(0.05, 0.1, 0.2), engine="monte_carlo")
         assert sweep(cfg, spec) == sweep(cfg, spec)
+
+    @pytest.mark.parametrize("engine", ["analytic", "monte_carlo", "both"])
+    def test_mc_seeds_spawned_only_for_mc(self, baseline_cfg, engine, monkeypatch):
+        spawned, seeds = [], []
+        real_seed_sequence = np.random.SeedSequence
+
+        def recording_seed_sequence(*args, **kwargs):
+            spawned.append(args)
+            return real_seed_sequence(*args, **kwargs)
+
+        def recording_run(ctx, n_slots, seed):
+            seeds.append(seed)
+            return SimpleNamespace(estimates=analytics.evaluate(ctx))
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording_seed_sequence)
+        monkeypatch.setattr(montecarlo, "run", recording_run)
+        spec = SweepSpec(axis="wz", values=(0.05, 0.1), overlay="sigma_aoa", overlay_values=(30e-6, 60e-6), engine=engine)
+        sweep(baseline_cfg, spec)
+        if engine == "analytic":
+            assert spawned == [] and seeds == []
+        else:
+            # one seed per point, from the config seed's spawn tree, in point order
+            want = [int(ss.generate_state(1, dtype=np.uint64)[0])
+                    for ss in real_seed_sequence(baseline_cfg.seed).spawn(4)]
+            assert spawned == [(baseline_cfg.seed,)] and seeds == want
 
     def test_invalid_point_reports_location(self, baseline_cfg):
         spec = SweepSpec(axis="wz", values=(0.1, 1e6))
