@@ -9,7 +9,9 @@ Subcommands:
 * ``validate`` capture-model comparison table (exact vs grid vs classical)
 
 Global flags: --config, --out, --format {table,csv,json} (--plot-data is an
-alias for --format csv), --quiet. The UAVQKD_CONFIG environment variable
+alias for --format csv), --quiet. Warnings are logged as ``WARNING ...``
+lines on stderr; --quiet silences them and the resolved-parameter log.
+The UAVQKD_CONFIG environment variable
 supplies the config path when --config is not given; it is read at each
 call of ``main``. Exit codes: 0 success, 1 usage error, 2 validation error.
 """
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -158,8 +161,8 @@ def _cmd_mc(args, cfg) -> str:
     mc = montecarlo.run(ctx, cfg.n_slots, cfg.seed)
     elapsed = time.perf_counter() - start
     log.info(
-        "mc: slots=%d batches=%d clamp_rate=%.6g slots_per_s=%.4g",
-        mc.n_slots, mc.batches, mc.clamp_rate, mc.n_slots / elapsed,
+        "mc: slots=%d batches=%d clamp_rate=%.6g capture_share=%.6g slots_per_s=%.4g",
+        mc.n_slots, mc.batches, mc.clamp_rate, mc.capture_evals / mc.n_slots, mc.n_slots / elapsed,
     )
     return output.emit(mc.estimates, args.format)
 
@@ -265,6 +268,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.plot_data:
         args.format = "csv"
+    # Package warnings go to the log, where --quiet silences them. A caller
+    # that installed its own warnings.showwarning keeps getting them.
+    capture = getattr(warnings.showwarning, "__module__", None) == "warnings"
+    py_warnings = logging.getLogger("py.warnings")
+    level = py_warnings.level
+    if capture:
+        logging.captureWarnings(True)
+        if args.quiet:
+            py_warnings.setLevel(logging.ERROR)
     try:
         cfg = _load_config(args)
         text = _COMMANDS[args.command](args, cfg)
@@ -272,6 +284,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if capture:
+            logging.captureWarnings(False)
+            py_warnings.setLevel(level)
     return EXIT_OK
 
 

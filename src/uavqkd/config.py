@@ -179,7 +179,13 @@ def _check_range(key: str, value) -> None:
             raise ConfigError(f"{key}: {value!r} is not an integer")
     else:
         real = t is float or t is int or (not isinstance(value, bool) and isinstance(value, numbers.Real))
-        if not real or not math.isfinite(value):
+        if not real:
+            raise ConfigError(f"{key}: {value!r} is not a finite number")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{key}: value is too large to convert to a float") from None
+        if not finite:
             raise ConfigError(f"{key}: {value!r} is not a finite number")
     if lo is not None and value < lo or hi is not None and value > hi:
         raise ConfigError(f"{key}: value {value} outside allowed range [{lo}, {hi}]")

@@ -28,6 +28,24 @@ them a capture value underflowing to 0 instead of 1e-300 would shift
 every later draw of its batch. ``_draw_slots`` is the one routine that
 draws and classifies slots.
 
+Thinning (Lewis & Shedler, Naval Res. Logist. Q. 26(3), 1979): the
+detection uniform u is compared first with a dominating bound, 1 -
+e^(-mu_t eta_atm mu_d cap_max eta), and a capture value is computed only
+on the FoV-accepted slots with u below it. Rounded multiplication is
+monotone and ``expm1`` is monotone to within an ulp, so mu_p <= cap_max
+makes a slot's detection threshold at most its bound: every slot that
+detects is a candidate, and no slot outside the candidates could have
+detected. The detection decisions, the draw stream and so every
+``McReport`` are those of the eager classifier, which computed mu_p on
+every slot. Exact capture takes cap_max = 1 + 1e-9; the margin covers
+``chndtr``'s excess over 1 (~1e-14) and any rounding in ``expm1``.
+The grid sum can exceed 1, so grid capture takes cap_max = inf: the
+bound is 1 and every FoV-accepted slot is a candidate. (A grid value
+comes from a BLAS dot product whose rounding can depend on its row's
+place in the batch, so it may differ from the eager one in the last bit;
+that moves a decision only when u lies within an ulp of the threshold.)
+``McReport.capture_evals`` counts the slots that needed a capture value.
+
 Capture probability uses the exact closed form (``capture_exact``) by
 default so that Monte Carlo vs analytic deviations isolate the
 grid/linearization approximations; ``use_grid_mu_p`` switches to the grid
@@ -53,12 +71,9 @@ BATCH_SIZE = 1 << 16  # fixed so the batch partition never depends on worker cou
 
 @dataclass(frozen=True)
 class McOptions:
-    """Simulation switches; the force_* hooks pin a channel factor for tests."""
+    """Simulation switches."""
 
     use_grid_mu_p: bool = False
-    force_rd: float | None = None
-    force_eta: float | None = None
-    force_fov: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,7 @@ class McReport:
     seed: int
     batch_size: int
     estimates: PerformanceReport
+    capture_evals: int  # slots that needed a capture value (the thinning candidates)
 
     @property
     def batches(self) -> int:
@@ -88,24 +104,18 @@ _NONE, _S1, _S2_OK, _S2_ERR, _S3, _MULTI = range(6)
 _STATE_OUTCOME = ("no_bit", "bit_ok", "bit_ok", "bit_error", "bit_ok", "discarded_multi")
 
 
-def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: McOptions):
-    """Channel realizations for m slots: (r_d, eta_turb, fov_accept).
-
-    Draw order is fixed; the force_* hooks consume the same random numbers
-    so that pinning one factor does not shift the others.
-    """
+def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int):
+    """Channel realizations for m slots: (r_d, eta_turb, fov_accept)."""
     g = rng.normal(0.0, ctx.sigma_rd, (2, m))
     rd = np.hypot(g[0], g[1])
     eta = gg_sample(rng, ctx.alpha, ctx.beta, m)
     a = rng.normal(0.0, ctx.sigma_aoa, (2, m))
     accept = np.hypot(a[0], a[1]) <= ctx.theta_fov
-    if opt.force_rd is not None:
-        rd = np.full(m, opt.force_rd)
-    if opt.force_eta is not None:
-        eta = np.full(m, opt.force_eta)
-    if opt.force_fov is not None:
-        accept = np.full(m, opt.force_fov)
     return rd, eta, accept
+
+
+# Bound on an exact capture value: chndtr returns at most ~1e-14 above 1.
+_CAP_MAX_EXACT = 1.0 + 1e-9
 
 
 def _mu_p_of(rd: np.ndarray, ctx: AnalyticContext, opt: McOptions) -> np.ndarray:
@@ -115,23 +125,31 @@ def _mu_p_of(rd: np.ndarray, ctx: AnalyticContext, opt: McOptions) -> np.ndarray
 
 
 def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: McOptions):
-    """Draw and classify m slots: (state, detected, n_b, r_d, eta_turb, fov_accept)."""
-    rd, eta, accept = _draw_channel(rng, ctx, m, opt)
-    t = ctx.eta_atm * ctx.mu_d * _mu_p_of(rd, ctx, opt) * eta
-    sig = rng.random(m) < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0))  # n_q >= 1
+    """Draw and classify m slots: (state, detected, n_b, r_d, eta_turb,
+    fov_accept, candidate), where candidate marks the slots whose capture
+    value was computed (module docstring, "Thinning")."""
+    rd, eta, accept = _draw_channel(rng, ctx, m)
+    u = rng.random(m)
+    cap_max = math.inf if opt.use_grid_mu_p else _CAP_MAX_EXACT
+    cand = accept & (u < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * cap_max * eta)))
+    t = ctx.eta_atm * ctx.mu_d * _mu_p_of(rd[cand], ctx, opt) * eta[cand]
+    sig = np.zeros(m, dtype=bool)
+    sig[cand] = u[cand] < -np.expm1(-ctx.mu_t * t)  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
     heads = rng.random(m) < 0.5  # fair polarization coin
 
     state = np.where(n_b >= 2, _MULTI, np.where(sig, _S1, _NONE))
     one_b = n_b == 1
     state[one_b] = np.where(sig, np.where(heads, _S3, _MULTI), np.where(heads, _S2_ERR, _S2_OK))[one_b]
-    return state, sig, n_b, rd, eta, accept
+    return state, sig, n_b, rd, eta, accept, cand
 
 
 def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, opt: McOptions) -> np.ndarray:
-    """[detected slots, then the count of each slot state] for one seeded batch."""
-    state, sig, *_ = _draw_slots(np.random.default_rng(ss), ctx, m, opt)
-    return np.concatenate(([np.count_nonzero(sig)], np.bincount(state, minlength=len(_STATE_OUTCOME))))
+    """[detected slots, capture evaluations, then the count of each slot
+    state] for one seeded batch."""
+    state, sig, *_, cand = _draw_slots(np.random.default_rng(ss), ctx, m, opt)
+    counts = [np.count_nonzero(sig), np.count_nonzero(cand)]
+    return np.concatenate((counts, np.bincount(state, minlength=len(_STATE_OUTCOME))))
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -158,7 +176,7 @@ def run(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes, [opt] * n_batches))
-    detect, _, s1, s2_ok, s2_err, s3, _ = (int(c) for c in np.sum(counts, axis=0))
+    detect, capture_evals, _, s1, s2_ok, s2_err, s3, _ = (int(c) for c in np.sum(counts, axis=0))
 
     n = n_slots
     s2 = s2_ok + s2_err
@@ -193,4 +211,5 @@ def run(
         seed=seed,
         batch_size=BATCH_SIZE,
         estimates=report,
+        capture_evals=capture_evals,
     )

@@ -3,11 +3,16 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavqkd import cli, config, output
+import uavqkd
+from uavqkd import cli, config, montecarlo, output
 from uavqkd.beam import capture_exact
 
 
@@ -106,9 +111,12 @@ class TestMc:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc:")]
         assert len(lines) == 1
         fields = dict(kv.split("=") for kv in lines[0].split()[1:])
-        assert set(fields) == {"slots", "batches", "clamp_rate", "slots_per_s"}
+        assert set(fields) == {"slots", "batches", "clamp_rate", "capture_share", "slots_per_s"}
         assert int(fields["slots"]) == 70000 and int(fields["batches"]) == 2
         assert float(fields["clamp_rate"]) == 0.0  # the Poisson slot draw clamps nothing
+        rep = montecarlo.run(config.build_context(config.load_config(cfg_file)), 70000, 3)
+        assert 0 < rep.capture_evals < 70000
+        assert float(fields["capture_share"]) == pytest.approx(rep.capture_evals / 70000, rel=1e-5)
         assert float(fields["slots_per_s"]) > 0
 
 
@@ -247,3 +255,31 @@ class TestParserReuse:
         assert code == cli.EXIT_OK
         assert out.split()[:2] == ["axis", "axis_value"]  # the table format
         assert any(r.getMessage().startswith("resolved parameters") for r in caplog.records)
+
+
+def run_process(*argv):
+    """``python -m uavqkd.cli argv`` in a fresh process, with default
+    warning filters: (exit code, stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "UAVQKD_CONFIG")}
+    env["PYTHONPATH"] = str(Path(uavqkd.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "uavqkd.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestWarningsLogged:
+    # the default config has c_pt * mu_p(0) = 0.119, so eval raises a LinearizationWarning
+
+    def test_quiet_leaves_stderr_empty(self):
+        code, out, err = run_process("--quiet", "eval")
+        assert code == cli.EXIT_OK and "key_rate_bps" in out
+        assert err == ""
+
+    def test_warning_logged_once_in_log_format(self):
+        code, out, err = run_process("eval")
+        assert code == cli.EXIT_OK and "key_rate_bps" in out
+        hits = [line for line in err.splitlines() if "LinearizationWarning" in line]
+        assert len(hits) == 1
+        assert hits[0].startswith("WARNING ")
+        assert err.startswith("INFO resolved parameters:")

@@ -216,6 +216,18 @@ class TestInputEdge:
         with pytest.raises(ConfigError, match=name):
             build_context(replace(LinkConfig(), **{name: bad}))
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_huge_int_on_float_field_rejected(self, value):
+        # beyond the float range: math.isfinite raised OverflowError here
+        with pytest.raises(ConfigError, match="mu_t"):
+            validate(LinkConfig(mu_t=value))
+        with pytest.raises(ConfigError, match="wz"):
+            build_context(LinkConfig(wz=value))
+
+    def test_huge_int_on_int_field_rejected(self):
+        with pytest.raises(ConfigError, match="Ng"):
+            validate(LinkConfig(Ng=10**400))
+
     @settings(max_examples=30, deadline=None)
     @given(ng=st.integers(2, 100_000))
     def test_integer_grid_accepted(self, ng):

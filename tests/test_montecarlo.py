@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,9 +8,16 @@ from scipy import stats
 
 from conftest import make_context
 from oracles import gg_cdf_interpolator
+from uavqkd import montecarlo
 from uavqkd.analytics import detect_prob
-from uavqkd.beam import capture_exact
+from uavqkd.beam import capture_exact, capture_grid
 from uavqkd.montecarlo import (
+    _MULTI,
+    _NONE,
+    _S1,
+    _S2_ERR,
+    _S2_OK,
+    _S3,
     _STATE_OUTCOME,
     BATCH_SIZE,
     McOptions,
@@ -19,6 +27,40 @@ from uavqkd.montecarlo import (
 )
 
 N = 200_000
+
+
+def pin_channel(monkeypatch, rd=None, eta=None, fov=None):
+    """Pin channel factors of every later draw by wrapping ``_draw_channel``;
+    a second call replaces the first pin.
+
+    The channel is still drawn in full before a factor is replaced, so
+    pinning one factor consumes the same random numbers and does not shift
+    the others.
+    """
+
+    def pinned(rng, ctx, m):
+        r, e, a = _draw_channel(rng, ctx, m)
+        return (
+            r if rd is None else np.full(m, rd),
+            e if eta is None else np.full(m, eta),
+            a if fov is None else np.full(m, fov),
+        )
+
+    monkeypatch.setattr(montecarlo, "_draw_channel", pinned)
+
+
+def eager_draw_slots(rng, ctx, m, opt):
+    """The slot classifier before thinning: capture on every slot."""
+    rd, eta, accept = _draw_channel(rng, ctx, m)
+    mu_p = np.asarray(capture_grid(ctx.grid, rd)) if opt.use_grid_mu_p else montecarlo.capture_exact(rd, ctx.wz, ctx.ra)
+    t = ctx.eta_atm * ctx.mu_d * mu_p * eta
+    sig = rng.random(m) < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0))
+    n_b = rng.poisson(ctx.mu_b, m)
+    heads = rng.random(m) < 0.5
+    state = np.where(n_b >= 2, _MULTI, np.where(sig, _S1, _NONE))
+    one_b = n_b == 1
+    state[one_b] = np.where(sig, np.where(heads, _S3, _MULTI), np.where(heads, _S2_ERR, _S2_OK))[one_b]
+    return state, sig, n_b, rd, eta, accept
 
 
 class TestDeterminism:
@@ -56,20 +98,20 @@ class TestOutcomeOracles:
         assert report.p_s2 == 0.0 and report.p_s3 == 0.0
         assert report.qber == 0.0
 
-    def test_background_only_poisson_single_count(self, baseline_ctx):
+    def test_background_only_poisson_single_count(self, baseline_ctx, monkeypatch):
         # signal path suppressed: P(bit) = P(n_b = 1) = e^-1
         ctx = replace(baseline_ctx, mu_b=1.0)
-        opts = McOptions(force_eta=0.0)
-        report = run(ctx, 1_000_000, seed=5, options=opts).estimates
+        pin_channel(monkeypatch, eta=0.0)
+        report = run(ctx, 1_000_000, seed=5).estimates
         target = math.exp(-1.0)
         se = math.sqrt(target * (1.0 - target) / 1_000_000)
         assert abs(report.p_eff_one - target) < 3.0 * se
         assert report.qber == pytest.approx(0.5, abs=0.01)
 
-    def test_poisson_thinning_closed_form(self, baseline_ctx):
+    def test_poisson_thinning_closed_form(self, baseline_ctx, monkeypatch):
         # turbulence and FoV pinned, beam centered: detection is pure thinning
-        opts = McOptions(force_rd=0.0, force_eta=1.0, force_fov=True)
-        report = run(baseline_ctx, 1_000_000, seed=6, options=opts).estimates
+        pin_channel(monkeypatch, rd=0.0, eta=1.0, fov=True)
+        report = run(baseline_ctx, 1_000_000, seed=6).estimates
         mu_p0 = 1.0 - math.exp(-4.5)
         target = 1.0 - math.exp(-0.5 * 0.4 * 0.6 * mu_p0)
         se = math.sqrt(target * (1.0 - target) / 1_000_000)
@@ -78,7 +120,7 @@ class TestOutcomeOracles:
     def test_unbiased_where_survival_factor_exceeds_one(self, baseline_ctx):
         # ~1.8% of slots here have t > 1; clamping them at 1 put p_detect
         # 1.7% (5 SE at 1M slots) below the exact expectation
-        rd, eta, _ = _draw_channel(np.random.default_rng(17), baseline_ctx, BATCH_SIZE, McOptions())
+        rd, eta, _ = _draw_channel(np.random.default_rng(17), baseline_ctx, BATCH_SIZE)
         t = baseline_ctx.eta_atm * baseline_ctx.mu_d * capture_exact(rd, baseline_ctx.wz, baseline_ctx.ra) * eta
         assert np.mean(t > 1.0) > 0.01
         rep = run(baseline_ctx, 1_000_000, seed=17)
@@ -87,11 +129,13 @@ class TestOutcomeOracles:
         est = rep.estimates
         assert abs(est.p_detect - exact) < 3.0 * est.se["p_detect"]
 
-    def test_stream_does_not_depend_on_capture_underflow(self, baseline_ctx):
+    def test_stream_does_not_depend_on_capture_underflow(self, baseline_ctx, monkeypatch):
         # capture is 1.6e-65 at rd = 1 m and exactly 0 at 1.2 m; neither
         # detects, so every other draw of the batch must be the same
-        tiny = run(baseline_ctx, 2 * BATCH_SIZE, seed=18, options=McOptions(force_rd=1.0))
-        zero = run(baseline_ctx, 2 * BATCH_SIZE, seed=18, options=McOptions(force_rd=1.2))
+        pin_channel(monkeypatch, rd=1.0)
+        tiny = run(baseline_ctx, 2 * BATCH_SIZE, seed=18)
+        pin_channel(monkeypatch, rd=1.2)
+        zero = run(baseline_ctx, 2 * BATCH_SIZE, seed=18)
         assert tiny.estimates.p_detect == 0.0
         assert tiny == zero
 
@@ -128,13 +172,13 @@ class TestEstimates:
 class TestChannelDraws:
     def test_displacement_matches_rayleigh(self, baseline_ctx):
         rng = np.random.default_rng(12)
-        rd, _, _ = _draw_channel(rng, baseline_ctx, 100_000, McOptions())
+        rd, _, _ = _draw_channel(rng, baseline_ctx, 100_000)
         res = stats.kstest(rd, stats.rayleigh(scale=baseline_ctx.sigma_rd).cdf)
         assert res.pvalue > 0.01
 
     def test_fading_matches_gamma_gamma(self, baseline_ctx):
         rng = np.random.default_rng(13)
-        _, eta, _ = _draw_channel(rng, baseline_ctx, 100_000, McOptions())
+        _, eta, _ = _draw_channel(rng, baseline_ctx, 100_000)
         interp = gg_cdf_interpolator(
             baseline_ctx.alpha, baseline_ctx.beta, eta.min() / 2.0, eta.max() * 1.1, n=600
         )
@@ -143,29 +187,101 @@ class TestChannelDraws:
 
     def test_fov_acceptance_rate(self, baseline_ctx):
         rng = np.random.default_rng(14)
-        _, _, accept = _draw_channel(rng, baseline_ctx, 200_000, McOptions())
+        _, _, accept = _draw_channel(rng, baseline_ctx, 200_000)
         target = baseline_ctx.p_fov
         se = math.sqrt(target * (1.0 - target) / 200_000)
         assert abs(accept.mean() - target) < 3.0 * se
 
-    def test_force_hooks_pin_values(self, baseline_ctx):
-        rng = np.random.default_rng(15)
-        opts = McOptions(force_rd=0.02, force_eta=1.5, force_fov=False)
-        rd, eta, accept = _draw_channel(rng, baseline_ctx, 1000, opts)
+    def test_force_hooks_pin_values(self, baseline_ctx, monkeypatch):
+        free = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000, McOptions())
+        pin_channel(monkeypatch, rd=0.02, eta=1.5, fov=False)
+        state, sig, n_b, rd, eta, accept, cand = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000, McOptions())
         assert np.all(rd == 0.02) and np.all(eta == 1.5) and not accept.any()
+        assert not sig.any() and not cand.any()
+        assert np.array_equal(n_b, free[2])  # the later draws are not shifted
 
 
 class TestSlotSamples:
     def test_sample_invariants(self, baseline_ctx):
         rng = np.random.default_rng(16)
         ctx = replace(baseline_ctx, mu_b=0.05)  # boost background to see all outcomes
-        state, detected, n_b, rd, eta, accept = _draw_slots(rng, ctx, 20_000, McOptions())
+        state, detected, n_b, rd, eta, accept, cand = _draw_slots(rng, ctx, 20_000, McOptions())
         outcome = np.asarray(_STATE_OUTCOME)[state]
         assert np.all(n_b >= 0) and np.all(rd >= 0) and np.all(eta > 0)
         assert not np.any(detected & ~accept)  # no detection outside the FoV
+        assert not np.any(detected & ~cand) and not np.any(cand & ~accept)
         error = outcome == "bit_error"
         assert np.all(~detected[error] & (n_b[error] == 1))
         assert np.all(outcome[n_b >= 2] == "discarded_multi")
         assert np.all(outcome[~detected & (n_b == 0)] == "no_bit")
         assert np.all(outcome[detected & (n_b == 0)] == "bit_ok")
         assert set(outcome) == set(_STATE_OUTCOME)  # every branch above is exercised
+
+
+# N_g=2, wz=5 mm, ra=1.5 m: the grid sum reaches 239 near the two segment
+# centres, which 1 mrad of jitter (sigma_rd = 1 m) reaches
+GRID_CORNER = dict(Ng=2, wz=0.005, ra=1.5, mu_t=5.0, sigma_theta_e=1e-3)
+
+
+class TestThinning:
+    @pytest.mark.parametrize(
+        "capture",
+        [
+            lambda rd, wz, ra: np.ones_like(rd),
+            lambda rd, wz, ra: np.full_like(rd, 1.0 - 1e-16),
+            lambda rd, wz, ra: np.zeros_like(rd),
+            capture_exact,
+        ],
+        ids=["one", "one_minus_1e-16", "zero", "exact"],
+    )
+    def test_matches_eager_classifier(self, baseline_ctx, monkeypatch, capture):
+        monkeypatch.setattr(montecarlo, "capture_exact", capture)
+        ctx = replace(baseline_ctx, mu_t=5.0, mu_b=0.05)  # many detections, every state
+        want = eager_draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE, McOptions())
+        *got, cand = _draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE, McOptions())
+        for w, g in zip(want, got, strict=True):
+            assert np.array_equal(w, g)
+        assert not np.any(got[1] & ~cand)
+
+    def test_matches_eager_classifier_where_grid_sum_exceeds_one(self, monkeypatch):
+        ctx = make_context(**GRID_CORNER)
+        opt = McOptions(use_grid_mu_p=True)
+        want = eager_draw_slots(np.random.default_rng(20), ctx, BATCH_SIZE, opt)
+        rd, accept = want[3], want[5]
+        assert np.any(accept & (capture_grid(ctx.grid, rd) > 1.0))
+        *got, cand = _draw_slots(np.random.default_rng(20), ctx, BATCH_SIZE, opt)
+        for w, g in zip(want, got, strict=True):
+            assert np.array_equal(w, g)
+        assert np.array_equal(cand, accept)  # the bound is 1: every accepted slot
+
+    def test_capture_evals_counts_candidates(self, baseline_ctx):
+        n = 2 * BATCH_SIZE + 1001
+        rep = run(baseline_ctx, n, seed=21)
+        children = np.random.SeedSequence(21).spawn(3)
+        sizes = (BATCH_SIZE, BATCH_SIZE, 1001)
+        cands = [_draw_slots(np.random.default_rng(ss), baseline_ctx, m, McOptions())[-1] for ss, m in zip(children, sizes)]
+        assert rep.capture_evals == sum(np.count_nonzero(c) for c in cands)
+        assert round(rep.estimates.p_detect * n) <= rep.capture_evals < n // 10
+        assert run(baseline_ctx, n, seed=21, workers=2) == rep
+
+
+# sha256 of repr(McReport.estimates), recorded with the eager classifier
+# (capture on every slot) before thinning: any change to the draw stream
+# or to a detection decision changes them
+PINNED_DIGESTS = {
+    ("baseline", False): "c09d58434032de7b",
+    ("baseline", True): "1771d716de944057",
+    ("grid_corner", False): "ef9c3ef0a9476027",
+    ("grid_corner", True): "cf1ad54f533fcbf6",
+    ("no_bits", False): "d2f5a59ecd7cb18b",  # QBER and its SE are NaN
+    ("no_bits", True): "d39cfbc0e2243981",
+}
+DIGEST_CONFIGS = {"baseline": {}, "grid_corner": GRID_CORNER, "no_bits": dict(mu_b=100.0)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name,grid", sorted(PINNED_DIGESTS))
+def test_reports_match_pinned_digests(name, grid, workers):
+    ctx = make_context(**DIGEST_CONFIGS[name])
+    rep = run(ctx, 2 * BATCH_SIZE + 1001, seed=20261018, workers=workers, options=McOptions(use_grid_mu_p=grid))
+    assert hashlib.sha256(repr(rep.estimates).encode()).hexdigest()[:16] == PINNED_DIGESTS[name, grid]
