@@ -42,16 +42,7 @@ from .errors import LinearizationWarning
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
-__all__ = [
-    "AnalyticContext",
-    "PerformanceReport",
-    "detect_prob",
-    "state_probs",
-    "p_eff_one",
-    "key_rate",
-    "qber",
-    "evaluate",
-]
+__all__ = ["AnalyticContext", "PerformanceReport", "detect_prob", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -123,9 +114,8 @@ class AnalyticContext:
 class PerformanceReport:
     """Point evaluation of the link: probabilities, key rate, QBER.
 
-    ``se`` and ``ci_halfwidth`` (95%) are populated for Monte Carlo
-    estimates only. ``qber`` is NaN for a Monte Carlo run that produced no
-    key bits.
+    ``se`` (binomial standard errors) is populated for Monte Carlo
+    estimates only. ``qber`` is NaN when no key bits are accepted.
     """
 
     p_detect: float
@@ -137,12 +127,6 @@ class PerformanceReport:
     qber: float
     method: str  # "analytic" | "monte_carlo"
     se: dict[str, float] | None = None
-
-    @property
-    def ci_halfwidth(self) -> dict[str, float] | None:
-        if self.se is None:
-            return None
-        return {k: 1.96 * v for k, v in self.se.items()}
 
 
 def _fading_mean(b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -264,8 +248,9 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized") -> floa
     return ctx.c_pt * ctx.p_fov * mean_mu_p
 
 
-def _metrics(i: float, ctx: AnalyticContext) -> PerformanceReport:
-    """Key-bit states, raw key rate and QBER from the detection probability I.
+def evaluate(ctx: AnalyticContext) -> PerformanceReport:
+    """Full analytic point evaluation: the detection probability I, then the
+    key-bit states, raw key rate and QBER that follow from it.
 
     State 1: signal only; State 2: single background photon only (the sole
     error source); State 3: signal plus one background photon landing on
@@ -273,6 +258,7 @@ def _metrics(i: float, ctx: AnalyticContext) -> PerformanceReport:
     effective detection), the raw-key acceptance probability; the QBER is
     half the State-2 share of accepted bits (NaN when none are accepted).
     """
+    i = detect_prob(ctx)
     eb = math.exp(-ctx.mu_b)
     s1, s2, s3 = eb * i, ctx.mu_b * eb * (1.0 - i), 0.5 * ctx.mu_b * eb * i
     peff = s1 + s2 + s3
@@ -286,32 +272,3 @@ def _metrics(i: float, ctx: AnalyticContext) -> PerformanceReport:
         qber=(0.5 * s2 / peff) if peff > 0 else float("nan"),
         method="analytic",
     )
-
-
-def state_probs(ctx: AnalyticContext) -> tuple[float, float, float]:
-    """Probabilities of the three disjoint single-bit states (see ``_metrics``)."""
-    r = evaluate(ctx)
-    return r.p_s1, r.p_s2, r.p_s3
-
-
-def p_eff_one(ctx: AnalyticContext) -> float:
-    """P(exactly one effective detection), the raw-key acceptance probability."""
-    return evaluate(ctx).p_eff_one
-
-
-def key_rate(ctx: AnalyticContext) -> float:
-    """Average raw key generation rate R_q * P(n_eff = 1) in bits/s."""
-    return evaluate(ctx).key_rate
-
-
-def qber(ctx: AnalyticContext) -> float:
-    """Average QBER: half the State-2 share of accepted bits."""
-    r = evaluate(ctx)
-    if not r.p_eff_one > 0.0:
-        raise ValueError("no key is generated (P(n_eff = 1) = 0); QBER undefined")
-    return r.qber
-
-
-def evaluate(ctx: AnalyticContext) -> PerformanceReport:
-    """Full analytic point evaluation as a PerformanceReport."""
-    return _metrics(detect_prob(ctx), ctx)

@@ -200,19 +200,17 @@ def _warn_overflow(peak: float) -> None:
     )
 
 
-def capture_grid(grid: CaptureGrid, rd, wz: float | None = None):
+def capture_grid(grid: CaptureGrid, rd):
     """Grid-based capture probability sum_i c_i exp(-2 (x_i - rd)^2 / wz^2).
 
-    ``wz``, if passed, must match the grid's beam radius. Scalar or array
-    ``rd``. Emits CaptureOverflowWarning if the sum exceeds 1 + 1e-6.
+    Scalar or array ``rd``. Emits CaptureOverflowWarning if the sum
+    exceeds 1 + 1e-6.
 
     Memory is bounded whatever the size of ``rd`` and N_g: displacements
     are summed in row chunks of about _CHUNK terms, and when fewer than
     N_g segments lie within 9 wz of a displacement only that window is
     summed (each segment left out adds less than c_i e^-162).
     """
-    if wz is not None and abs(wz - grid.wz) > 1e-12 * max(abs(grid.wz), 1.0):
-        raise ValueError(f"wz={wz} does not match grid built for wz={grid.wz}")
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()
     if (rd_arr < 0).any():

@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "PLANCK_H",
     "PLANCK_HBAR",
     "SPEED_OF_LIGHT",
     "atm_transmittance",
-    "gg_pdf",
     "gg_sample",
     "fov_accept_prob",
     "fov_geometry",
@@ -39,25 +37,6 @@ def atm_transmittance(alpha_a: float, Lz: float) -> float:
     if Lz <= 0:
         raise ValueError("link distance must be > 0")
     return math.exp(-alpha_a * Lz)
-
-
-def gg_pdf(eta, alpha: float, beta: float):
-    """Gamma-Gamma fading density with unit mean.
-
-    f(eta) = 2 (a b)^((a+b)/2) / (Gamma(a) Gamma(b))
-             * eta^((a+b)/2 - 1) * K_{a-b}(2 sqrt(a b eta)).
-
-    Symmetric under swapping (alpha, beta) since K_nu = K_{-nu}.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("Gamma-Gamma parameters must be > 0")
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(eta_arr <= 0):
-        raise ValueError("gg_pdf is defined for eta > 0")
-    s = 0.5 * (alpha + beta)
-    pref = 2.0 * (alpha * beta) ** s / (special.gamma(alpha) * special.gamma(beta))
-    out = pref * eta_arr ** (s - 1.0) * special.kv(alpha - beta, 2.0 * np.sqrt(alpha * beta * eta_arr))
-    return out if out.ndim else float(out)
 
 
 def gg_sample(rng: np.random.Generator, alpha: float, beta: float, size=None):

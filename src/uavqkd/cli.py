@@ -33,21 +33,13 @@ import numpy as np
 from . import analytics, config, montecarlo, output
 from .beam import build_grid, capture_classical, capture_exact, capture_grid
 from .errors import ConfigError
-from .sweep import SWEEPABLE, SweepSpec, optimize, sweep
+from .sweep import OPTIMIZABLE, SWEEPABLE, SweepSpec, optimize, sweep
 
 log = logging.getLogger("uavqkd")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
-
-_AXIS_KIND = {
-    "wz": "length",
-    "sigma_theta_e": "angle",
-    "sigma_aoa": "angle",
-    "theta_fov": "angle",
-    "B_lambda": "radiance",
-}
 
 
 class UsageError(Exception):
@@ -115,7 +107,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--engine", choices=("analytic", "monte_carlo", "both"), default="analytic")
 
     op = sub.add_parser("optimize", help="maximize key rate under a QBER ceiling")
-    op.add_argument("--var", required=True, choices=("wz", "theta_fov"))
+    op.add_argument("--var", required=True, choices=OPTIMIZABLE)
     op.add_argument("--qber-max", type=float, required=True)
     op.add_argument("--bounds", required=True, help="lo:hi (units allowed)")
 
@@ -168,7 +160,7 @@ def _cmd_mc(args, cfg) -> str:
 
 
 def _cmd_sweep(args, cfg) -> str:
-    kind = _AXIS_KIND[args.axis]
+    kind = config._FIELDS[args.axis][0]
     values = _qty_list(args.values, kind) if args.values else _parse_range(args.value_range, kind)
     overlay = overlay_values = None
     if args.overlay:
@@ -176,9 +168,9 @@ def _cmd_sweep(args, cfg) -> str:
         if not vals:
             raise ConfigError("--overlay expects name=v1,v2,...")
         overlay = name.strip()
-        if overlay not in _AXIS_KIND:
+        if overlay not in SWEEPABLE:
             raise ConfigError(f"unknown overlay axis {overlay!r}")
-        overlay_values = _qty_list(vals, _AXIS_KIND[overlay])
+        overlay_values = _qty_list(vals, config._FIELDS[overlay][0])
     spec = SweepSpec(
         axis=args.axis,
         values=values,
@@ -193,7 +185,7 @@ def _cmd_optimize(args, cfg) -> str:
     parts = args.bounds.split(":")
     if len(parts) != 2:
         raise ConfigError("--bounds expects lo:hi")
-    kind = _AXIS_KIND[args.var]
+    kind = config._FIELDS[args.var][0]
     result = optimize(
         cfg, args.var, args.qber_max, (_qty(parts[0], kind), _qty(parts[1], kind))
     )

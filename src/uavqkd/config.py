@@ -188,7 +188,11 @@ def _check_range(key: str, value) -> None:
         if not finite:
             raise ConfigError(f"{key}: {value!r} is not a finite number")
     if lo is not None and value < lo or hi is not None and value > hi:
-        raise ConfigError(f"{key}: value {value} outside allowed range [{lo}, {hi}]")
+        try:
+            shown = f" {value}"
+        except ValueError:  # an int past Python's digit limit for str()
+            shown = ""
+        raise ConfigError(f"{key}: value{shown} outside allowed range [{lo}, {hi}]")
 
 
 def loads(text: str) -> LinkConfig:
@@ -244,14 +248,8 @@ def validate(cfg: LinkConfig) -> None:
     cfg.resolved_wz()
 
 
-_CANONICAL_UNIT = {
-    "length": "m",
-    "angle": "rad",
-    "time": "s",
-    "bandwidth_nm": "nm",
-    "radiance": "W/m2/sr/nm",
-    "attenuation": "1/m",
-}
+# kind -> the first unit of factor 1.0 in _UNITS, which dumps writes
+_CANONICAL_UNIT = {kind: next(u for u, f in table.items() if f == 1.0) for kind, table in _UNITS.items()}
 
 
 def dumps(cfg: LinkConfig) -> str:

@@ -37,19 +37,13 @@ makes a slot's detection threshold at most its bound: every slot that
 detects is a candidate, and no slot outside the candidates could have
 detected. The detection decisions, the draw stream and so every
 ``McReport`` are those of the eager classifier, which computed mu_p on
-every slot. Exact capture takes cap_max = 1 + 1e-9; the margin covers
+every slot. The bound takes cap_max = 1 + 1e-9; the margin covers
 ``chndtr``'s excess over 1 (~1e-14) and any rounding in ``expm1``.
-The grid sum can exceed 1, so grid capture takes cap_max = inf: the
-bound is 1 and every FoV-accepted slot is a candidate. (A grid value
-comes from a BLAS dot product whose rounding can depend on its row's
-place in the batch, so it may differ from the eager one in the last bit;
-that moves a decision only when u lies within an ulp of the threshold.)
 ``McReport.capture_evals`` counts the slots that needed a capture value.
 
-Capture probability uses the exact closed form (``capture_exact``) by
-default so that Monte Carlo vs analytic deviations isolate the
-grid/linearization approximations; ``use_grid_mu_p`` switches to the grid
-model for apples-to-apples comparisons.
+Capture probability is the exact closed form (``capture_exact``), so
+Monte Carlo vs analytic deviations isolate the grid and linearization
+approximations of the analytics.
 """
 
 from __future__ import annotations
@@ -61,19 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import AnalyticContext, PerformanceReport
-from .beam import capture_exact, capture_grid
+from .beam import capture_exact
 from .channel import gg_sample
 
-__all__ = ["BATCH_SIZE", "McOptions", "McReport", "run"]
+__all__ = ["BATCH_SIZE", "McReport", "run"]
 
 BATCH_SIZE = 1 << 16  # fixed so the batch partition never depends on worker count
-
-
-@dataclass(frozen=True)
-class McOptions:
-    """Simulation switches."""
-
-    use_grid_mu_p: bool = False
 
 
 @dataclass(frozen=True)
@@ -118,21 +105,14 @@ def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int):
 _CAP_MAX_EXACT = 1.0 + 1e-9
 
 
-def _mu_p_of(rd: np.ndarray, ctx: AnalyticContext, opt: McOptions) -> np.ndarray:
-    if opt.use_grid_mu_p:
-        return np.asarray(capture_grid(ctx.grid, rd))
-    return capture_exact(rd, ctx.wz, ctx.ra)
-
-
-def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: McOptions):
+def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int):
     """Draw and classify m slots: (state, detected, n_b, r_d, eta_turb,
     fov_accept, candidate), where candidate marks the slots whose capture
     value was computed (module docstring, "Thinning")."""
     rd, eta, accept = _draw_channel(rng, ctx, m)
     u = rng.random(m)
-    cap_max = math.inf if opt.use_grid_mu_p else _CAP_MAX_EXACT
-    cand = accept & (u < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * cap_max * eta)))
-    t = ctx.eta_atm * ctx.mu_d * _mu_p_of(rd[cand], ctx, opt) * eta[cand]
+    cand = accept & (u < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * _CAP_MAX_EXACT * eta)))
+    t = ctx.eta_atm * ctx.mu_d * capture_exact(rd[cand], ctx.wz, ctx.ra) * eta[cand]
     sig = np.zeros(m, dtype=bool)
     sig[cand] = u[cand] < -np.expm1(-ctx.mu_t * t)  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
@@ -144,10 +124,10 @@ def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int, opt: McO
     return state, sig, n_b, rd, eta, accept, cand
 
 
-def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, opt: McOptions) -> np.ndarray:
+def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int) -> np.ndarray:
     """[detected slots, capture evaluations, then the count of each slot
     state] for one seeded batch."""
-    state, sig, *_, cand = _draw_slots(np.random.default_rng(ss), ctx, m, opt)
+    state, sig, *_, cand = _draw_slots(np.random.default_rng(ss), ctx, m)
     counts = [np.count_nonzero(sig), np.count_nonzero(cand)]
     return np.concatenate((counts, np.bincount(state, minlength=len(_STATE_OUTCOME))))
 
@@ -156,26 +136,19 @@ def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def run(
-    ctx: AnalyticContext,
-    n_slots: int,
-    seed: int,
-    workers: int = 1,
-    options: McOptions | None = None,
-) -> McReport:
+def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McReport:
     """Simulate ``n_slots`` quantum slots and aggregate the estimates."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    opt = options or McOptions()
     n_batches = (n_slots + BATCH_SIZE - 1) // BATCH_SIZE
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_SIZE] * (n_batches - 1) + [n_slots - BATCH_SIZE * (n_batches - 1)]
 
     if workers <= 1:
-        counts = [_simulate_batch(ss, ctx, m, opt) for ss, m in zip(children, sizes)]
+        counts = [_simulate_batch(ss, ctx, m) for ss, m in zip(children, sizes)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes, [opt] * n_batches))
+            counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes))
     detect, capture_evals, _, s1, s2_ok, s2_err, s3, _ = (int(c) for c in np.sum(counts, axis=0))
 
     n = n_slots

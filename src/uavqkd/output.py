@@ -114,10 +114,7 @@ def _shorten(value) -> str:
     return str(value)
 
 
-def emit(rows_or_result, fmt: str, columns: list[str] | None = None) -> str:
-    """Convenience wrapper accepting a report, sweep result, or raw rows."""
-    if isinstance(rows_or_result, PerformanceReport):
-        return render(report_rows(rows_or_result), fmt, PERF_COLUMNS)
-    if isinstance(rows_or_result, SweepResult):
-        return render(sweep_rows(rows_or_result), fmt, PERF_COLUMNS)
-    return render(list(rows_or_result), fmt, columns)
+def emit(result: PerformanceReport | SweepResult, fmt: str) -> str:
+    """Render a point report or a sweep result in the performance schema."""
+    rows = report_rows(result) if isinstance(result, PerformanceReport) else sweep_rows(result)
+    return render(rows, fmt, PERF_COLUMNS)

@@ -1,15 +1,34 @@
 """Independent oracles that only the tests use.
 
-The Gamma-Gamma CDF here checks the package's Gamma-Gamma sampler in
-Kolmogorov-Smirnov tests; the package itself never needs the CDF. The
-nested adaptive quadrature of the turbulence-averaged detection
-probability checks the package's fixed-node engine.
+The Gamma-Gamma density and CDF here check the package's Gamma-Gamma
+sampler (moments and Kolmogorov-Smirnov tests); the package itself never
+needs them. The nested adaptive quadrature of the turbulence-averaged
+detection probability checks the package's fixed-node engine.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, interpolate, special
+
+
+def gg_pdf(eta, alpha: float, beta: float):
+    """Gamma-Gamma fading density with unit mean.
+
+    f(eta) = 2 (a b)^((a+b)/2) / (Gamma(a) Gamma(b))
+             * eta^((a+b)/2 - 1) * K_{a-b}(2 sqrt(a b eta)).
+
+    Symmetric under swapping (alpha, beta) since K_nu = K_{-nu}.
+    """
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("Gamma-Gamma parameters must be > 0")
+    eta_arr = np.asarray(eta, dtype=float)
+    if np.any(eta_arr <= 0):
+        raise ValueError("gg_pdf is defined for eta > 0")
+    s = 0.5 * (alpha + beta)
+    pref = 2.0 * (alpha * beta) ** s / (special.gamma(alpha) * special.gamma(beta))
+    out = pref * eta_arr ** (s - 1.0) * special.kv(alpha - beta, 2.0 * np.sqrt(alpha * beta * eta_arr))
+    return out if out.ndim else float(out)
 
 
 def gg_cdf(eta: float, alpha: float, beta: float) -> float:

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import make_config, make_context
-from oracles import gg_cdf_interpolator
+from oracles import gg_cdf_interpolator, gg_pdf
 from uavqkd import analytics, montecarlo, output
 from uavqkd.beam import build_grid, capture_classical, capture_exact, capture_grid
-from uavqkd.channel import gg_pdf, gg_sample
+from uavqkd.channel import gg_sample
 from uavqkd.config import build_context, dumps, loads
 from uavqkd.sweep import SweepSpec, optimize, sweep
 
@@ -240,7 +240,7 @@ def test_criterion_7_fov_tradeoff_shape():
 )
 def test_criterion_8a_qber_bounds(wz, sigma_theta_e, b_exp):
     ctx = make_context(wz=wz, sigma_theta_e=sigma_theta_e, B_lambda=10.0**b_exp)
-    assert 0.0 <= analytics.qber(ctx) <= 0.5
+    assert 0.0 <= analytics.evaluate(ctx).qber <= 0.5
 
 
 def test_criterion_8_property_suite(baseline_ctx, baseline_cfg):

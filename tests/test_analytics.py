@@ -13,7 +13,7 @@ from scipy import special
 import oracles
 from conftest import log_uniform_field, make_context
 from uavqkd import analytics
-from uavqkd.analytics import detect_prob, evaluate, key_rate, p_eff_one, qber, state_probs
+from uavqkd.analytics import detect_prob, evaluate
 from uavqkd.beam import build_grid, capture_exact, capture_grid
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
@@ -222,16 +222,17 @@ class TestDetectProb:
         scaled = make_context(theta_fov=200e-6, sigma_aoa=100e-6)
         scaled = replace(scaled, mu_b=baseline_ctx.mu_b)
         assert detect_prob(scaled) == pytest.approx(detect_prob(baseline_ctx), rel=1e-10)
-        assert key_rate(scaled) == pytest.approx(key_rate(baseline_ctx), rel=1e-10)
+        assert evaluate(scaled).key_rate == pytest.approx(evaluate(baseline_ctx).key_rate, rel=1e-10)
 
 
 class TestKeyMetrics:
     def test_dark_limit(self, baseline_ctx):
         ctx = replace(baseline_ctx, mu_b=0.0)
         i = detect_prob(ctx)
-        assert state_probs(ctx) == pytest.approx((i, 0.0, 0.0), rel=1e-12)
-        assert p_eff_one(ctx) == pytest.approx(i, rel=1e-12)
-        assert qber(ctx) == 0.0
+        r = evaluate(ctx)
+        assert (r.p_s1, r.p_s2, r.p_s3) == pytest.approx((i, 0.0, 0.0), rel=1e-12)
+        assert r.p_eff_one == pytest.approx(i, rel=1e-12)
+        assert r.qber == 0.0
 
     def test_no_signal_limit(self):
         # pointing jitter so large (sigma_rd = 20 m) that the beam rarely hits
@@ -246,33 +247,29 @@ class TestKeyMetrics:
         gap = np.abs(capture_grid(ctx.grid, rd) - capture_exact(rd, wz, ra))
         tol = scale * float(np.trapezoid(gap * pdf, rd)) * 1.01
         eb = math.exp(-1.0)
-        s1, s2, s3 = state_probs(ctx)
+        r = evaluate(ctx)
+        s1, s2, s3 = r.p_s1, r.p_s2, r.p_s3
         assert s1 == pytest.approx(eb * i_exact, abs=eb * tol)
         assert s2 == pytest.approx(eb * (1.0 - i_exact), abs=eb * tol)
         assert s3 == pytest.approx(0.5 * eb * i_exact, abs=0.5 * eb * tol)
         assert s1 < 1e-5 and s3 < 1e-5
-        assert p_eff_one(ctx) == pytest.approx(eb, rel=1e-5)
-        assert qber(ctx) == pytest.approx(0.5, abs=1e-4)
+        assert r.p_eff_one == pytest.approx(eb, rel=1e-5)
+        assert r.qber == pytest.approx(0.5, abs=1e-4)
 
     def test_state_decomposition_identity(self, baseline_ctx):
-        s1, s2, s3 = state_probs(baseline_ctx)
-        assert abs(p_eff_one(baseline_ctx) - (s1 + s2 + s3)) < 1e-15
+        r = evaluate(baseline_ctx)
+        assert abs(r.p_eff_one - (r.p_s1 + r.p_s2 + r.p_s3)) < 1e-15
 
     def test_key_rate_product(self, baseline_ctx):
-        assert key_rate(baseline_ctx) == pytest.approx(
-            p_eff_one(baseline_ctx) / baseline_ctx.T_qs, rel=1e-12
-        )
+        r = evaluate(baseline_ctx)
+        assert r.key_rate == pytest.approx(r.p_eff_one / baseline_ctx.T_qs, rel=1e-12)
 
     def test_evaluate_consistency(self, baseline_ctx):
         report = evaluate(baseline_ctx)
         assert report.method == "analytic"
-        assert report.se is None and report.ci_halfwidth is None
+        assert report.se is None
         assert report.p_detect == pytest.approx(detect_prob(baseline_ctx), rel=1e-12)
-        assert report.p_eff_one == pytest.approx(
-            report.p_s1 + report.p_s2 + report.p_s3, abs=1e-15
-        )
-        assert report.key_rate == pytest.approx(key_rate(baseline_ctx), rel=1e-12)
-        assert report.qber == pytest.approx(qber(baseline_ctx), rel=1e-12)
+        assert report.qber == pytest.approx(0.5 * report.p_s2 / report.p_eff_one, rel=1e-12)
         assert 0.0 <= report.qber <= 0.5
 
     def test_all_probabilities_in_range(self, baseline_ctx):
@@ -297,8 +294,8 @@ def test_qber_bounds_under_fuzzing(wz, sigma_theta_e, sigma_aoa, theta_fov, b_ex
         theta_fov=theta_fov,
         B_lambda=10.0**b_exp,
     )
-    assert 0.0 <= qber(ctx) <= 0.5
     report = evaluate(ctx)
+    assert 0.0 <= report.qber <= 0.5
     assert 0.0 <= report.p_eff_one <= 1.0
     assert report.key_rate >= 0.0
 

@@ -266,13 +266,6 @@ class TestCaptureGrid:
         assert vals[1, 2] == capture_grid(grid, rd[1, 2])
         assert isinstance(capture_grid(grid, 0.1), float)
 
-    def test_wz_mismatch_rejected(self):
-        grid = build_grid(RA, 0.10, 10)
-        with pytest.raises(ValueError):
-            capture_grid(grid, 0.0, wz=0.05)
-        # matching wz is fine
-        capture_grid(grid, 0.0, wz=0.10)
-
     def test_too_few_segments_rejected(self):
         with pytest.raises(ValueError):
             build_grid(RA, 0.1, 1)

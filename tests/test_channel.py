@@ -10,7 +10,7 @@ from scipy import integrate, stats
 
 import uavqkd
 from conftest import make_context
-from oracles import gg_cdf, gg_cdf_interpolator
+from oracles import gg_cdf, gg_cdf_interpolator, gg_pdf
 from uavqkd.channel import (
     PLANCK_H,
     SPEED_OF_LIGHT,
@@ -18,7 +18,6 @@ from uavqkd.channel import (
     background_mean,
     fov_accept_prob,
     fov_geometry,
-    gg_pdf,
     gg_sample,
     solid_angle,
 )

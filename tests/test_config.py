@@ -165,6 +165,23 @@ class TestRoundTrip:
         cfg = LinkConfig()
         assert loads(dumps(cfg)) == cfg
 
+    def test_canonical_text(self):
+        # every unit kind in its SI unit, the optional fields included
+        assert dumps(LinkConfig()) == (
+            "Lz = 1000.0 m\nra = 0.15 m\nmu_t = 0.5\neta_atm = 0.4\nmu_d = 0.6\nT_qs = 1e-08 s\n"
+            "r_f = 5e-06 m\nL_f = 0.15 m\nalpha = 2.1\nbeta = 1.8\nwavelength = 1.55e-06 m\n"
+            "delta_lambda = 1.0 nm\nNg = 10\nwz = 0.1 m\nsigma_theta_e = 5e-05 rad\nsigma_aoa = 5e-05 rad\n"
+            "B_lambda = 1e-06 W/m2/sr/nm\nenergy_convention = planck_h\nn_slots = 1000000\nseed = 12345\n"
+        )
+        cfg = LinkConfig(eta_atm=None, alpha_a=1e-4, w0=0.02, wz=None, theta_fov=1e-4, mu_b=0.001)
+        assert dumps(cfg) == (
+            "Lz = 1000.0 m\nra = 0.15 m\nmu_t = 0.5\nalpha_a = 0.0001 1/m\nmu_d = 0.6\nT_qs = 1e-08 s\n"
+            "r_f = 5e-06 m\nL_f = 0.15 m\nalpha = 2.1\nbeta = 1.8\nwavelength = 1.55e-06 m\n"
+            "delta_lambda = 1.0 nm\nNg = 10\nw0 = 0.02 m\nsigma_theta_e = 5e-05 rad\nsigma_aoa = 5e-05 rad\n"
+            "theta_fov = 0.0001 rad\nB_lambda = 1e-06 W/m2/sr/nm\nenergy_convention = planck_h\n"
+            "n_slots = 1000000\nseed = 12345\nmu_b = 0.001\n"
+        )
+
 
 class TestBuildContext:
     def test_wiring(self):
@@ -227,6 +244,11 @@ class TestInputEdge:
     def test_huge_int_on_int_field_rejected(self):
         with pytest.raises(ConfigError, match="Ng"):
             validate(LinkConfig(Ng=10**400))
+        # past the 4,300-digit limit of int -> str conversion
+        for value in (10**5000, -(10**5000)):
+            for name in ("Ng", "n_slots"):
+                with pytest.raises(ConfigError, match=name):
+                    validate(LinkConfig(**{name: value}))
 
     @settings(max_examples=30, deadline=None)
     @given(ng=st.integers(2, 100_000))

@@ -10,7 +10,7 @@ from conftest import make_context
 from oracles import gg_cdf_interpolator
 from uavqkd import montecarlo
 from uavqkd.analytics import detect_prob
-from uavqkd.beam import capture_exact, capture_grid
+from uavqkd.beam import capture_exact
 from uavqkd.montecarlo import (
     _MULTI,
     _NONE,
@@ -20,7 +20,6 @@ from uavqkd.montecarlo import (
     _S3,
     _STATE_OUTCOME,
     BATCH_SIZE,
-    McOptions,
     _draw_channel,
     _draw_slots,
     run,
@@ -49,11 +48,10 @@ def pin_channel(monkeypatch, rd=None, eta=None, fov=None):
     monkeypatch.setattr(montecarlo, "_draw_channel", pinned)
 
 
-def eager_draw_slots(rng, ctx, m, opt):
+def eager_draw_slots(rng, ctx, m):
     """The slot classifier before thinning: capture on every slot."""
     rd, eta, accept = _draw_channel(rng, ctx, m)
-    mu_p = np.asarray(capture_grid(ctx.grid, rd)) if opt.use_grid_mu_p else montecarlo.capture_exact(rd, ctx.wz, ctx.ra)
-    t = ctx.eta_atm * ctx.mu_d * mu_p * eta
+    t = ctx.eta_atm * ctx.mu_d * montecarlo.capture_exact(rd, ctx.wz, ctx.ra) * eta
     sig = rng.random(m) < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0))
     n_b = rng.poisson(ctx.mu_b, m)
     heads = rng.random(m) < 0.5
@@ -152,7 +150,6 @@ class TestEstimates:
             math.sqrt(est.p_detect * (1.0 - est.p_detect) / N), rel=1e-12
         )
         assert est.se["key_rate"] == pytest.approx(1e8 * est.se["p_eff_one"], rel=1e-12)
-        assert est.ci_halfwidth["p_detect"] == pytest.approx(1.96 * est.se["p_detect"])
         assert rep.clamp_rate == 0.0
 
     def test_qber_bounds_with_enough_bits(self, baseline_ctx):
@@ -162,11 +159,6 @@ class TestEstimates:
     def test_key_rate_scaling(self, baseline_ctx):
         est = run(baseline_ctx, N, seed=10).estimates
         assert est.key_rate == pytest.approx(est.p_eff_one / baseline_ctx.T_qs, rel=1e-12)
-
-    def test_grid_capture_mode_close_to_exact_mode(self, baseline_ctx):
-        exact = run(baseline_ctx, N, seed=11).estimates
-        grid = run(baseline_ctx, N, seed=11, options=McOptions(use_grid_mu_p=True)).estimates
-        assert grid.p_detect == pytest.approx(exact.p_detect, abs=5 * exact.se["p_detect"])
 
 
 class TestChannelDraws:
@@ -193,9 +185,9 @@ class TestChannelDraws:
         assert abs(accept.mean() - target) < 3.0 * se
 
     def test_force_hooks_pin_values(self, baseline_ctx, monkeypatch):
-        free = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000, McOptions())
+        free = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000)
         pin_channel(monkeypatch, rd=0.02, eta=1.5, fov=False)
-        state, sig, n_b, rd, eta, accept, cand = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000, McOptions())
+        state, sig, n_b, rd, eta, accept, cand = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000)
         assert np.all(rd == 0.02) and np.all(eta == 1.5) and not accept.any()
         assert not sig.any() and not cand.any()
         assert np.array_equal(n_b, free[2])  # the later draws are not shifted
@@ -205,7 +197,7 @@ class TestSlotSamples:
     def test_sample_invariants(self, baseline_ctx):
         rng = np.random.default_rng(16)
         ctx = replace(baseline_ctx, mu_b=0.05)  # boost background to see all outcomes
-        state, detected, n_b, rd, eta, accept, cand = _draw_slots(rng, ctx, 20_000, McOptions())
+        state, detected, n_b, rd, eta, accept, cand = _draw_slots(rng, ctx, 20_000)
         outcome = np.asarray(_STATE_OUTCOME)[state]
         assert np.all(n_b >= 0) and np.all(rd >= 0) and np.all(eta > 0)
         assert not np.any(detected & ~accept)  # no detection outside the FoV
@@ -216,11 +208,6 @@ class TestSlotSamples:
         assert np.all(outcome[~detected & (n_b == 0)] == "no_bit")
         assert np.all(outcome[detected & (n_b == 0)] == "bit_ok")
         assert set(outcome) == set(_STATE_OUTCOME)  # every branch above is exercised
-
-
-# N_g=2, wz=5 mm, ra=1.5 m: the grid sum reaches 239 near the two segment
-# centres, which 1 mrad of jitter (sigma_rd = 1 m) reaches
-GRID_CORNER = dict(Ng=2, wz=0.005, ra=1.5, mu_t=5.0, sigma_theta_e=1e-3)
 
 
 class TestThinning:
@@ -237,29 +224,18 @@ class TestThinning:
     def test_matches_eager_classifier(self, baseline_ctx, monkeypatch, capture):
         monkeypatch.setattr(montecarlo, "capture_exact", capture)
         ctx = replace(baseline_ctx, mu_t=5.0, mu_b=0.05)  # many detections, every state
-        want = eager_draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE, McOptions())
-        *got, cand = _draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE, McOptions())
+        want = eager_draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE)
+        *got, cand = _draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE)
         for w, g in zip(want, got, strict=True):
             assert np.array_equal(w, g)
         assert not np.any(got[1] & ~cand)
-
-    def test_matches_eager_classifier_where_grid_sum_exceeds_one(self, monkeypatch):
-        ctx = make_context(**GRID_CORNER)
-        opt = McOptions(use_grid_mu_p=True)
-        want = eager_draw_slots(np.random.default_rng(20), ctx, BATCH_SIZE, opt)
-        rd, accept = want[3], want[5]
-        assert np.any(accept & (capture_grid(ctx.grid, rd) > 1.0))
-        *got, cand = _draw_slots(np.random.default_rng(20), ctx, BATCH_SIZE, opt)
-        for w, g in zip(want, got, strict=True):
-            assert np.array_equal(w, g)
-        assert np.array_equal(cand, accept)  # the bound is 1: every accepted slot
 
     def test_capture_evals_counts_candidates(self, baseline_ctx):
         n = 2 * BATCH_SIZE + 1001
         rep = run(baseline_ctx, n, seed=21)
         children = np.random.SeedSequence(21).spawn(3)
         sizes = (BATCH_SIZE, BATCH_SIZE, 1001)
-        cands = [_draw_slots(np.random.default_rng(ss), baseline_ctx, m, McOptions())[-1] for ss, m in zip(children, sizes)]
+        cands = [_draw_slots(np.random.default_rng(ss), baseline_ctx, m)[-1] for ss, m in zip(children, sizes)]
         assert rep.capture_evals == sum(np.count_nonzero(c) for c in cands)
         assert round(rep.estimates.p_detect * n) <= rep.capture_evals < n // 10
         assert run(baseline_ctx, n, seed=21, workers=2) == rep
@@ -269,19 +245,23 @@ class TestThinning:
 # (capture on every slot) before thinning: any change to the draw stream
 # or to a detection decision changes them
 PINNED_DIGESTS = {
-    ("baseline", False): "c09d58434032de7b",
-    ("baseline", True): "1771d716de944057",
-    ("grid_corner", False): "ef9c3ef0a9476027",
-    ("grid_corner", True): "cf1ad54f533fcbf6",
-    ("no_bits", False): "d2f5a59ecd7cb18b",  # QBER and its SE are NaN
-    ("no_bits", True): "d39cfbc0e2243981",
+    "baseline": "c09d58434032de7b",
+    "grid_corner": "ef9c3ef0a9476027",
+    "no_bits": "d2f5a59ecd7cb18b",  # QBER and its SE are NaN
 }
-DIGEST_CONFIGS = {"baseline": {}, "grid_corner": GRID_CORNER, "no_bits": dict(mu_b=100.0)}
+DIGEST_CONFIGS = {
+    "baseline": {},
+    # N_g=2, wz=5 mm, ra=1.5 m: the corner where the grid sum reaches 239,
+    # with 1 mrad of jitter (sigma_rd = 1 m)
+    "grid_corner": dict(Ng=2, wz=0.005, ra=1.5, mu_t=5.0, sigma_theta_e=1e-3),
+    "no_bits": dict(mu_b=100.0),
+}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name,grid", sorted(PINNED_DIGESTS))
-def test_reports_match_pinned_digests(name, grid, workers):
+# ids end in "-False" (exact capture) to match the ids of earlier test reports
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS), ids=lambda name: f"{name}-False")
+def test_reports_match_pinned_digests(name, workers):
     ctx = make_context(**DIGEST_CONFIGS[name])
-    rep = run(ctx, 2 * BATCH_SIZE + 1001, seed=20261018, workers=workers, options=McOptions(use_grid_mu_p=grid))
-    assert hashlib.sha256(repr(rep.estimates).encode()).hexdigest()[:16] == PINNED_DIGESTS[name, grid]
+    rep = run(ctx, 2 * BATCH_SIZE + 1001, seed=20261018, workers=workers)
+    assert hashlib.sha256(repr(rep.estimates).encode()).hexdigest()[:16] == PINNED_DIGESTS[name]
