@@ -25,10 +25,17 @@ attribution. It has no closed form but is a fixed-node product:
 Gauss-Legendre panels over rd, the smaller Gamma factor in closed form and
 the larger by an exp-substituted trapezoid, so no mode of the analytics
 calls a quadrature routine.
+
+A context holds one point or P points. Sweeps put P points in one
+context: the per-point fields are arrays of shape (P,), and the linearized
+``detect_prob`` and ``evaluate`` return arrays of shape (P,), row k equal to
+the same point evaluated alone. One point is the case of shape (): it
+returns floats through the same code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .beam import _CHUNK, _OVERFLOW, CaptureGrid, _warn_overflow, capture_exact, capture_grid
+from .beam import _CHUNK, _OVERFLOW, CaptureGrid, _grid_sum, _warn_overflow, capture_exact, capture_grid
 from .channel import fov_accept_prob
 from .errors import LinearizationWarning
 
@@ -53,6 +60,11 @@ class AnalyticContext:
     displacement at the receiver (sigma_theta_e * Lz); ``theta_fov`` and
     ``sigma_aoa`` are the FoV half-angle and the per-axis angle-of-arrival
     spread.
+
+    For P points, ``sigma_rd``, ``theta_fov``, ``sigma_aoa`` and ``mu_b`` are
+    arrays of shape (P,), and so are the grid's ``wz`` and ``mu_p0`` when the
+    points differ in wz (its ``weights`` are then P x N_g); the other fields
+    are shared. ``shape`` is () for one point and (P,) for P points.
     """
 
     mu_t: float
@@ -75,12 +87,23 @@ class AnalyticContext:
             raise ValueError("eta_atm and mu_d must be in (0, 1]")
         if self.T_qs <= 0:
             raise ValueError("T_qs must be > 0")
-        if not self.sigma_rd > 0 or not self.theta_fov > 0 or not self.sigma_aoa > 0:
+        if not all(_all(v > 0.0) for v in (self.sigma_rd, self.theta_fov, self.sigma_aoa)):
             raise ValueError("sigma_rd, theta_fov and sigma_aoa must be > 0")
-        if self.mu_b < 0:
+        if not _all(self.mu_b >= 0.0):
             raise ValueError("mu_b must be >= 0")
         if self.mu_p_mode not in ("grid", "exact"):
             raise ValueError("mu_p_mode must be 'grid' or 'exact'")
+        if len(self.shape) > 1:
+            raise ValueError("per-point fields must be floats or arrays of shape (P,)")
+
+    @functools.cached_property
+    def shape(self) -> tuple[int, ...]:
+        """() for one point, (P,) for P points."""
+        per_point = (self.sigma_rd, self.theta_fov, self.sigma_aoa, self.mu_b, self.grid.wz, self.grid.mu_p0)
+        shapes = {getattr(v, "shape", ()) for v in per_point} - {()}
+        if len(shapes) > 1:
+            raise ValueError(f"per-point fields of different shapes {sorted(shapes)}")
+        return shapes.pop() if shapes else ()
 
     @property
     def c_pt(self) -> float:
@@ -100,11 +123,12 @@ class AnalyticContext:
         return self.grid.ra
 
     @property
-    def p_fov(self) -> float:
-        """Probability the photon lies inside the acceptance cone."""
-        return fov_accept_prob(self.theta_fov, self.sigma_aoa)
+    def p_fov(self):
+        """Probability the photon lies inside the acceptance cone, per point."""
+        return _out(self, _p_fov(self))
 
     def mu_p(self, rd):
+        """Capture probability at displacement(s) ``rd``, for a context of one point."""
         if self.mu_p_mode == "exact":
             return capture_exact(rd, self.wz, self.ra)
         return capture_grid(self.grid, rd)
@@ -115,7 +139,8 @@ class PerformanceReport:
     """Point evaluation of the link: probabilities, key rate, QBER.
 
     ``se`` (binomial standard errors) is populated for Monte Carlo
-    estimates only. ``qber`` is NaN when no key bits are accepted.
+    estimates only. ``qber`` is NaN when no key bits are accepted. The
+    evaluation of a context of P points holds arrays of shape (P,).
     """
 
     p_detect: float
@@ -127,6 +152,33 @@ class PerformanceReport:
     qber: float
     method: str  # "analytic" | "monte_carlo"
     se: dict[str, float] | None = None
+
+
+def _all(test) -> bool:
+    """A comparison's verdict for one point (a bool) or every point (an array)."""
+    return test if type(test) is bool else bool(test.all())
+
+
+def _col(ctx: AnalyticContext, value) -> np.ndarray:
+    """A per-point field of ``ctx`` as a flat float array, one entry per point."""
+    a = np.asarray(value, dtype=float)
+    return a.reshape(-1) if a.shape == ctx.shape else np.full(ctx.shape, a)
+
+
+def _out(ctx: AnalyticContext, values: np.ndarray):
+    """Flat per-point ``values`` as ``ctx`` holds points: a float for one point."""
+    return values if ctx.shape else float(values[0])
+
+
+def _each(f, *cols: np.ndarray) -> np.ndarray:
+    """The float function ``f`` point by point. numpy's exp and expm1 can
+    round differently from ``math``'s, so the per-point factors go through
+    ``math`` and round the same in a sweep as for a single point."""
+    return np.array([f(*p) for p in zip(*(c.tolist() for c in cols))])
+
+
+def _p_fov(ctx: AnalyticContext) -> np.ndarray:
+    return _each(fov_accept_prob, _col(ctx, ctx.theta_fov), _col(ctx, ctx.sigma_aoa))
 
 
 def _fading_mean(b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -174,18 +226,47 @@ def _rayleigh_nodes(sigma: float, top: float, width: float) -> tuple[np.ndarray,
     return r, w
 
 
-def _rayleigh_average_grid(ctx: AnalyticContext) -> float:
-    """sum_i c_i E[exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma)."""
-    grid = ctx.grid
-    sigma, wz = ctx.sigma_rd, grid.wz
+def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray) -> np.ndarray:
+    """sum_i c_i E[exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma), per point.
+
+    ``sigma`` and ``wz`` hold one entry per point. Points are taken in row
+    chunks of about _CHUNK (point, segment) terms; each point's sum is its
+    own dot product, so it does not depend on the other points.
+    """
+    x, c = grid.centers, grid.weights
     s2 = wz * wz + 4.0 * sigma * sigma
-    x = grid.centers
-    z = (2.0 * math.sqrt(2.0) * sigma / (wz * math.sqrt(s2))) * x
-    j = np.exp(-2.0 * x * x / s2) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
-    return float(grid.weights @ j) * (wz * wz / s2)
+    scale = 2.0 * math.sqrt(2.0) * sigma / (wz * np.sqrt(s2))
+    x2 = -2.0 * x * x
+    out = np.empty(sigma.size)
+    step = max(1, _CHUNK // x.size)
+    for i in range(0, sigma.size, step):
+        rows = slice(i, i + step)
+        z = scale[rows, None] * x
+        j = np.exp(x2 / s2[rows, None]) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
+        out[rows] = np.vecdot(j, c if c.ndim == 1 else c[rows])
+    return out * (wz * wz / s2)
 
 
-def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized") -> float:
+def _grid_mu_p0(ctx: AnalyticContext, wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid mu_p(0) of each point, and the largest grid capture value seen
+    at rd = 0 or, where segments are wider than the beam, at any segment
+    centre (the grid sum is then a row of spikes peaking at the centres)."""
+    grid = ctx.grid
+    mu_p0 = peak = _col(ctx, grid.mu_p0)
+    spikes = grid.dx > wz
+    if spikes.any():
+        mu_p0, peak = mu_p0.copy(), mu_p0.copy()
+        x = grid.centers
+        probe = np.concatenate(([0.0], x[x > 0.0]))
+        c = np.broadcast_to(grid.weights, (wz.size, grid.ng))
+        for w in np.unique(wz[spikes]):  # points of one wz share their grid
+            k = np.flatnonzero(wz == w)
+            vals = _grid_sum(x, c[k[0]], w, grid.dx, probe)
+            mu_p0[k], peak[k] = vals[0], vals.max()
+    return mu_p0, peak
+
+
+def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     """Per-slot detection probability, averaged over the Rayleigh displacement.
 
     ``turbulence="linearized"`` is the paper's model (unit-mean turbulence
@@ -206,14 +287,21 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized") -> floa
     nodes in panels no wider than min(sigma_rd, wz), then the Gamma-Gamma
     average of ``_fading_mean`` on those capture values. Neither mode
     makes a quadrature call.
+
+    The linearized mode takes a context of P points and returns an array
+    of P probabilities; the averaged mode takes one point. A
+    CaptureOverflowWarning and a LinearizationWarning are issued for each
+    point they concern, in point order.
     """
     if turbulence not in ("linearized", "averaged"):
         raise ValueError("turbulence must be 'linearized' or 'averaged'")
-    sigma = ctx.sigma_rd
-    # segments wider than the beam: the grid sum is a row of spikes peaking
-    # at the segment centres, so it rises with rd towards each of them
-    spikes = ctx.mu_p_mode == "grid" and ctx.grid.dx > ctx.wz
     if turbulence == "averaged":
+        if ctx.shape:
+            raise ValueError("the averaged expectation takes a context of one point")
+        sigma = ctx.sigma_rd
+        # segments wider than the beam: the grid sum is a row of spikes peaking
+        # at the segment centres, so it rises with rd towards each of them
+        spikes = ctx.mu_p_mode == "grid" and ctx.grid.dx > ctx.wz
         # Past ra + 9 wz no capture model holds more than e^-162 of the beam.
         # Past 8 sigma_rd lies e^-32 of the Rayleigh mass, under 4e-14 of the
         # result wherever mu_p falls with rd; with spikes the nodes reach
@@ -223,29 +311,28 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized") -> floa
         b = ctx.c_pt * ctx.mu_p(r)
         return ctx.p_fov * float(w @ _fading_mean(b, ctx.alpha, ctx.beta))
 
+    sigma, wz = _col(ctx, ctx.sigma_rd), _col(ctx, ctx.wz)
     if ctx.mu_p_mode == "exact":
-        mu_p0 = capture_exact(0.0, ctx.wz, ctx.ra)
-    elif spikes:
-        # capture_grid warns if the sum exceeds 1 at rd = 0 or a segment centre
-        x = ctx.grid.centers
-        mu_p0 = float(capture_grid(ctx.grid, np.concatenate(([0.0], x[x > 0.0])))[0])
+        mu_p0 = _each(lambda w: capture_exact(0.0, w, ctx.ra), wz)
+        peak = mu_p0  # exact capture never exceeds 1 + 1e-6
     else:
-        mu_p0 = ctx.grid.mu_p0
-        if mu_p0 > _OVERFLOW:
-            _warn_overflow(mu_p0)
-    if ctx.c_pt * mu_p0 > 0.1:
-        warnings.warn(
-            f"c_pt * mu_p(0) = {ctx.c_pt * mu_p0:.3f} > 0.1: the small-signal "
-            "linearization behind the analytic detection probability overstates "
-            "it here (by 10.8% at c_pt * mu_p(0) = 0.119, the reference link)",
-            LinearizationWarning,
-            stacklevel=2,
-        )
+        mu_p0, peak = _grid_mu_p0(ctx, wz)
+    for over, lin in zip(peak.tolist(), (ctx.c_pt * mu_p0).tolist()):
+        if over > _OVERFLOW:
+            _warn_overflow(over)
+        if lin > 0.1:
+            warnings.warn(
+                f"c_pt * mu_p(0) = {lin:.3f} > 0.1: the small-signal "
+                "linearization behind the analytic detection probability overstates "
+                "it here (by 10.8% at c_pt * mu_p(0) = 0.119, the reference link)",
+                LinearizationWarning,
+                stacklevel=2,
+            )
     if ctx.mu_p_mode == "exact":
-        mean_mu_p = -math.expm1(-2.0 * ctx.ra**2 / (ctx.wz**2 + 4.0 * sigma**2))
+        mean_mu_p = -_each(math.expm1, -2.0 * ctx.ra**2 / (wz**2 + 4.0 * sigma**2))
     else:
-        mean_mu_p = _rayleigh_average_grid(ctx)
-    return ctx.c_pt * ctx.p_fov * mean_mu_p
+        mean_mu_p = _rayleigh_average_grid(ctx.grid, sigma, wz)
+    return _out(ctx, ctx.c_pt * _p_fov(ctx) * mean_mu_p)
 
 
 def evaluate(ctx: AnalyticContext) -> PerformanceReport:
@@ -257,18 +344,22 @@ def evaluate(ctx: AnalyticContext) -> PerformanceReport:
     the other detector (probability 1/2). Their sum is P(exactly one
     effective detection), the raw-key acceptance probability; the QBER is
     half the State-2 share of accepted bits (NaN when none are accepted).
+    A context of P points gives a report of arrays of shape (P,).
     """
     i = detect_prob(ctx)
-    eb = math.exp(-ctx.mu_b)
-    s1, s2, s3 = eb * i, ctx.mu_b * eb * (1.0 - i), 0.5 * ctx.mu_b * eb * i
+    i, mu_b = _col(ctx, i), _col(ctx, ctx.mu_b)
+    eb = _each(math.exp, -mu_b)
+    s1, s2, s3 = eb * i, mu_b * eb * (1.0 - i), 0.5 * mu_b * eb * i
     peff = s1 + s2 + s3
+    qber = np.full(peff.shape, math.nan)
+    np.divide(0.5 * s2, peff, out=qber, where=peff > 0)
     return PerformanceReport(
-        p_detect=i,
-        p_s1=s1,
-        p_s2=s2,
-        p_s3=s3,
-        p_eff_one=peff,
-        key_rate=peff / ctx.T_qs,
-        qber=(0.5 * s2 / peff) if peff > 0 else float("nan"),
+        p_detect=_out(ctx, i),
+        p_s1=_out(ctx, s1),
+        p_s2=_out(ctx, s2),
+        p_s3=_out(ctx, s3),
+        p_eff_one=_out(ctx, peff),
+        key_rate=_out(ctx, peff / ctx.T_qs),
+        qber=_out(ctx, qber),
         method="analytic",
     )

@@ -132,6 +132,12 @@ class CaptureGrid:
     compare by identity (``build_grid`` caches one per (ra, wz, Ng)).
     ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
     returns it, kept with the grid for the linearization check.
+
+    A context of P points that differ in wz holds one grid of P rows
+    (``_grid_rows``):
+    ``wz`` and ``mu_p0`` of shape (P,), ``weights`` of shape (P, N_g),
+    ``ra``, ``ng``, ``dx`` and ``centers`` shared. ``capture_grid`` takes a
+    grid of one point.
     """
 
     ra: float
@@ -154,14 +160,35 @@ def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
         raise ValueError("grid needs at least 2 segments")
     if not ra > 0 or not wz > 0:
         raise ValueError("build_grid requires ra > 0 and wz > 0")
+    rows = _grid_rows(ra, np.array([wz], dtype=float), ng)
+    return CaptureGrid(ra, wz, ng, rows.dx, rows.centers, rows.weights[0], float(rows.mu_p0[0]))
+
+
+def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
+    """The capture grid of each beam radius in the array ``wz`` (> 0), as
+    one grid of len(wz) rows sharing ra, N_g and the segment centres.
+
+    Each distinct wz is computed once; its weights come out bit for bit as
+    ``build_grid``'s (the same arithmetic, elementwise), in row chunks of
+    about _CHUNK terms, and its ``mu_p0`` from the same ``_grid_sum``.
+    """
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
-    weights = (2.0 * dx / (math.sqrt(2.0 * math.pi) * wz)) * special.erf(
-        math.sqrt(2.0 / (wz * wz)) * np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
-    )
     centers.setflags(write=False)
+    chord = np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
+    row = {w: i for i, w in enumerate(dict.fromkeys(wz.tolist()))}  # distinct wz, first-seen order
+    distinct = np.array(list(row))
+    weights = np.empty((distinct.size, ng))
+    step = max(1, _CHUNK // ng)
+    for i in range(0, distinct.size, step):
+        w = distinct[i : i + step, None]
+        weights[i : i + step] = (2.0 * dx / (math.sqrt(2.0 * math.pi) * w)) * special.erf(np.sqrt(2.0 / (w * w)) * chord)
+    origin = np.zeros(1)
+    mu_p0 = np.array([_grid_sum(centers, c, w, dx, origin)[0] for c, w in zip(weights, row)])
+    if distinct.size < wz.size:
+        index = [row[w] for w in wz.tolist()]
+        weights, mu_p0 = weights[index], mu_p0[index]
     weights.setflags(write=False)
-    mu_p0 = float(_grid_sum(centers, weights, wz, dx, np.zeros(1))[0])
     return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights, mu_p0=mu_p0)
 
 

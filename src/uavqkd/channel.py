@@ -81,9 +81,11 @@ def background_mean(
     E_photon = h c / lambda by default. The ``planck_hbar`` mode uses
     hbar c / lambda instead (exactly 2 pi times more photons), matching a
     printed form of the source expression; the physically standard photon
-    energy uses h, so that is the default.
+    energy uses h, so that is the default. ``B_lambda`` and ``omega_fov``
+    may be arrays of one value per point.
     """
-    if min(B_lambda, A_r, omega_fov, delta_lambda_nm, T_qs) < 0 or wavelength <= 0:
+    if min(A_r, delta_lambda_nm, T_qs) < 0 or np.less(B_lambda, 0.0).any() or np.less(omega_fov, 0.0).any() \
+            or wavelength <= 0:
         raise ValueError("background_mean requires nonnegative inputs and wavelength > 0")
     if energy_convention == "planck_h":
         e_photon = PLANCK_H * SPEED_OF_LIGHT / wavelength

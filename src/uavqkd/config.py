@@ -18,8 +18,10 @@ import numbers
 import re
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .analytics import AnalyticContext
-from .beam import beam_radius, build_grid
+from .beam import _grid_rows, beam_radius, build_grid
 from .channel import atm_transmittance, background_mean, fov_geometry, solid_angle
 from .errors import ConfigError
 
@@ -148,16 +150,21 @@ class LinkConfig:
     def resolved_mu_b(self) -> float:
         if self.mu_b is not None:
             return self.mu_b
-        theta = self.resolved_theta_fov()
-        return background_mean(
-            self.B_lambda,
-            math.pi * self.ra**2,
-            solid_angle(theta),
-            self.delta_lambda,
-            self.T_qs,
-            self.wavelength,
-            self.energy_convention,
-        )
+        return _background(self, solid_angle(self.resolved_theta_fov()), self.B_lambda)
+
+
+def _background(cfg: LinkConfig, omega_fov, B_lambda):
+    """Radiometric mean background count of ``cfg`` at the FoV solid angle
+    ``omega_fov`` and radiance ``B_lambda`` (floats, or arrays per point)."""
+    return background_mean(
+        B_lambda,
+        math.pi * cfg.ra**2,
+        omega_fov,
+        cfg.delta_lambda,
+        cfg.T_qs,
+        cfg.wavelength,
+        cfg.energy_convention,
+    )
 
 
 # LinkConfig's field names in declaration order, listed once for validate and dumps
@@ -253,40 +260,79 @@ _CANONICAL_UNIT = {kind: next(u for u, f in table.items() if f == 1.0) for kind,
 
 
 def dumps(cfg: LinkConfig) -> str:
-    """Serialize in canonical SI units; load(dumps(cfg)) round-trips exactly."""
+    """Serialize in canonical SI units; load(dumps(cfg)) round-trips exactly.
+
+    Numbers are written as Python ``int``/``float`` literals, so numpy
+    scalars in the config dump as plain numbers too.
+    """
     lines = []
     for name in _FIELD_NAMES:
         value = getattr(cfg, name)
         if value is None:
             continue
         kind = _FIELDS[name][0]
-        if kind in _CANONICAL_UNIT:
-            lines.append(f"{name} = {value!r} {_CANONICAL_UNIT[kind]}")
+        if kind == "int":
+            lines.append(f"{name} = {int(value)}")
+        elif kind.startswith("enum:"):
+            lines.append(f"{name} = {value}")
+        elif kind in _CANONICAL_UNIT:
+            lines.append(f"{name} = {float(value)!r} {_CANONICAL_UNIT[kind]}")
         else:
-            lines.append(f"{name} = {value!r}" if kind != "int" and not kind.startswith("enum") else f"{name} = {value}")
+            lines.append(f"{name} = {float(value)!r}")
     return "\n".join(lines) + "\n"
 
 
 def build_context(cfg: LinkConfig) -> AnalyticContext:
-    """Derive every dependent quantity and assemble the analytic context.
+    """Validate ``cfg``, derive every dependent quantity and assemble the
+    analytic context.
 
     Rebuild order: beam geometry -> capture grid -> FoV -> mu_b -> context
-    (which owns c_pt), so sweeps that replace a field and rebuild can never
-    observe a stale derived value.
+    (which owns c_pt), so a context never holds a value derived from
+    another config.
     """
     validate(cfg)
-    grid = build_grid(cfg.ra, cfg.resolved_wz(), cfg.Ng)
-    theta_fov = cfg.resolved_theta_fov()
-    mu_b = cfg.resolved_mu_b()
+    return _derive(cfg)
+
+
+def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> AnalyticContext:
+    """The derivation chain of ``build_context`` on a validated ``cfg``.
+
+    ``points`` maps sweepable field names (wz, sigma_theta_e, sigma_aoa,
+    theta_fov, B_lambda) to arrays of one range-checked value per point,
+    all of one length P; they replace the config's values and the context
+    holds P points. Each point's quantities are derived from its own
+    values by the same functions as for a single config: a grid row per
+    wz, a background mean per (theta_fov, B_lambda).
+    """
+    points = points or {}
+    n = len(next(iter(points.values()))) if points else 0
+
+    def per_point(name: str, value):
+        """``value`` for one config; for P points, the array of ``name``'s values."""
+        if not points:
+            return value
+        return np.asarray(points[name] if name in points else np.full(n, value), dtype=float)
+
+    if "wz" in points:
+        grid = _grid_rows(cfg.ra, per_point("wz", None), cfg.Ng)
+    else:
+        grid = build_grid(cfg.ra, cfg.resolved_wz(), cfg.Ng)
+    theta_fov = per_point("theta_fov", cfg.resolved_theta_fov())
+    if cfg.mu_b is None and ("theta_fov" in points or "B_lambda" in points):
+        # 1 - cos(theta) cancels: each solid angle from math.cos, as for one config
+        omega = np.array([solid_angle(t) for t in theta_fov.tolist()])
+        mu_b = _background(cfg, omega, per_point("B_lambda", cfg.B_lambda))
+    else:
+        mu_b = per_point("mu_b", cfg.resolved_mu_b())
     return AnalyticContext(
         mu_t=cfg.mu_t,
         eta_atm=cfg.resolved_eta_atm(),
         mu_d=cfg.mu_d,
         T_qs=cfg.T_qs,
         grid=grid,
-        sigma_rd=cfg.sigma_theta_e * cfg.Lz,
+        sigma_rd=per_point("sigma_theta_e", cfg.sigma_theta_e) * cfg.Lz,
         theta_fov=theta_fov,
-        sigma_aoa=cfg.sigma_aoa,
+        sigma_aoa=per_point("sigma_aoa", cfg.sigma_aoa),
         mu_b=mu_b,
         alpha=cfg.alpha,
         beta=cfg.beta,

@@ -140,6 +140,8 @@ def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McRe
     """Simulate ``n_slots`` quantum slots and aggregate the estimates."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
+    if ctx.shape:
+        raise ValueError("the Monte Carlo simulates a context of one point")
     n_batches = (n_slots + BATCH_SIZE - 1) // BATCH_SIZE
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_SIZE] * (n_batches - 1) + [n_slots - BATCH_SIZE * (n_batches - 1)]

@@ -86,21 +86,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render(rows: list[dict], fmt: str, columns: list[str] | None = None) -> str:
-    """Render rows as 'table', 'csv' or 'json' text."""
+def render(rows: list[dict], fmt: str, columns: list[str]) -> str:
+    """Render rows as 'table', 'csv' or 'json' text with these columns."""
     if not rows:
         return ""
-    cols = columns or list(rows[0].keys())
     if fmt == "csv":
-        lines = [",".join(cols)]
-        lines += [",".join(_fmt(row.get(c)) for c in cols) for row in rows]
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps([{c: row.get(c) for c in cols} for row in rows], indent=2) + "\n"
+        return json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2) + "\n"
     if fmt == "table":
-        cells = [[_shorten(row.get(c)) for c in cols] for row in rows]
-        widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(cols)]
-        head = "  ".join(c.ljust(w) for c, w in zip(cols, widths))
+        cells = [[_shorten(row.get(c)) for c in columns] for row in rows]
+        widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
+        head = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
         body = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in cells]
         return "\n".join([head] + body) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -1,10 +1,18 @@
 """Parameter sweeps and constrained single-variable optimization.
 
-Sweeps rebuild the full derived-quantity chain (beam geometry, capture
-grid, FoV geometry, background mean, composite transmissivity) at every
-point, so overlays can never see a stale cache. Monte Carlo points run
-on seeds spawned from the config seed, one per point; a sweep that runs no
-Monte Carlo spawns none. The optimizer maximizes
+An analytic sweep is one array pass. The first point's config is
+validated once and every axis and overlay value is range-checked once;
+together that is the validation of every point. One context then holds
+all P points: the swept fields are arrays with one entry per point, and
+every quantity derived from them (capture grid, FoV, background mean) is
+derived for each point from that point's own values, in the same pass
+and by the same functions as ``build_context``. A point therefore cannot
+see a value derived for another point or an earlier sweep; the only state
+kept between points is ``build_grid``'s cache of immutable grids, keyed by
+(ra, wz, N_g). One ``evaluate`` call gives all P reports, each equal to
+the same point evaluated alone. Monte Carlo points keep a context each and
+run on seeds spawned from the config seed, one per point; a sweep that
+runs no Monte Carlo spawns none. The optimizer maximizes
 the analytic key rate under a QBER ceiling with a coarse global grid
 followed by golden-section refinement; Monte Carlo is intentionally not
 part of the objective (its noise breaks a line search) and is meant for
@@ -20,7 +28,7 @@ import numpy as np
 
 from . import analytics, montecarlo
 from .analytics import PerformanceReport
-from .config import LinkConfig, build_context
+from .config import LinkConfig, _check_range, _derive, build_context, validate
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "SweepResult", "OptimizeResult", "sweep", "optimize"]
 
@@ -45,7 +53,9 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {SWEEPABLE}, got {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if not all(math.isfinite(v) for v in self.values + tuple(self.overlay_values)):
+            raise ValueError("sweep and overlay values must be finite")
+        if any(not b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.overlay is not None:
             if self.overlay not in SWEEPABLE or self.overlay == self.axis:
@@ -76,27 +86,65 @@ def _point_config(base: LinkConfig, spec: SweepSpec, v: float, ov: float | None)
     return replace(base, **updates)
 
 
+_REPORT_FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
+
+
+def _analytic_reports(cfg: LinkConfig, points: dict[str, np.ndarray]) -> list[PerformanceReport]:
+    """Analytic reports of the points of ``cfg`` with ``points``' fields
+    replaced (see ``config._derive``): one context, one ``evaluate`` call."""
+    report = analytics.evaluate(_derive(cfg, points))
+    columns = [getattr(report, name).tolist() for name in _REPORT_FIELDS]
+    return [PerformanceReport(*values, method="analytic") for values in zip(*columns)]
+
+
+def _checked_first_point(base: LinkConfig, spec: SweepSpec, points: list) -> LinkConfig:
+    """The first point's config, validated, after range-checking every axis
+    and overlay value: together the validation of every point. An invalid
+    point raises the error of the first invalid point in sweep order,
+    before any point is evaluated."""
+    cfg = _point_config(base, spec, *points[0])
+    try:
+        validate(cfg)
+        for v in spec.values:
+            _check_range(spec.axis, v)
+        for ov in spec.overlay_values if spec.overlay else ():
+            _check_range(spec.overlay, ov)
+    except ValueError:
+        for v, ov in points:
+            try:
+                validate(_point_config(base, spec, v, ov))
+            except ValueError as exc:
+                raise ValueError(f"sweep point {spec.axis}={v}, overlay={ov}: {exc}") from exc
+        raise
+    return cfg
+
+
 def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
     """Evaluate the link at every (axis x overlay) combination, in order.
 
-    When the engine runs the Monte Carlo, points draw per-point seeds from
-    the config seed via SeedSequence spawning, so the same spec and seed
+    The analytic engine evaluates all points in one array pass. When the
+    engine runs the Monte Carlo, points draw per-point seeds from the
+    config seed via SeedSequence spawning, so the same spec and seed
     reproduce the same SweepResult exactly; an analytic sweep spawns none.
     """
     overlays: tuple[float | None, ...] = spec.overlay_values if spec.overlay else (None,)
     points = [(v, ov) for ov in overlays for v in spec.values]
+    cfg = _checked_first_point(base, spec, points)
+    analytic: list[PerformanceReport] = []
+    if spec.engine in ("analytic", "both"):
+        swept = {spec.axis: np.tile(np.asarray(spec.values, dtype=float), len(overlays))}
+        if spec.overlay:
+            swept[spec.overlay] = np.repeat(np.asarray(spec.overlay_values, dtype=float), len(spec.values))
+        analytic = _analytic_reports(cfg, swept)
     run_mc = spec.engine in ("monte_carlo", "both")
     mc_seeds = np.random.SeedSequence(base.seed).spawn(len(points)) if run_mc else [None] * len(points)
 
     rows: list[SweepRow] = []
-    for (v, ov), ss in zip(points, mc_seeds):
-        try:
-            ctx = build_context(_point_config(base, spec, v, ov))
-        except ValueError as exc:
-            raise ValueError(f"sweep point {spec.axis}={v}, overlay={ov}: {exc}") from exc
-        if spec.engine in ("analytic", "both"):
-            rows.append(SweepRow(v, ov, analytics.evaluate(ctx)))
+    for k, ((v, ov), ss) in enumerate(zip(points, mc_seeds)):
+        if analytic:
+            rows.append(SweepRow(v, ov, analytic[k]))
         if run_mc:
+            ctx = build_context(_point_config(base, spec, v, ov))
             seed = int(ss.generate_state(1, dtype=np.uint64)[0])
             mc = montecarlo.run(ctx, base.n_slots, seed)
             rows.append(SweepRow(v, ov, mc.estimates))
@@ -117,10 +165,6 @@ class OptimizeResult:
     report: PerformanceReport
     feasible: bool
     qber_max: float
-
-
-def _eval_point(base: LinkConfig, variable: str, x: float) -> PerformanceReport:
-    return analytics.evaluate(build_context(replace(base, **{variable: x})))
 
 
 def optimize(
@@ -144,8 +188,18 @@ def optimize(
     if not lo < hi:
         raise ValueError("bounds must satisfy lo < hi")
 
+    # the coarse grid is one array pass; each golden-section step one point
     xs = np.linspace(lo, hi, coarse)
-    reports = [_eval_point(base, variable, float(x)) for x in xs]
+    cfg = replace(base, **{variable: float(xs[0])})
+    validate(cfg)
+    for x in xs.tolist():
+        _check_range(variable, x)
+
+    def at(x: float) -> PerformanceReport:
+        _check_range(variable, x)
+        return _analytic_reports(cfg, {variable: np.array([x])})[0]
+
+    reports = _analytic_reports(cfg, {variable: xs})
     feas = [r.qber <= qber_max for r in reports]
 
     if not any(feas):
@@ -159,7 +213,7 @@ def optimize(
     # candidates simply never displace the incumbent.
     a, b = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, coarse - 1)])
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    rc, rd_ = _eval_point(base, variable, c), _eval_point(base, variable, d)
+    rc, rd_ = at(c), at(d)
     while b - a > tol * max(abs(hi - lo), 1.0):
         fc = rc.key_rate if rc.qber <= qber_max else -math.inf
         fd = rd_.key_rate if rd_.qber <= qber_max else -math.inf
@@ -170,10 +224,10 @@ def optimize(
         if fc >= fd:
             b, d, rd_ = d, c, rc
             c = b - _GOLDEN * (b - a)
-            rc = _eval_point(base, variable, c)
+            rc = at(c)
         else:
             a, c, rc = c, d, rd_
             d = a + _GOLDEN * (b - a)
-            rd_ = _eval_point(base, variable, d)
+            rd_ = at(d)
 
     return OptimizeResult(variable, best_x, best_r, True, qber_max)

@@ -8,11 +8,15 @@ the benchmark at run time, so its removal has to fail here first.
 import dataclasses
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import uavqkd
+import uavqkd.cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # module -> attribute paths read by bench/ (run.py trace_targets, workloads.py, self-check)
 BENCH_NAMES = {
@@ -50,3 +54,37 @@ def test_names_read_by_the_benchmark_resolve():
     code = "import sys, uavqkd; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"
+
+
+def test_design_sweep_step_runs_under_the_trace_hooks(tmp_path):
+    """One tiny design-sweep step (a sweep and an optimize through
+    ``cli.main``) with every hook of ``bench/run.py:trace_targets``
+    installed. The hooks read the package's calls (``evaluate``'s context
+    positionally, ``len(SweepResult.rows)``, ``render``'s rows); a call
+    they no longer fit raises inside ``cli.main`` and fails an op."""
+    environ, path, bytecode = dict(os.environ), list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True  # leave bench/ as checked out
+    try:
+        run = importlib.import_module("run")  # sets BLAS thread variables for its child processes
+        spans, workloads = importlib.import_module("spans"), importlib.import_module("workloads")
+        tracer, tally = spans.Tracer(), workloads.Tally()
+        step = workloads.DesignSweep(uavqkd, 5, str(tmp_path), tiny=True)
+        restore = spans.install(tracer, run.trace_targets())
+        try:
+            step.step(0, tally)
+        finally:
+            restore()
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+        sys.dont_write_bytecode = bytecode
+        for name in ("run", "spans", "workloads", "reference"):
+            sys.modules.pop(name, None)
+    assert (tally.attempted, tally.failed) == (2, 0), tally.unexplained
+    calls = tracer.calls()
+    assert calls["cli.main"] == 2 and calls["sweep.sweep"] == 1 and calls["sweep.optimize"] == 1
+    assert tracer.counts["sweep.sweep.points"] == 8
+    assert tracer.child_counts("sweep.optimize")["analytics.evaluate"] >= 1  # the coarse grid is one call
+    assert not any(".raised." in key for key in tracer.counts)

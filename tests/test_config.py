@@ -182,6 +182,16 @@ class TestRoundTrip:
             "n_slots = 1000000\nseed = 12345\nmu_b = 0.001\n"
         )
 
+    def test_numpy_scalars_round_trip(self):
+        # validate accepts any numbers.Real / numbers.Integral, so dumps must
+        # write numpy scalars as plain literals that loads parses back
+        cfg = LinkConfig(wz=np.float64(0.07), mu_t=np.float64(0.5), sigma_aoa=np.float32(6e-5), Ng=np.int64(40),
+                         seed=np.int64(7), theta_fov=np.float32(1e-4))
+        text = dumps(cfg)
+        assert "np." not in text
+        assert "wz = 0.07 m\n" in text and "mu_t = 0.5\n" in text and "Ng = 40\n" in text
+        assert loads(text) == cfg
+
 
 class TestBuildContext:
     def test_wiring(self):

@@ -61,6 +61,6 @@ class TestRender:
 
     def test_raw_rows(self):
         rows = [{"a": 1.5, "b": None}, {"a": 2.0, "b": "x"}]
-        text = output.render(rows, "csv")
+        text = output.render(rows, "csv", ["a", "b"])
         assert text.splitlines()[0] == "a,b"
         assert len(text.strip().splitlines()) == 3

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -5,9 +7,52 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from uavqkd import analytics, montecarlo
-from uavqkd.config import build_context
+from uavqkd import analytics, config, montecarlo
+from uavqkd.config import LinkConfig, build_context
+from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
 from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
+
+_FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
+RTOL = 1e-14  # the array pass against the same point evaluated alone
+
+
+def _recorded(fn):
+    """fn()'s result and the (category, text) of every warning it issued, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _one_by_one(base, spec):
+    """Reports of every sweep point from its own config, in sweep order."""
+    overlays = spec.overlay_values if spec.overlay else (None,)
+    reports = []
+    for ov in overlays:
+        for v in spec.values:
+            updates = {spec.axis: v, **({spec.overlay: ov} if spec.overlay else {})}
+            reports.append(analytics.evaluate(build_context(replace(base, **updates))))
+    return reports
+
+
+def _assert_close(got, want):
+    for name in _FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is float, name
+        if math.isnan(b):
+            assert math.isnan(a), name
+        else:
+            assert abs(a - b) <= RTOL * abs(b), f"{name}: {a!r} vs {b!r}"
+
+
+def _assert_array_pass_matches(base, spec):
+    result, warned = _recorded(lambda: sweep(base, spec))
+    want, want_warned = _recorded(lambda: _one_by_one(base, spec))
+    assert len(result.rows) == len(want)
+    for row, rep in zip(result.rows, want):
+        _assert_close(row.report, rep)
+    assert warned == want_warned
+    return result, warned
 
 
 class TestSweepSpec:
@@ -24,6 +69,18 @@ class TestSweepSpec:
             SweepSpec(axis="wz", values=(0.1,), overlay="B_lambda")
         with pytest.raises(ValueError):
             SweepSpec(axis="wz", values=(0.1,), engine="exact")
+        with pytest.raises(ValueError, match="increasing"):
+            SweepSpec(axis="wz", values=(0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "values,overlay_values",
+        [((0.05, math.nan, 0.1), ()), ((math.inf,), ()), ((0.05, 0.1), (1e-6, math.nan)), ((0.05,), (-math.inf,))],
+    )
+    def test_non_finite_values_rejected(self, values, overlay_values):
+        # NaN compares false both ways, so an ordering test alone let it through
+        overlay = "B_lambda" if overlay_values else None
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(axis="wz", values=values, overlay=overlay, overlay_values=overlay_values)
 
 
 class TestSweep:
@@ -109,6 +166,106 @@ class TestSweep:
             sweep(baseline_cfg, spec)
 
 
+class TestArrayPass:
+    """An analytic sweep evaluates all points in one context; every row must
+    match the point evaluated alone, warnings included."""
+
+    BASES = {
+        "fov_set_mu_b_derived": make_config(),
+        "fov_derived_mu_b_derived": LinkConfig(),
+        "fov_set_mu_b_set": make_config(mu_b=0.01),
+        "fov_derived_mu_b_set": LinkConfig(mu_b=2e-3),
+    }
+    SPECS = [
+        SweepSpec("wz", (0.03, 0.07, 0.1, 0.5, 2.0), "sigma_aoa", (30e-6, 80e-6)),
+        SweepSpec("sigma_theta_e", (10e-6, 50e-6, 300e-6, 2e-3), "B_lambda", (1e-7, 1e-4)),
+        SweepSpec("sigma_aoa", (20e-6, 60e-6, 150e-6), "theta_fov", (20e-6, 150e-6)),
+        SweepSpec("theta_fov", (5e-6, 50e-6, 100e-6, 200e-6), "B_lambda", (1e-7, 1e-5, 1e-4)),
+        SweepSpec("B_lambda", (0.0, 1e-7, 1e-6, 1e-4), "wz", (0.05, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.axis for s in SPECS])
+    def test_every_axis_with_an_overlay(self, base, spec):
+        _assert_array_pass_matches(base, spec)
+
+    def test_wz_on_the_windowed_grid_sum(self):
+        # wz << 2 ra with N_g = 20,000: mu_p(0) sums a window of the segments,
+        # and the Rayleigh average takes the points in chunks of 3 rows
+        base = make_config(Ng=20_000, ra=1.5, sigma_theta_e=2e-3)
+        spec = SweepSpec("wz", (0.005, 0.008, 0.012, 0.02, 0.03), "sigma_aoa", (30e-6, 80e-6))
+        _assert_array_pass_matches(base, spec)
+
+    def test_wz_across_the_spikes_regime(self):
+        # N_g = 2, ra = 1.5 m: dx = 1.5 m exceeds wz at the first four points,
+        # whose segment-centre probe finds the grid sum above 1
+        base = make_config(Ng=2, ra=1.5, sigma_theta_e=7.5e-4)
+        spec = SweepSpec("wz", (0.005, 0.05, 0.5, 1.2, 3.0), "sigma_aoa", (30e-6, 80e-6))
+        _, warned = _assert_array_pass_matches(base, spec)
+        overflow = [text for cat, text in warned if cat is CaptureOverflowWarning]
+        assert len(overflow) >= 4
+        # the spikes regime with one grid shared by every point
+        _, warned = _assert_array_pass_matches(base, SweepSpec("sigma_aoa", (30e-6, 50e-6, 80e-6)))
+        assert [cat for cat, _ in warned].count(CaptureOverflowWarning) == 3
+
+    def test_warnings_once_per_point_in_order(self):
+        # c_pt * mu_p(0) > 0.1 at small wz only: one LinearizationWarning per
+        # such point, interleaved with the overflow warnings of dx/wz = 0.92
+        base = make_config(Ng=5, ra=0.15, mu_t=1.0)
+        spec = SweepSpec("wz", (0.065, 0.1, 0.4, 1.0), "sigma_aoa", (30e-6, 80e-6))
+        _, warned = _assert_array_pass_matches(base, spec)
+        cats = [cat for cat, _ in warned]
+        assert cats.count(CaptureOverflowWarning) == 2
+        assert LinearizationWarning in cats and len(cats) < 8
+
+    def test_engine_both_analytic_rows(self, baseline_cfg):
+        cfg = replace(baseline_cfg, n_slots=5_000)
+        spec = SweepSpec("theta_fov", (50e-6, 150e-6), "B_lambda", (1e-6, 1e-4), engine="both")
+        result = sweep(cfg, spec)
+        want = _one_by_one(cfg, spec)
+        analytic = [row.report for row in result.rows if row.report.method == "analytic"]
+        assert len(analytic) == 4 and len(result.rows) == 8
+        for got, rep in zip(analytic, want):
+            _assert_close(got, rep)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (SweepSpec("wz", (0.05, 0.1, 1e6)), r"sweep point wz=1000000.0, overlay=None: wz: value 1000000.0 outside"),
+            (SweepSpec("wz", (0.05, 0.1), "sigma_aoa", (50e-6, 1.0)), r"sweep point wz=0.05, overlay=1.0: sigma_aoa"),
+            (SweepSpec("theta_fov", (1e-4, 1.0), "B_lambda", (-1.0, 1e-6)), r"sweep point theta_fov=0.0001, overlay=-1.0"),
+        ],
+    )
+    def test_invalid_value_raises_before_any_point_is_evaluated(self, baseline_cfg, monkeypatch, spec, message):
+        calls = []
+        monkeypatch.setattr(analytics, "evaluate", lambda ctx: calls.append(ctx))
+        with pytest.raises(ValueError, match=message):
+            sweep(baseline_cfg, spec)
+        assert calls == []
+
+    def test_invalid_base_raises_like_the_first_point(self):
+        base = replace(make_config(), mu_t=50.0)
+        with pytest.raises(ValueError, match=r"sweep point wz=0.05, overlay=None: mu_t"):
+            sweep(base, SweepSpec("wz", (0.05, 0.1)))
+        # the swept field of the base is replaced, so its own value is not checked
+        assert len(sweep(replace(make_config(), wz=100.0), SweepSpec("wz", (0.05, 0.1))).rows) == 2
+
+    def test_array_context_returns_arrays(self, baseline_cfg):
+        ctx = config._derive(baseline_cfg, {"wz": np.array([0.05, 0.1, 0.2])})
+        assert ctx.shape == (3,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinearizationWarning)
+            report = analytics.evaluate(ctx)
+            assert report.p_detect.shape == (3,)
+            assert report.p_detect[1] == analytics.evaluate(build_context(baseline_cfg)).p_detect
+        with pytest.raises(ValueError, match="one point"):
+            analytics.detect_prob(ctx, turbulence="averaged")
+        with pytest.raises(ValueError, match="one point"):
+            montecarlo.run(ctx, 100, 1)
+        with pytest.raises(ValueError):
+            replace(ctx, sigma_aoa=np.full(2, 50e-6))
+
+
 class TestOptimize:
     def test_inactive_constraint_in_the_dark(self, baseline_cfg):
         cfg = replace(baseline_cfg, B_lambda=0.0)
@@ -138,6 +295,17 @@ class TestOptimize:
         coarse = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0), coarse=8)
         fine = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0), coarse=64)
         assert fine.report.key_rate >= coarse.report.key_rate * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("variable,bounds", [("wz", (0.05, 1.0)), ("theta_fov", (10e-6, 500e-6))])
+    def test_optimum_matches_the_point_evaluated_alone(self, baseline_cfg, variable, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinearizationWarning)
+            result = optimize(baseline_cfg, variable, 1e-3, bounds)
+            _assert_close(result.report, analytics.evaluate(build_context(replace(baseline_cfg, **{variable: result.value}))))
+
+    def test_out_of_range_bounds_raise_the_config_error(self, baseline_cfg):
+        with pytest.raises(ValueError, match=r"wz: value 0.001 outside allowed range"):
+            optimize(baseline_cfg, "wz", 1e-3, (1e-3, 1.0))
 
     def test_validation(self, baseline_cfg):
         with pytest.raises(ValueError):
