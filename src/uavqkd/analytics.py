@@ -231,7 +231,8 @@ def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray)
 
     ``sigma`` and ``wz`` hold one entry per point. Points are taken in row
     chunks of about _CHUNK (point, segment) terms; each point's sum is its
-    own dot product, so it does not depend on the other points.
+    own dot product (a stack of 1 x N_g by N_g x 1 products), so it does
+    not depend on the other points.
     """
     x, c = grid.centers, grid.weights
     s2 = wz * wz + 4.0 * sigma * sigma
@@ -243,7 +244,7 @@ def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray)
         rows = slice(i, i + step)
         z = scale[rows, None] * x
         j = np.exp(x2 / s2[rows, None]) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
-        out[rows] = np.vecdot(j, c if c.ndim == 1 else c[rows])
+        out[rows] = np.matmul(j[:, None, :], (c if c.ndim == 1 else c[rows])[..., None])[:, 0, 0]
     return out * (wz * wz / s2)
 
 

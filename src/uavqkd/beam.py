@@ -168,24 +168,25 @@ def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
     """The capture grid of each beam radius in the array ``wz`` (> 0), as
     one grid of len(wz) rows sharing ra, N_g and the segment centres.
 
-    Each distinct wz is computed once; its weights come out bit for bit as
-    ``build_grid``'s (the same arithmetic, elementwise), in row chunks of
-    about _CHUNK terms, and its ``mu_p0`` from the same ``_grid_sum``.
+    Each distinct wz is computed once. Its ``mu_p0`` is ``_grid_sum`` at
+    rd = 0: where the 9 wz window covers every segment, the same dense
+    arithmetic for all rows at once, with one dot product per row, so a row
+    does not depend on the others. The grid holds len(wz) x N_g weights,
+    so callers bound len(wz) (a sweep passes at most max(1, _CHUNK // N_g)).
     """
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
     centers.setflags(write=False)
     chord = np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
     row = {w: i for i, w in enumerate(dict.fromkeys(wz.tolist()))}  # distinct wz, first-seen order
-    distinct = np.array(list(row))
-    weights = np.empty((distinct.size, ng))
-    step = max(1, _CHUNK // ng)
-    for i in range(0, distinct.size, step):
-        w = distinct[i : i + step, None]
-        weights[i : i + step] = (2.0 * dx / (math.sqrt(2.0 * math.pi) * w)) * special.erf(np.sqrt(2.0 / (w * w)) * chord)
-    origin = np.zeros(1)
-    mu_p0 = np.array([_grid_sum(centers, c, w, dx, origin)[0] for c, w in zip(weights, row)])
-    if distinct.size < wz.size:
+    col = np.array(list(row))[:, None]
+    weights = (2.0 * dx / (math.sqrt(2.0 * math.pi) * col)) * special.erf(np.sqrt(2.0 / (col * col)) * chord)
+    d = centers * centers * -2.0 / np.array([w**2 for w in row])[:, None]
+    np.exp(d, out=d)
+    mu_p0 = np.matmul(d[:, None, :], weights[..., None])[:, 0, 0]
+    for i in np.flatnonzero(np.ceil(18.0 * col[:, 0] / dx) + 2 < ng):  # windowed rows
+        mu_p0[i] = _grid_sum(centers, weights[i], float(col[i, 0]), dx, np.zeros(1))[0]
+    if len(row) < wz.size:
         index = [row[w] for w in wz.tolist()]
         weights, mu_p0 = weights[index], mu_p0[index]
     weights.setflags(write=False)

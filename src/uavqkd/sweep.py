@@ -3,16 +3,18 @@
 An analytic sweep is one array pass. The first point's config is
 validated once and every axis and overlay value is range-checked once;
 together that is the validation of every point. One context then holds
-all P points: the swept fields are arrays with one entry per point, and
-every quantity derived from them (capture grid, FoV, background mean) is
-derived for each point from that point's own values, in the same pass
-and by the same functions as ``build_context``. A point therefore cannot
-see a value derived for another point or an earlier sweep; the only state
-kept between points is ``build_grid``'s cache of immutable grids, keyed by
-(ra, wz, N_g). One ``evaluate`` call gives all P reports, each equal to
-the same point evaluated alone. Monte Carlo points keep a context each and
-run on seeds spawned from the config seed, one per point; a sweep that
-runs no Monte Carlo spawns none. The optimizer maximizes
+all P points (points that differ in wz each hold a row of N_g grid
+weights, so they go in blocks of at most max(1, _CHUNK // N_g) points):
+the swept fields are arrays with one entry per point, and every quantity
+derived from them (capture grid, FoV, background mean) is derived for
+each point from that point's own values, in the same pass and by the
+same functions as ``build_context``. A point therefore cannot see a value
+derived for another point or an earlier sweep; the only state kept
+between points is ``build_grid``'s cache of immutable grids, keyed by
+(ra, wz, N_g). One ``evaluate`` call per context gives its reports, each
+equal to the same point evaluated alone. Monte Carlo points keep a
+context each and run on seeds spawned from the config seed, one per
+point; a sweep that runs no Monte Carlo spawns none. The optimizer maximizes
 the analytic key rate under a QBER ceiling with a coarse global grid
 followed by golden-section refinement; Monte Carlo is intentionally not
 part of the objective (its noise breaks a line search) and is meant for
@@ -28,7 +30,8 @@ import numpy as np
 
 from . import analytics, montecarlo
 from .analytics import PerformanceReport
-from .config import LinkConfig, _check_range, _derive, build_context, validate
+from .beam import _CHUNK
+from .config import _FIELD_NAMES, LinkConfig, _check_range, _derive, build_context, validate
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "SweepResult", "OptimizeResult", "sweep", "optimize"]
 
@@ -91,31 +94,45 @@ _REPORT_FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "
 
 def _analytic_reports(cfg: LinkConfig, points: dict[str, np.ndarray]) -> list[PerformanceReport]:
     """Analytic reports of the points of ``cfg`` with ``points``' fields
-    replaced (see ``config._derive``): one context, one ``evaluate`` call."""
-    report = analytics.evaluate(_derive(cfg, points))
-    columns = [getattr(report, name).tolist() for name in _REPORT_FIELDS]
-    return [PerformanceReport(*values, method="analytic") for values in zip(*columns)]
+    replaced (see ``config._derive``): one context and one ``evaluate``
+    call for all points, except that points differing in wz each hold a
+    row of N_g grid weights, so they go in blocks of at most
+    max(1, _CHUNK // N_g) points, one context each.
+    """
+    n = len(next(iter(points.values())))
+    step = max(1, _CHUNK // cfg.Ng) if "wz" in points else n
+    reports: list[PerformanceReport] = []
+    for i in range(0, n, step):
+        report = analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()}))
+        columns = [getattr(report, name).tolist() for name in _REPORT_FIELDS]
+        reports += [PerformanceReport(*values, method="analytic") for values in zip(*columns)]
+    return reports
+
+
+def _point_error(spec: SweepSpec, v: float, ov: float | None, exc: ValueError) -> ValueError:
+    return ValueError(f"sweep point {spec.axis}={v}, overlay={ov}: {exc}")
 
 
 def _checked_first_point(base: LinkConfig, spec: SweepSpec, points: list) -> LinkConfig:
-    """The first point's config, validated, after range-checking every axis
-    and overlay value: together the validation of every point. An invalid
-    point raises the error of the first invalid point in sweep order,
-    before any point is evaluated."""
+    """The first point's config, validated, after range-checking the swept
+    values of every other point: together the validation of every point.
+    An invalid point raises the error of the first invalid point in sweep
+    order, before any point is evaluated. A value that passed is not
+    checked again."""
+    swept = [name for name in _FIELD_NAMES if name in (spec.axis, spec.overlay)]
     cfg = _point_config(base, spec, *points[0])
-    try:
-        validate(cfg)
-        for v in spec.values:
-            _check_range(spec.axis, v)
-        for ov in spec.overlay_values if spec.overlay else ():
-            _check_range(spec.overlay, ov)
-    except ValueError:
-        for v, ov in points:
-            try:
-                validate(_point_config(base, spec, v, ov))
-            except ValueError as exc:
-                raise ValueError(f"sweep point {spec.axis}={v}, overlay={ov}: {exc}") from exc
-        raise
+    passed = set()
+    for k, (v, ov) in enumerate(points):
+        try:
+            if k == 0:
+                validate(cfg)
+            for name in swept:
+                value = v if name == spec.axis else ov
+                if (name, value) not in passed:
+                    _check_range(name, value)
+                    passed.add((name, value))
+        except ValueError as exc:
+            raise _point_error(spec, v, ov, exc) from exc
     return cfg
 
 
@@ -135,7 +152,10 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
         swept = {spec.axis: np.tile(np.asarray(spec.values, dtype=float), len(overlays))}
         if spec.overlay:
             swept[spec.overlay] = np.repeat(np.asarray(spec.overlay_values, dtype=float), len(spec.values))
-        analytic = _analytic_reports(cfg, swept)
+        try:
+            analytic = _analytic_reports(cfg, swept)
+        except ValueError as exc:  # a derived quantity out of range: the same at every point
+            raise _point_error(spec, *points[0], exc) from exc
     run_mc = spec.engine in ("monte_carlo", "both")
     mc_seeds = np.random.SeedSequence(base.seed).spawn(len(points)) if run_mc else [None] * len(points)
 
@@ -144,7 +164,10 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
         if analytic:
             rows.append(SweepRow(v, ov, analytic[k]))
         if run_mc:
-            ctx = build_context(_point_config(base, spec, v, ov))
+            try:
+                ctx = build_context(_point_config(base, spec, v, ov))
+            except ValueError as exc:
+                raise _point_error(spec, v, ov, exc) from exc
             seed = int(ss.generate_state(1, dtype=np.uint64)[0])
             mc = montecarlo.run(ctx, base.n_slots, seed)
             rows.append(SweepRow(v, ov, mc.estimates))

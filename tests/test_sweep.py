@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -191,10 +192,25 @@ class TestArrayPass:
 
     def test_wz_on_the_windowed_grid_sum(self):
         # wz << 2 ra with N_g = 20,000: mu_p(0) sums a window of the segments,
-        # and the Rayleigh average takes the points in chunks of 3 rows
+        # and the sweep takes the points in blocks of 3, one context each
         base = make_config(Ng=20_000, ra=1.5, sigma_theta_e=2e-3)
         spec = SweepSpec("wz", (0.005, 0.008, 0.012, 0.02, 0.03), "sigma_aoa", (30e-6, 80e-6))
         _assert_array_pass_matches(base, spec)
+
+    def test_wz_blocks_bound_the_grid_weights(self):
+        # 48 points of 100,000 weights would be 38 MB; blocks of one point
+        # (max(1, _CHUNK // N_g)) keep one grid row at a time, overlay
+        # duplicates included
+        base = make_config(Ng=100_000)
+        spec = SweepSpec("wz", tuple(0.05 * k for k in range(1, 13)), "sigma_aoa", (30e-6, 50e-6, 80e-6, 1e-4))
+        tracemalloc.start()
+        try:
+            result, _ = _recorded(lambda: sweep(base, spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 48
+        assert peak < 0.5 * 48 * base.Ng * 8
 
     def test_wz_across_the_spikes_regime(self):
         # N_g = 2, ra = 1.5 m: dx = 1.5 m exceeds wz at the first four points,
@@ -249,6 +265,13 @@ class TestArrayPass:
             sweep(base, SweepSpec("wz", (0.05, 0.1)))
         # the swept field of the base is replaced, so its own value is not checked
         assert len(sweep(replace(make_config(), wz=100.0), SweepSpec("wz", (0.05, 0.1))).rows) == 2
+
+    @pytest.mark.parametrize("engine", ["analytic", "monte_carlo"])
+    def test_derived_quantity_error_names_the_first_point(self, engine):
+        # alpha_a = 0.75 /m over 1 km: eta_atm = exp(-750) underflows to 0
+        base = LinkConfig(eta_atm=None, alpha_a=0.75, n_slots=100)
+        with pytest.raises(ValueError, match=r"^sweep point wz=0.05, overlay=None: eta_atm and mu_d must be in"):
+            sweep(base, SweepSpec("wz", (0.05, 0.1), engine=engine))
 
     def test_array_context_returns_arrays(self, baseline_cfg):
         ctx = config._derive(baseline_cfg, {"wz": np.array([0.05, 0.1, 0.2])})
