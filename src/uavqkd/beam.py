@@ -210,11 +210,15 @@ def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray
             idx = lo[:, None] + np.arange(k)
             d = x[idx] - r
         d *= d
-        d *= -2.0
-        d /= wz2
+        d /= -0.5 * wz2  # one rounding, as -2 d / wz^2: -0.5 wz^2 and -2 d are exact
         np.exp(d, out=d)
-        # np.sum adds pairwise, so a window sums as accurately as the dense dot
-        vals[i : i + step] = d @ c if k == ng else np.sum(d * c[idx], axis=1)
+        # each row is its own dot product (a stack of 1 x N_g by N_g x 1
+        # products), so a value does not depend on its row's place in the
+        # batch as it does with one gemv; np.sum adds a window pairwise
+        if k == ng:
+            vals[i : i + step] = np.matmul(d[:, None, :], c[:, None])[:, 0, 0]
+        else:
+            vals[i : i + step] = np.sum(d * c[idx], axis=1)
     return vals
 
 
@@ -237,7 +241,8 @@ def capture_grid(grid: CaptureGrid, rd):
     Memory is bounded whatever the size of ``rd`` and N_g: displacements
     are summed in row chunks of about _CHUNK terms, and when fewer than
     N_g segments lie within 9 wz of a displacement only that window is
-    summed (each segment left out adds less than c_i e^-162).
+    summed (each segment left out adds less than c_i e^-162). Each value
+    depends on its own rd alone, not on the other displacements of the call.
     """
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()

@@ -41,6 +41,30 @@ every slot. The bound takes cap_max = 1 + 1e-9; the margin covers
 ``chndtr``'s excess over 1 (~1e-14) and any rounding in ``expm1``.
 ``McReport.capture_evals`` counts the slots that needed a capture value.
 
+Per-slot values: each batch draws, in this order, 2 standard normals for
+the displacement, 2 gammas for the fade, 2 standard normals for the angle
+of arrival, the detection uniform, the background count and the
+polarization coin, m of each. A value derived from the draws is computed
+only where a decision reads it: the thinning bound on the FoV-accepted
+slots, r_d = hypot(sigma_rd z0, sigma_rd z1) on the candidates, and the
+coin on the slots with one background count. ``rng.normal(0, s)`` is
+0.0 + s z on the same stream as ``standard_normal``, so the scaled draws
+are those of the dense classifier. The outcome counts come from the
+sorted index sets of the detections and of the slots with n_b != 0; no
+per-slot state array is built.
+
+FoV test: a slot is accepted when hypot(sigma_aoa z0, sigma_aoa z1) <=
+theta_fov. ``_fov_accepted`` compares z0^2 + z1^2 with r2 = (theta_fov /
+sigma_aoa)^2 instead. The squared norm rounds to within 2.3e-16 relative
+of its exact value and r2 to within 3.4e-16; the hypot of the scaled
+draws is within about 3.4e-16 of sigma_aoa times the exact norm, so
+7e-16 in squares. (No operand is subnormal near the edge: theta_fov /
+sigma_aoa >= 1.6e-4 over the validator's box.) So the two tests agree on
+every slot whose squared norm is more than 1.3e-15 relative from r2, and
+the slots within a band of 1e-12 of it are decided by the hypot test
+itself. The draw stream, every decision and so every ``McReport`` are
+those of the dense classifier.
+
 Capture probability is the exact closed form (``capture_exact``), so
 Monte Carlo vs analytic deviations isolate the grid and linearization
 approximations of the analytics.
@@ -58,7 +82,7 @@ from .analytics import AnalyticContext, PerformanceReport
 from .beam import capture_exact
 from .channel import gg_sample
 
-__all__ = ["BATCH_SIZE", "McReport", "run"]
+__all__ = ["BATCH_SIZE", "OUTCOMES", "McReport", "run"]
 
 BATCH_SIZE = 1 << 16  # fixed so the batch partition never depends on worker count
 
@@ -72,6 +96,7 @@ class McReport:
     batch_size: int
     estimates: PerformanceReport
     capture_evals: int  # slots that needed a capture value (the thinning candidates)
+    outcomes: tuple[int, ...]  # slots per outcome, in OUTCOMES order
 
     @property
     def batches(self) -> int:
@@ -84,21 +109,44 @@ class McReport:
         return 0.0
 
 
-# Slot states: no bit; State 1 (signal only); State 2 (background only)
-# read in the right / wrong basis; State 3 (signal + one background) kept
-# by the polarization coin; discarded multi-count.
-_NONE, _S1, _S2_OK, _S2_ERR, _S3, _MULTI = range(6)
-_STATE_OUTCOME = ("no_bit", "bit_ok", "bit_ok", "bit_error", "bit_ok", "discarded_multi")
+# Slot outcomes, in the order of McReport.outcomes: no bit; State 1
+# (signal only); State 2 (background only) read in the right / wrong
+# basis; State 3 (signal + one background) kept by the polarization coin;
+# discarded multi-count (n_b >= 2, or signal + one background lost to the
+# coin).
+OUTCOMES = ("none", "s1", "s2_ok", "s2_err", "s3", "multi")
+
+# Relative half-width of the band around the FoV edge in which
+# ``_fov_accepted`` decides with np.hypot (module docstring, "FoV test").
+_FOV_BAND = 1e-12
+
+
+def _fov_accepted(z: np.ndarray, sigma: float, theta: float) -> np.ndarray:
+    """Indices of the slots with np.hypot(sigma z0, sigma z1) <= theta,
+    for the (2, m) standard normals z of the angle of arrival."""
+    r2 = (theta / sigma) ** 2
+    q = z[0] * z[0]
+    q += z[1] * z[1]
+    acc = np.flatnonzero(q <= r2 * (1.0 + _FOV_BAND))
+    edge = np.flatnonzero(q[acc] >= r2 * (1.0 - _FOV_BAND))  # positions in acc
+    if edge.size:
+        e = acc[edge]
+        acc = np.delete(acc, edge[np.hypot(sigma * z[0, e], sigma * z[1, e]) > theta])
+    return acc
 
 
 def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int):
-    """Channel realizations for m slots: (r_d, eta_turb, fov_accept)."""
-    g = rng.normal(0.0, ctx.sigma_rd, (2, m))
-    rd = np.hypot(g[0], g[1])
+    """Channel realizations for m slots: (r_d, eta_turb, accepted).
+
+    ``r_d(i)`` is the pointing displacement norm of the slots at the index
+    array i, computed when asked; ``eta_turb`` is every slot's fade and
+    ``accepted`` the sorted indices of the slots inside the field of view.
+    """
+    g = rng.standard_normal((2, m))
     eta = gg_sample(rng, ctx.alpha, ctx.beta, m)
-    a = rng.normal(0.0, ctx.sigma_aoa, (2, m))
-    accept = np.hypot(a[0], a[1]) <= ctx.theta_fov
-    return rd, eta, accept
+    accepted = _fov_accepted(rng.standard_normal((2, m)), ctx.sigma_aoa, ctx.theta_fov)
+    s = ctx.sigma_rd
+    return (lambda i: np.hypot(s * g[0, i], s * g[1, i])), eta, accepted
 
 
 # Bound on an exact capture value: chndtr returns at most ~1e-14 above 1.
@@ -106,30 +154,36 @@ _CAP_MAX_EXACT = 1.0 + 1e-9
 
 
 def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int):
-    """Draw and classify m slots: (state, detected, n_b, r_d, eta_turb,
-    fov_accept, candidate), where candidate marks the slots whose capture
-    value was computed (module docstring, "Thinning")."""
-    rd, eta, accept = _draw_channel(rng, ctx, m)
+    """Draw and classify m slots: (outcome counts in OUTCOMES order,
+    detected, n_b, candidates). ``detected`` and ``candidates`` are sorted
+    slot indices; the candidates are the slots whose capture value was
+    computed (module docstring, "Thinning")."""
+    rd, eta, acc = _draw_channel(rng, ctx, m)
     u = rng.random(m)
-    cand = accept & (u < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * _CAP_MAX_EXACT * eta)))
-    t = ctx.eta_atm * ctx.mu_d * capture_exact(rd[cand], ctx.wz, ctx.ra) * eta[cand]
-    sig = np.zeros(m, dtype=bool)
-    sig[cand] = u[cand] < -np.expm1(-ctx.mu_t * t)  # n_q >= 1
+    cand = acc[u[acc] < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * _CAP_MAX_EXACT * eta[acc]))]
+    t = ctx.eta_atm * ctx.mu_d * capture_exact(rd(cand), ctx.wz, ctx.ra) * eta[cand]
+    det = cand[u[cand] < -np.expm1(-ctx.mu_t * t)]  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
-    heads = rng.random(m) < 0.5  # fair polarization coin
+    coin = rng.random(m)  # fair polarization coin: heads below 0.5
 
-    state = np.where(n_b >= 2, _MULTI, np.where(sig, _S1, _NONE))
-    one_b = n_b == 1
-    state[one_b] = np.where(sig, np.where(heads, _S3, _MULTI), np.where(heads, _S2_ERR, _S2_OK))[one_b]
-    return state, sig, n_b, rd, eta, accept, cand
+    bg = np.flatnonzero(n_b)
+    one = bg[n_b[bg] == 1]
+    n_b_det = n_b[det]
+    det_one = det[n_b_det == 1]
+    s1 = det.size - np.count_nonzero(n_b_det)
+    s3 = np.count_nonzero(coin[det_one] < 0.5)
+    s2_err = np.count_nonzero(coin[one] < 0.5) - s3
+    s2_ok = one.size - det_one.size - s2_err
+    multi = bg.size - one.size + det_one.size - s3
+    counts = np.array([m - bg.size - s1, s1, s2_ok, s2_err, s3, multi])
+    return counts, det, n_b, cand
 
 
 def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int) -> np.ndarray:
-    """[detected slots, capture evaluations, then the count of each slot
-    state] for one seeded batch."""
-    state, sig, *_, cand = _draw_slots(np.random.default_rng(ss), ctx, m)
-    counts = [np.count_nonzero(sig), np.count_nonzero(cand)]
-    return np.concatenate((counts, np.bincount(state, minlength=len(_STATE_OUTCOME))))
+    """[detected slots, capture evaluations, then the count of each
+    outcome] for one seeded batch."""
+    counts, det, _, cand = _draw_slots(np.random.default_rng(ss), ctx, m)
+    return np.concatenate(([det.size, cand.size], counts))
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -151,7 +205,8 @@ def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McRe
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes))
-    detect, capture_evals, _, s1, s2_ok, s2_err, s3, _ = (int(c) for c in np.sum(counts, axis=0))
+    detect, capture_evals, *outcomes = (int(c) for c in np.sum(counts, axis=0))
+    _, s1, s2_ok, s2_err, s3, _ = outcomes
 
     n = n_slots
     s2 = s2_ok + s2_err
@@ -187,4 +242,5 @@ def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McRe
         batch_size=BATCH_SIZE,
         estimates=report,
         capture_evals=capture_evals,
+        outcomes=tuple(outcomes),
     )

@@ -258,6 +258,20 @@ class TestCaptureGrid:
         dense = np.exp(-2.0 * (grid.centers[None, :] - sub[:, None]) ** 2 / wz**2) @ grid.weights
         np.testing.assert_allclose(vals[::31], dense, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("ng", [10, 1000])
+    def test_value_does_not_depend_on_the_batch(self, ng):
+        # a row's grid sum must not depend on its place in the batch: 2,000
+        # scalar calls equal the same rows of one 65,536-row call, bit for bit
+        grid = build_grid(0.15, 0.1, ng)
+        rng = np.random.default_rng(27)
+        rd = rng.uniform(0.0, 0.45, 1 << 16)
+        batch = capture_grid(grid, rd)
+        rows = rng.choice(rd.size, 2000, replace=False)
+        scalar = np.array([capture_grid(grid, float(r)) for r in rd[rows]])
+        assert np.array_equal(scalar, batch[rows])
+        rows.sort()
+        assert np.array_equal(capture_grid(grid, rd[rows]), batch[rows])
+
     def test_keeps_the_shape_of_rd(self):
         grid = build_grid(RA, 0.01, 300)
         rd = np.linspace(0.0, 0.3, 12).reshape(3, 4)

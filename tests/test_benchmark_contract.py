@@ -56,12 +56,10 @@ def test_names_read_by_the_benchmark_resolve():
     assert out.stdout.strip() == "True"
 
 
-def test_design_sweep_step_runs_under_the_trace_hooks(tmp_path):
-    """One tiny design-sweep step (a sweep and an optimize through
-    ``cli.main``) with every hook of ``bench/run.py:trace_targets``
-    installed. The hooks read the package's calls (``evaluate``'s context
-    positionally, ``len(SweepResult.rows)``, ``render``'s rows); a call
-    they no longer fit raises inside ``cli.main`` and fails an op."""
+def traced_steps(workload: str, steps: int, workdir):
+    """Run the first ``steps`` steps of a tiny ``bench/`` workload with every
+    hook of ``bench/run.py:trace_targets`` installed; return the tracer,
+    the tally and the workload."""
     environ, path, bytecode = dict(os.environ), list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(BENCH))
     sys.dont_write_bytecode = True  # leave bench/ as checked out
@@ -69,10 +67,11 @@ def test_design_sweep_step_runs_under_the_trace_hooks(tmp_path):
         run = importlib.import_module("run")  # sets BLAS thread variables for its child processes
         spans, workloads = importlib.import_module("spans"), importlib.import_module("workloads")
         tracer, tally = spans.Tracer(), workloads.Tally()
-        step = workloads.DesignSweep(uavqkd, 5, str(tmp_path), tiny=True)
+        wl = getattr(workloads, workload)(uavqkd, 5, str(workdir), tiny=True)
         restore = spans.install(tracer, run.trace_targets())
         try:
-            step.step(0, tally)
+            for i in range(steps):
+                wl.step(i, tally)
         finally:
             restore()
     finally:
@@ -82,9 +81,34 @@ def test_design_sweep_step_runs_under_the_trace_hooks(tmp_path):
         sys.dont_write_bytecode = bytecode
         for name in ("run", "spans", "workloads", "reference"):
             sys.modules.pop(name, None)
+    return tracer, tally, wl
+
+
+def test_design_sweep_step_runs_under_the_trace_hooks(tmp_path):
+    """One tiny design-sweep step (a sweep and an optimize through
+    ``cli.main``) under the trace hooks. The hooks read the package's calls
+    (``evaluate``'s context positionally, ``len(SweepResult.rows)``,
+    ``render``'s rows); a call they no longer fit raises inside
+    ``cli.main`` and fails an op."""
+    tracer, tally, _ = traced_steps("DesignSweep", 1, tmp_path)
     assert (tally.attempted, tally.failed) == (2, 0), tally.unexplained
     calls = tracer.calls()
     assert calls["cli.main"] == 2 and calls["sweep.sweep"] == 1 and calls["sweep.optimize"] == 1
     assert tracer.counts["sweep.sweep.points"] == 8
     assert tracer.child_counts("sweep.optimize")["analytics.evaluate"] >= 1  # the coarse grid is one call
+    assert not any(".raised." in key for key in tracer.counts)
+
+
+def test_mc_validate_steps_run_under_the_trace_hooks(tmp_path):
+    """The first tiny mc-validate point, at workers=1 and then workers=2
+    with the same seed, under the trace hooks: the workload compares the
+    two reports and the exact expectation, and the ``gg_sample`` hook
+    counts one fade per simulated slot."""
+    tracer, tally, wl = traced_steps("McValidate", 2, tmp_path)
+    assert (tally.attempted, tally.failed) == (3, 0), tally.unexplained
+    assert tally.mc["nondeterministic"] == 0  # the same report at workers=1 and 2
+    assert tally.count("mc_1w") == 1 and tally.count("mc_2w") == 1
+    assert tracer.calls()["montecarlo.run"] == 2
+    assert tracer.counts["montecarlo.run.slots"] == 2 * wl.n_slots
+    assert tracer.counts["channel.gg_sample.draws"] == 2 * wl.n_slots
     assert not any(".raised." in key for key in tracer.counts)

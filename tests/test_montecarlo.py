@@ -11,17 +11,13 @@ from oracles import gg_cdf_interpolator
 from uavqkd import montecarlo
 from uavqkd.analytics import detect_prob
 from uavqkd.beam import capture_exact
+from uavqkd.channel import gg_sample
 from uavqkd.montecarlo import (
-    _MULTI,
-    _NONE,
-    _S1,
-    _S2_ERR,
-    _S2_OK,
-    _S3,
-    _STATE_OUTCOME,
     BATCH_SIZE,
+    OUTCOMES,
     _draw_channel,
     _draw_slots,
+    _fov_accepted,
     run,
 )
 
@@ -40,25 +36,41 @@ def pin_channel(monkeypatch, rd=None, eta=None, fov=None):
     def pinned(rng, ctx, m):
         r, e, a = _draw_channel(rng, ctx, m)
         return (
-            r if rd is None else np.full(m, rd),
+            r if rd is None else (lambda i: np.full(np.size(i), rd)),
             e if eta is None else np.full(m, eta),
-            a if fov is None else np.full(m, fov),
+            a if fov is None else np.arange(m if fov else 0),
         )
 
     monkeypatch.setattr(montecarlo, "_draw_channel", pinned)
 
 
+# Slot states of the oracle below, in the order of montecarlo.OUTCOMES
+_NONE, _S1, _S2_OK, _S2_ERR, _S3, _MULTI = range(6)
+
+
 def eager_draw_slots(rng, ctx, m):
-    """The slot classifier before thinning: capture on every slot."""
-    rd, eta, accept = _draw_channel(rng, ctx, m)
-    t = ctx.eta_atm * ctx.mu_d * montecarlo.capture_exact(rd, ctx.wz, ctx.ra) * eta
-    sig = rng.random(m) < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0))
+    """An independent copy of the dense slot classifier that the sparse
+    ``_draw_slots`` replaced: ``rng.normal`` draws, ``np.hypot`` on every
+    slot, the thinning bound on every slot and a per-slot state array.
+    Returns (state, detected, n_b, r_d, eta_turb, fov_accept, candidate, u),
+    each an array over all m slots; u is the detection uniform."""
+    g = rng.normal(0.0, ctx.sigma_rd, (2, m))
+    rd = np.hypot(g[0], g[1])
+    eta = gg_sample(rng, ctx.alpha, ctx.beta, m)
+    a = rng.normal(0.0, ctx.sigma_aoa, (2, m))
+    accept = np.hypot(a[0], a[1]) <= ctx.theta_fov
+    u = rng.random(m)
+    cand = accept & (u < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * (1.0 + 1e-9) * eta)))
+    t = ctx.eta_atm * ctx.mu_d * montecarlo.capture_exact(rd[cand], ctx.wz, ctx.ra) * eta[cand]
+    sig = np.zeros(m, dtype=bool)
+    sig[cand] = u[cand] < -np.expm1(-ctx.mu_t * t)  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
-    heads = rng.random(m) < 0.5
+    heads = rng.random(m) < 0.5  # fair polarization coin
+
     state = np.where(n_b >= 2, _MULTI, np.where(sig, _S1, _NONE))
     one_b = n_b == 1
     state[one_b] = np.where(sig, np.where(heads, _S3, _MULTI), np.where(heads, _S2_ERR, _S2_OK))[one_b]
-    return state, sig, n_b, rd, eta, accept
+    return state, sig, n_b, rd, eta, accept, cand, u
 
 
 class TestDeterminism:
@@ -119,6 +131,7 @@ class TestOutcomeOracles:
         # ~1.8% of slots here have t > 1; clamping them at 1 put p_detect
         # 1.7% (5 SE at 1M slots) below the exact expectation
         rd, eta, _ = _draw_channel(np.random.default_rng(17), baseline_ctx, BATCH_SIZE)
+        rd = rd(np.arange(BATCH_SIZE))
         t = baseline_ctx.eta_atm * baseline_ctx.mu_d * capture_exact(rd, baseline_ctx.wz, baseline_ctx.ra) * eta
         assert np.mean(t > 1.0) > 0.01
         rep = run(baseline_ctx, 1_000_000, seed=17)
@@ -152,6 +165,16 @@ class TestEstimates:
         assert est.se["key_rate"] == pytest.approx(1e8 * est.se["p_eff_one"], rel=1e-12)
         assert rep.clamp_rate == 0.0
 
+    def test_outcome_counts(self):
+        ctx = make_context(mu_t=5.0, mu_b=0.05)  # every outcome occurs
+        rep = run(ctx, N, seed=11)
+        est, counts = rep.estimates, dict(zip(OUTCOMES, rep.outcomes))
+        assert sum(rep.outcomes) == N and min(rep.outcomes) > 0
+        assert counts["s1"] / N == est.p_s1 and counts["s3"] / N == est.p_s3
+        assert (counts["s2_ok"] + counts["s2_err"]) / N == est.p_s2
+        assert est.qber == counts["s2_err"] / (counts["s1"] + counts["s2_ok"] + counts["s2_err"] + counts["s3"])
+        assert counts["s1"] + counts["s3"] <= round(est.p_detect * N)  # kept signal bits were detected
+
     def test_qber_bounds_with_enough_bits(self, baseline_ctx):
         est = run(baseline_ctx, N, seed=9).estimates
         assert 0.0 <= est.qber <= 0.5
@@ -165,7 +188,7 @@ class TestChannelDraws:
     def test_displacement_matches_rayleigh(self, baseline_ctx):
         rng = np.random.default_rng(12)
         rd, _, _ = _draw_channel(rng, baseline_ctx, 100_000)
-        res = stats.kstest(rd, stats.rayleigh(scale=baseline_ctx.sigma_rd).cdf)
+        res = stats.kstest(rd(np.arange(100_000)), stats.rayleigh(scale=baseline_ctx.sigma_rd).cdf)
         assert res.pvalue > 0.01
 
     def test_fading_matches_gamma_gamma(self, baseline_ctx):
@@ -179,35 +202,37 @@ class TestChannelDraws:
 
     def test_fov_acceptance_rate(self, baseline_ctx):
         rng = np.random.default_rng(14)
-        _, _, accept = _draw_channel(rng, baseline_ctx, 200_000)
+        _, _, accepted = _draw_channel(rng, baseline_ctx, 200_000)
         target = baseline_ctx.p_fov
         se = math.sqrt(target * (1.0 - target) / 200_000)
-        assert abs(accept.mean() - target) < 3.0 * se
+        assert abs(accepted.size / 200_000 - target) < 3.0 * se
 
     def test_force_hooks_pin_values(self, baseline_ctx, monkeypatch):
         free = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000)
         pin_channel(monkeypatch, rd=0.02, eta=1.5, fov=False)
-        state, sig, n_b, rd, eta, accept, cand = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000)
-        assert np.all(rd == 0.02) and np.all(eta == 1.5) and not accept.any()
-        assert not sig.any() and not cand.any()
+        rd, eta, accepted = montecarlo._draw_channel(np.random.default_rng(15), baseline_ctx, 1000)
+        assert np.all(rd(np.arange(1000)) == 0.02) and np.all(eta == 1.5) and accepted.size == 0
+        counts, detected, n_b, cand = _draw_slots(np.random.default_rng(15), baseline_ctx, 1000)
+        assert detected.size == 0 and cand.size == 0 and counts[OUTCOMES.index("s1")] == 0
         assert np.array_equal(n_b, free[2])  # the later draws are not shifted
 
 
 class TestSlotSamples:
     def test_sample_invariants(self, baseline_ctx):
-        rng = np.random.default_rng(16)
+        m = 20_000
         ctx = replace(baseline_ctx, mu_b=0.05)  # boost background to see all outcomes
-        state, detected, n_b, rd, eta, accept, cand = _draw_slots(rng, ctx, 20_000)
-        outcome = np.asarray(_STATE_OUTCOME)[state]
-        assert np.all(n_b >= 0) and np.all(rd >= 0) and np.all(eta > 0)
-        assert not np.any(detected & ~accept)  # no detection outside the FoV
-        assert not np.any(detected & ~cand) and not np.any(cand & ~accept)
-        error = outcome == "bit_error"
-        assert np.all(~detected[error] & (n_b[error] == 1))
-        assert np.all(outcome[n_b >= 2] == "discarded_multi")
-        assert np.all(outcome[~detected & (n_b == 0)] == "no_bit")
-        assert np.all(outcome[detected & (n_b == 0)] == "bit_ok")
-        assert set(outcome) == set(_STATE_OUTCOME)  # every branch above is exercised
+        rd, eta, accepted = _draw_channel(np.random.default_rng(16), ctx, m)  # the same channel draws
+        counts, detected, n_b, cand = _draw_slots(np.random.default_rng(16), ctx, m)
+        none, s1, s2_ok, s2_err, s3, multi = counts
+        assert np.all(n_b >= 0) and np.all(rd(np.arange(m)) >= 0) and np.all(eta > 0)
+        assert np.isin(detected, cand).all() and np.isin(cand, accepted).all()  # none outside the FoV
+        dark = n_b[detected] == 0
+        assert s1 == np.count_nonzero(dark)  # signal alone is a kept bit
+        assert s3 <= np.count_nonzero(n_b[detected] == 1)  # the coin keeps some signal + background
+        assert s2_ok + s2_err == np.count_nonzero(n_b == 1) - np.count_nonzero(n_b[detected] == 1)
+        assert none == np.count_nonzero(n_b == 0) - s1  # no count, no bit
+        assert multi >= np.count_nonzero(n_b >= 2)  # multi-counts are discarded
+        assert counts.sum() == m and np.all(counts > 0)  # every outcome is exercised
 
 
 class TestThinning:
@@ -224,11 +249,36 @@ class TestThinning:
     def test_matches_eager_classifier(self, baseline_ctx, monkeypatch, capture):
         monkeypatch.setattr(montecarlo, "capture_exact", capture)
         ctx = replace(baseline_ctx, mu_t=5.0, mu_b=0.05)  # many detections, every state
-        want = eager_draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE)
-        *got, cand = _draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE)
-        for w, g in zip(want, got, strict=True):
-            assert np.array_equal(w, g)
-        assert not np.any(got[1] & ~cand)
+        state, sig, n_b, rd, eta, accept, cand, u = eager_draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE)
+        counts, detected, got_n_b, got_cand = _draw_slots(np.random.default_rng(19), ctx, BATCH_SIZE)
+        assert np.array_equal(counts, np.bincount(state, minlength=len(OUTCOMES)))
+        assert np.array_equal(detected, np.flatnonzero(sig))
+        assert np.array_equal(got_n_b, n_b)
+        assert np.array_equal(got_cand, np.flatnonzero(cand))
+        # thinning decides as a capture value on every slot would
+        t = ctx.eta_atm * ctx.mu_d * capture(rd, ctx.wz, ctx.ra) * eta
+        assert np.array_equal(sig, u < -np.expm1(-ctx.mu_t * np.where(accept, t, 0.0)))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(mu_b=100.0),  # every slot a multi-count
+            dict(Ng=2, wz=0.005, ra=1.5, mu_t=5.0, sigma_theta_e=1e-3),
+            dict(theta_fov=2e-3, mu_b=0.05),
+            dict(theta_fov=5e-7),  # almost no slot inside the FoV
+            dict(theta_fov=5e-6, sigma_aoa=5e-6, mu_t=5.0, mu_b=0.3),
+        ],
+        ids=["mu_b=100", "grid_corner", "fov=2mrad", "fov=0.5urad", "fov=sigma_aoa"],
+    )
+    def test_matches_eager_classifier_over_the_box(self, overrides):
+        ctx = make_context(**overrides)
+        for seed, m in ((23, BATCH_SIZE), (24, 1001)):
+            state, sig, n_b, *_, cand, _ = eager_draw_slots(np.random.default_rng(seed), ctx, m)
+            counts, detected, got_n_b, got_cand = _draw_slots(np.random.default_rng(seed), ctx, m)
+            assert np.array_equal(counts, np.bincount(state, minlength=len(OUTCOMES)))
+            assert np.array_equal(detected, np.flatnonzero(sig))
+            assert np.array_equal(got_n_b, n_b)
+            assert np.array_equal(got_cand, np.flatnonzero(cand))
 
     def test_capture_evals_counts_candidates(self, baseline_ctx):
         n = 2 * BATCH_SIZE + 1001
@@ -236,9 +286,40 @@ class TestThinning:
         children = np.random.SeedSequence(21).spawn(3)
         sizes = (BATCH_SIZE, BATCH_SIZE, 1001)
         cands = [_draw_slots(np.random.default_rng(ss), baseline_ctx, m)[-1] for ss, m in zip(children, sizes)]
-        assert rep.capture_evals == sum(np.count_nonzero(c) for c in cands)
+        assert rep.capture_evals == sum(c.size for c in cands)
         assert round(rep.estimates.p_detect * n) <= rep.capture_evals < n // 10
         assert run(baseline_ctx, n, seed=21, workers=2) == rep
+
+
+class TestFovEdge:
+    @pytest.mark.parametrize(
+        "sigma, theta",
+        [(50e-6, 100e-6), (5e-6, 2e-3), (2e-3, 5e-7), (1.0881962243116861e-05, 7.038718597875943e-05), (3e-5, 3e-5)],
+    )
+    def test_band_decides_as_hypot(self, sigma, theta):
+        # (z0, z1) within a few ulps of the circle of radius theta/sigma: the
+        # squared-norm test alone cannot tell these apart, so each is decided
+        # by np.hypot in the band, and must be decided as the scaled normals
+        # np.hypot(sigma z0, sigma z1) <= theta would be
+        rng = np.random.default_rng(25)
+        r = theta / sigma
+        phi = rng.uniform(0.0, 2.0 * np.pi, 4000)
+        z = np.stack((r * np.cos(phi), r * np.sin(phi)))
+        z[:, :4] = [[r, 0.0, -r, 0.0], [0.0, r, 0.0, -r]]  # on the axes
+        z += rng.integers(-4, 5, z.shape) * np.spacing(z)
+        inside = np.hypot(sigma * z[0], sigma * z[1]) <= theta
+        assert np.array_equal(_fov_accepted(z, sigma, theta), np.flatnonzero(inside))
+        q, r2 = z[0] * z[0] + z[1] * z[1], r * r
+        assert np.all(np.abs(q - r2) <= 1e-12 * r2)  # every pair is in the band
+        assert 0 < np.count_nonzero(inside) < z.shape[1]  # on both sides of the edge
+        assert np.any((q <= r2) != inside)  # where the squared norm alone decides wrongly
+
+    def test_matches_hypot_off_the_edge(self):
+        rng = np.random.default_rng(26)
+        z = rng.standard_normal((2, BATCH_SIZE))
+        for sigma, theta in ((50e-6, 100e-6), (5e-6, 2e-3), (2e-3, 5e-7), (5e-6, 5e-6)):
+            want = np.flatnonzero(np.hypot(sigma * z[0], sigma * z[1]) <= theta)
+            assert np.array_equal(_fov_accepted(z, sigma, theta), want)
 
 
 # sha256 of repr(McReport.estimates), recorded with the eager classifier
