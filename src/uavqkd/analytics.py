@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .beam import _CHUNK, _OVERFLOW, CaptureGrid, _grid_sum, _warn_overflow, capture_exact, capture_grid
+from .beam import _CHUNK, _OVERFLOW, CaptureGrid, _warn_overflow, capture_exact, capture_grid
 from .channel import fov_accept_prob
 from .errors import LinearizationWarning
 
@@ -62,9 +62,10 @@ class AnalyticContext:
     spread.
 
     For P points, ``sigma_rd``, ``theta_fov``, ``sigma_aoa`` and ``mu_b`` are
-    arrays of shape (P,), and so are the grid's ``wz`` and ``mu_p0`` when the
-    points differ in wz (its ``weights`` are then P x N_g); the other fields
-    are shared. ``shape`` is () for one point and (P,) for P points.
+    arrays of shape (P,), and so are the grid's ``wz``, ``mu_p0`` and
+    ``peak`` when the points differ in wz (its ``weights`` are then
+    P x N_g); the other fields are shared. ``shape`` is () for one point
+    and (P,) for P points.
     """
 
     mu_t: float
@@ -85,8 +86,10 @@ class AnalyticContext:
             raise ValueError("mu_t must be > 0")
         if not 0.0 < self.eta_atm <= 1.0 or not 0.0 < self.mu_d <= 1.0:
             raise ValueError("eta_atm and mu_d must be in (0, 1]")
-        if self.T_qs <= 0:
+        if not self.T_qs > 0:
             raise ValueError("T_qs must be > 0")
+        if not (self.alpha > 0 and self.beta > 0):
+            raise ValueError("alpha and beta must be > 0")
         if not all(_all(v > 0.0) for v in (self.sigma_rd, self.theta_fov, self.sigma_aoa)):
             raise ValueError("sigma_rd, theta_fov and sigma_aoa must be > 0")
         if not _all(self.mu_b >= 0.0):
@@ -248,25 +251,6 @@ def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray)
     return out * (wz * wz / s2)
 
 
-def _grid_mu_p0(ctx: AnalyticContext, wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grid mu_p(0) of each point, and the largest grid capture value seen
-    at rd = 0 or, where segments are wider than the beam, at any segment
-    centre (the grid sum is then a row of spikes peaking at the centres)."""
-    grid = ctx.grid
-    mu_p0 = peak = _col(ctx, grid.mu_p0)
-    spikes = grid.dx > wz
-    if spikes.any():
-        mu_p0, peak = mu_p0.copy(), mu_p0.copy()
-        x = grid.centers
-        probe = np.concatenate(([0.0], x[x > 0.0]))
-        c = np.broadcast_to(grid.weights, (wz.size, grid.ng))
-        for w in np.unique(wz[spikes]):  # points of one wz share their grid
-            k = np.flatnonzero(wz == w)
-            vals = _grid_sum(x, c[k[0]], w, grid.dx, probe)
-            mu_p0[k], peak[k] = vals[0], vals.max()
-    return mu_p0, peak
-
-
 def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     """Per-slot detection probability, averaged over the Rayleigh displacement.
 
@@ -317,7 +301,7 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
         mu_p0 = _each(lambda w: capture_exact(0.0, w, ctx.ra), wz)
         peak = mu_p0  # exact capture never exceeds 1 + 1e-6
     else:
-        mu_p0, peak = _grid_mu_p0(ctx, wz)
+        mu_p0, peak = _col(ctx, ctx.grid.mu_p0), _col(ctx, ctx.grid.peak)
     for over, lin in zip(peak.tolist(), (ctx.c_pt * mu_p0).tolist()):
         if over > _OVERFLOW:
             _warn_overflow(over)

@@ -131,11 +131,14 @@ class CaptureGrid:
     arrays make field-wise equality and hashing meaningless, so grids
     compare by identity (``build_grid`` caches one per (ra, wz, Ng)).
     ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
-    returns it, kept with the grid for the linearization check.
+    returns it, kept with the grid for the linearization check, and
+    ``peak`` the largest grid sum at rd = 0 and, where dx > wz (a row of
+    spikes peaking at the segment centres), at every positive segment
+    centre: the value the overflow check of ``detect_prob`` reads.
 
     A context of P points that differ in wz holds one grid of P rows
     (``_grid_rows``):
-    ``wz`` and ``mu_p0`` of shape (P,), ``weights`` of shape (P, N_g),
+    ``wz``, ``mu_p0`` and ``peak`` of shape (P,), ``weights`` of shape (P, N_g),
     ``ra``, ``ng``, ``dx`` and ``centers`` shared. ``capture_grid`` takes a
     grid of one point.
     """
@@ -147,6 +150,7 @@ class CaptureGrid:
     centers: np.ndarray
     weights: np.ndarray
     mu_p0: float
+    peak: float
 
 
 @lru_cache(maxsize=256)
@@ -161,18 +165,21 @@ def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
     if not ra > 0 or not wz > 0:
         raise ValueError("build_grid requires ra > 0 and wz > 0")
     rows = _grid_rows(ra, np.array([wz], dtype=float), ng)
-    return CaptureGrid(ra, wz, ng, rows.dx, rows.centers, rows.weights[0], float(rows.mu_p0[0]))
+    mu_p0, peak = float(rows.mu_p0[0]), float(rows.peak[0])
+    return CaptureGrid(ra, wz, ng, rows.dx, rows.centers, rows.weights[0], mu_p0, peak)
 
 
 def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
     """The capture grid of each beam radius in the array ``wz`` (> 0), as
     one grid of len(wz) rows sharing ra, N_g and the segment centres.
 
-    Each distinct wz is computed once. Its ``mu_p0`` is ``_grid_sum`` at
-    rd = 0: where the 9 wz window covers every segment, the same dense
-    arithmetic for all rows at once, with one dot product per row, so a row
-    does not depend on the others. The grid holds len(wz) x N_g weights,
-    so callers bound len(wz) (a sweep passes at most max(1, _CHUNK // N_g)).
+    Each distinct wz is computed once. Its ``mu_p0`` and ``peak`` are
+    ``_grid_sum`` at rd = 0 and its largest value at the probe (rd = 0 and,
+    where dx > wz, every positive segment centre). Where the 9 wz window
+    covers every segment and dx <= wz, that is the same dense arithmetic
+    for all rows at once, one dot product per row, so a row does not depend
+    on the others. The grid holds len(wz) x N_g weights, so callers bound
+    len(wz) (a sweep passes at most max(1, _CHUNK // N_g)).
     """
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
@@ -184,18 +191,23 @@ def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
     d = centers * centers * -2.0 / np.array([w**2 for w in row])[:, None]
     np.exp(d, out=d)
     mu_p0 = np.matmul(d[:, None, :], weights[..., None])[:, 0, 0]
-    for i in np.flatnonzero(np.ceil(18.0 * col[:, 0] / dx) + 2 < ng):  # windowed rows
-        mu_p0[i] = _grid_sum(centers, weights[i], float(col[i, 0]), dx, np.zeros(1))[0]
+    peak = mu_p0.copy()
+    for i in np.flatnonzero((np.ceil(18.0 * col[:, 0] / dx) + 2 < ng) | (dx > col[:, 0])):  # windowed or spiked
+        w = float(col[i, 0])
+        probe = np.concatenate(([0.0], centers[centers > 0.0])) if dx > w else np.zeros(1)
+        vals = _grid_sum(centers, weights[i], w, dx, probe)
+        mu_p0[i], peak[i] = vals[0], vals.max()
     if len(row) < wz.size:
         index = [row[w] for w in wz.tolist()]
-        weights, mu_p0 = weights[index], mu_p0[index]
+        weights, mu_p0, peak = weights[index], mu_p0[index], peak[index]
     weights.setflags(write=False)
-    return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights, mu_p0=mu_p0)
+    return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights, mu_p0=mu_p0, peak=peak)
 
 
 def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray) -> np.ndarray:
     """sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) for a flat array ``rd``: the
-    grid model's one kernel, behind ``capture_grid`` and ``CaptureGrid.mu_p0``."""
+    grid model's one kernel, behind ``capture_grid``, ``CaptureGrid.mu_p0``
+    and ``CaptureGrid.peak``."""
     ng = x.size
     wz2 = wz**2
     k = min(ng, math.ceil(18.0 * wz / dx) + 2)  # segments within 9 wz

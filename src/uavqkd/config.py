@@ -203,7 +203,8 @@ def _check_range(key: str, value) -> None:
 
 
 def loads(text: str) -> LinkConfig:
-    """Parse a config string; unknown keys and bad units are errors."""
+    """Parse a config string; unknown keys and bad units are errors. Every
+    line is parsed before ``validate`` range-checks each set field once."""
     overrides: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,7 +227,6 @@ def loads(text: str) -> LinkConfig:
             parsed = val
         else:
             parsed = parse_quantity(val, kind, field=f"line {lineno}: {key}")
-        _check_range(key, parsed)
         overrides[key] = parsed
     # A file that supplies alpha_a without eta_atm asks for derivation.
     if "alpha_a" in overrides and "eta_atm" not in overrides:

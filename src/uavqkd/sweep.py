@@ -31,7 +31,7 @@ import numpy as np
 from . import analytics, montecarlo
 from .analytics import PerformanceReport
 from .beam import _CHUNK
-from .config import _FIELD_NAMES, LinkConfig, _check_range, _derive, build_context, validate
+from .config import _FIELD_NAMES, LinkConfig, _check_range, _derive, validate
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "SweepResult", "OptimizeResult", "sweep", "optimize"]
 
@@ -39,6 +39,8 @@ SWEEPABLE = ("wz", "sigma_theta_e", "sigma_aoa", "theta_fov", "B_lambda")
 OPTIMIZABLE = ("wz", "theta_fov")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_COARSE = 64  # points of optimize's coarse global grid
+_TOL = 1e-6  # optimize's final golden-section bracket, relative to max(hi - lo, 1)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
             rows.append(SweepRow(v, ov, analytic[k]))
         if run_mc:
             try:
-                ctx = build_context(_point_config(base, spec, v, ov))
+                ctx = _derive(_point_config(base, spec, v, ov))  # validated by _checked_first_point
             except ValueError as exc:
                 raise _point_error(spec, v, ov, exc) from exc
             seed = int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -190,18 +192,13 @@ class OptimizeResult:
     qber_max: float
 
 
-def optimize(
-    base: LinkConfig,
-    variable: str,
-    qber_max: float,
-    bounds: tuple[float, float],
-    coarse: int = 64,
-    tol: float = 1e-6,
-) -> OptimizeResult:
+def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[float, float]) -> OptimizeResult:
     """Maximize analytic key rate in one variable subject to qber <= qber_max.
 
-    Unimodality is not guaranteed a priori, so a coarse global grid seeds a
-    golden-section refinement around the best feasible bracket.
+    Unimodality is not guaranteed a priori, so a coarse global grid of
+    _COARSE points seeds a golden-section refinement around the best
+    feasible bracket. The config at lo is validated and hi range-checked;
+    every point evaluated lies in [lo, hi], so none is checked again.
     """
     if variable not in OPTIMIZABLE:
         raise ValueError(f"variable must be one of {OPTIMIZABLE}")
@@ -212,14 +209,12 @@ def optimize(
         raise ValueError("bounds must satisfy lo < hi")
 
     # the coarse grid is one array pass; each golden-section step one point
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, _COARSE)
     cfg = replace(base, **{variable: float(xs[0])})
     validate(cfg)
-    for x in xs.tolist():
-        _check_range(variable, x)
+    _check_range(variable, hi)
 
     def at(x: float) -> PerformanceReport:
-        _check_range(variable, x)
         return _analytic_reports(cfg, {variable: np.array([x])})[0]
 
     reports = _analytic_reports(cfg, {variable: xs})
@@ -229,15 +224,15 @@ def optimize(
         i = int(np.argmin([r.qber for r in reports]))
         return OptimizeResult(variable, float(xs[i]), reports[i], False, qber_max)
 
-    best = max((i for i in range(coarse) if feas[i]), key=lambda i: reports[i].key_rate)
+    best = max((i for i in range(_COARSE) if feas[i]), key=lambda i: reports[i].key_rate)
     best_x, best_r = float(xs[best]), reports[best]
 
     # Golden-section on the bracket around the best grid point; infeasible
     # candidates simply never displace the incumbent.
-    a, b = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, coarse - 1)])
+    a, b = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, _COARSE - 1)])
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     rc, rd_ = at(c), at(d)
-    while b - a > tol * max(abs(hi - lo), 1.0):
+    while b - a > _TOL * max(abs(hi - lo), 1.0):
         fc = rc.key_rate if rc.qber <= qber_max else -math.inf
         fd = rd_.key_rate if rd_.qber <= qber_max else -math.inf
         if fc > best_r.key_rate:

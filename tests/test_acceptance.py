@@ -150,13 +150,13 @@ def test_criterion_4_analytic_mc_cross_validation(label, overrides):
 def test_criterion_5_headline_key_rate_and_qber():
     with criterion("5: optimized waist hits >2 Mbps at <1e-3 QBER; heavy jitter kills it", 30.0):
         base = make_config()
-        good = optimize(base, "wz", 1e-3, (0.05, 1.0), coarse=32)
+        good = optimize(base, "wz", 1e-3, (0.05, 1.0))
         assert good.feasible
         assert good.report.key_rate > 2e6
         assert good.report.qber < 1e-3
 
         shaky = replace(base, sigma_theta_e=2e-3)
-        bad = optimize(shaky, "wz", 0.499, (0.05, 1.0), coarse=32)
+        bad = optimize(shaky, "wz", 0.499, (0.05, 1.0))
         assert bad.report.key_rate < 1e5
         assert bad.report.qber > 0.1
 
@@ -226,7 +226,7 @@ def test_criterion_7_fov_tradeoff_shape():
         # recommended FoV (feasible argmax, or least-bad point when the
         # ceiling is unattainable) must shrink.
         opts = {
-            b: optimize(make_config(theta_fov=None, B_lambda=b), "theta_fov", 1e-3, (5e-6, 200e-6), coarse=32)
+            b: optimize(make_config(theta_fov=None, B_lambda=b), "theta_fov", 1e-3, (5e-6, 200e-6))
             for b in (1e-6, 1e-4)
         }
         assert opts[1e-4].value < opts[1e-6].value

@@ -84,6 +84,15 @@ class TestContext:
                 with pytest.raises(ValueError, match=field):
                     replace(baseline_ctx, **{field: bad})
 
+    def test_rejects_nan_slot_time_and_nonpositive_fading_shapes(self, baseline_ctx):
+        # a NaN T_qs gave a NaN key rate, alpha or beta <= 0 a NaN averaged p_detect
+        with pytest.raises(ValueError, match="T_qs"):
+            replace(baseline_ctx, T_qs=math.nan)
+        for field in ("alpha", "beta"):
+            for bad in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="alpha and beta"):
+                    replace(baseline_ctx, **{field: bad})
+
 
 class TestDetectProb:
     def test_collapses_to_conditional_at_tiny_jitter(self, baseline_ctx):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import log_uniform_field
 from uavqkd.beam import (
+    _grid_rows,
     beam_radius,
     build_grid,
     capture_classical,
@@ -306,6 +307,33 @@ class TestCaptureGrid:
             warnings.simplefilter("ignore", CaptureOverflowWarning)
             assert grid.mu_p0 == capture_grid(grid, 0.0)
         assert isinstance(grid.mu_p0, float)
+
+    @pytest.mark.parametrize(
+        "ng,ra,wz", [(2, 1.5, 0.005), (3, RA, 0.05), (100, 1.5, 0.005), (10, RA, 0.10), (20_000, 1.5, 0.005)]
+    )
+    def test_peak_is_the_largest_probed_grid_sum(self, ng, ra, wz):
+        # segments wider than the beam: the grid sum is a row of spikes, so
+        # peak is its largest value at rd = 0 and the positive centres
+        grid = build_grid(ra, wz, ng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CaptureOverflowWarning)
+            if grid.dx > wz:
+                probe = np.concatenate(([0.0], grid.centers[grid.centers > 0.0]))
+                assert grid.peak == capture_grid(grid, probe).max()
+                assert grid.peak >= grid.mu_p0
+            else:
+                assert grid.peak == grid.mu_p0
+        assert isinstance(grid.peak, float)
+
+    @pytest.mark.parametrize("ng", [2, 100, 20_000])
+    def test_rows_equal_the_grids_of_one_point(self, ng):
+        wz = np.array([0.005, 0.1, 0.005, 2.0, 0.03])
+        rows = _grid_rows(1.5, wz, ng)
+        for k, w in enumerate(wz.tolist()):
+            one = build_grid(1.5, w, ng)
+            assert np.array_equal(rows.weights[k], one.weights)
+            assert (rows.mu_p0[k], rows.peak[k]) == (one.mu_p0, one.peak)
+            assert np.array_equal(rows.centers, one.centers) and rows.dx == one.dx
 
     def test_cached_mu_p0_covers_the_windowed_path(self):
         # the parameter grid above reaches the windowed sum: fewer segments

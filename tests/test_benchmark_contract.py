@@ -112,3 +112,16 @@ def test_mc_validate_steps_run_under_the_trace_hooks(tmp_path):
     assert tracer.counts["montecarlo.run.slots"] == 2 * wl.n_slots
     assert tracer.counts["channel.gg_sample.draws"] == 2 * wl.n_slots
     assert not any(".raised." in key for key in tracer.counts)
+
+
+def test_attribution_round_runs_under_the_trace_hooks(tmp_path):
+    """Eight tiny attribution points under the trace hooks, the N_g=2
+    corner (wz = 5 mm, ra = 1.5 m) among them: capture tables, the
+    exact-mode ``evaluate`` and the averaged ``detect_prob`` at each, none
+    failing and none raising."""
+    tracer, tally, wl = traced_steps("Attribution", 8, tmp_path)
+    assert any((p["Ng"], p["wz"], p["ra"]) == (2, 0.005, 1.5) for p in map(wl.point, range(8)))
+    # a point: the config, wl.table scalar and one array capture_exact, capture_grid and two evaluations
+    assert (tally.attempted, tally.failed) == (8 * (wl.table + 5), 0), tally.unexplained
+    assert tracer.calls()["analytics.detect_prob_averaged"] == 8
+    assert not any(".raised." in key for key in tracer.counts)

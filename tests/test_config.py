@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavqkd import config
 from uavqkd.config import (
+    _FIELD_NAMES,
     LinkConfig,
     _check_range,
     build_context,
@@ -102,6 +105,22 @@ class TestLoads:
             loads("mu_t = -1")
         with pytest.raises(ConfigError, match="range"):
             loads("T_qs = 1 ms")
+
+    def test_parse_error_wins_over_an_earlier_range_error(self):
+        # every line is parsed before any value is range-checked
+        with pytest.raises(ConfigError, match="line 2: mu_t: cannot parse"):
+            loads("wz = 50 m\nmu_t = abc")
+
+    def test_each_set_field_range_checked_once_by_validate(self, monkeypatch):
+        seen = []
+
+        def check(key, value):
+            seen.append((key, sys._getframe(1).f_code.co_name))
+            _check_range(key, value)
+
+        monkeypatch.setattr(config, "_check_range", check)
+        cfg = loads("wz = 7 cm\nmu_t = 0.4\ntheta_fov = 100 urad")
+        assert seen == [(name, "validate") for name in _FIELD_NAMES if getattr(cfg, name) is not None]
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):

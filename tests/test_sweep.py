@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
 
 _FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
 RTOL = 1e-14  # the array pass against the same point evaluated alone
+sweep_module = importlib.import_module("uavqkd.sweep")  # the package's ``sweep`` is the function
 
 
 def _recorded(fn):
@@ -244,6 +246,22 @@ class TestArrayPass:
         for got, rep in zip(analytic, want):
             _assert_close(got, rep)
 
+    def test_engine_both_validates_once(self, baseline_cfg, monkeypatch):
+        # the first point's validation and the range checks of the swept
+        # values cover every point, the Monte Carlo points too
+        calls = []
+        validate = config.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(config, "validate", counted)
+        monkeypatch.setattr(sweep_module, "validate", counted)
+        spec = SweepSpec("wz", (0.05, 0.1), "sigma_aoa", (50e-6, 100e-6), engine="both")
+        assert len(sweep(replace(baseline_cfg, n_slots=1_000), spec).rows) == 8
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "spec,message",
         [
@@ -292,14 +310,14 @@ class TestArrayPass:
 class TestOptimize:
     def test_inactive_constraint_in_the_dark(self, baseline_cfg):
         cfg = replace(baseline_cfg, B_lambda=0.0)
-        result = optimize(cfg, "wz", 1e-3, (0.05, 1.0), coarse=24)
+        result = optimize(cfg, "wz", 1e-3, (0.05, 1.0))
         assert result.feasible
         assert result.report.qber == 0.0
         # with no background the objective is detection alone: small waist wins
         assert result.value < 0.10
 
     def test_reference_waist_optimum(self, baseline_cfg):
-        result = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0), coarse=32)
+        result = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0))
         assert result.feasible
         assert result.value < 0.10
         assert result.report.key_rate > 2e6
@@ -307,7 +325,7 @@ class TestOptimize:
 
     def test_infeasible_returns_min_qber_point(self, baseline_cfg):
         cfg = replace(baseline_cfg, B_lambda=1e-4, theta_fov=None)
-        result = optimize(cfg, "theta_fov", 1e-9, (5e-6, 200e-6), coarse=24)
+        result = optimize(cfg, "theta_fov", 1e-9, (5e-6, 200e-6))
         assert not result.feasible
         assert isinstance(result, OptimizeResult)
         # QBER rises with FoV here, so the least-bad point is the lower bound
@@ -315,9 +333,13 @@ class TestOptimize:
         assert result.report.qber > 1e-9
 
     def test_refinement_never_hurts(self, baseline_cfg):
-        coarse = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0), coarse=8)
-        fine = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0), coarse=64)
-        assert fine.report.key_rate >= coarse.report.key_rate * (1.0 - 1e-9)
+        # the optimum beats every feasible point of the 64-point coarse grid,
+        # each evaluated on its own config
+        result = optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0))
+        coarse = [build_context(replace(baseline_cfg, wz=x)) for x in np.linspace(0.05, 1.0, 64)]
+        best = max(r.key_rate for r in map(analytics.evaluate, coarse) if r.qber <= 1e-3)
+        assert result.feasible
+        assert result.report.key_rate >= best * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("variable,bounds", [("wz", (0.05, 1.0)), ("theta_fov", (10e-6, 500e-6))])
     def test_optimum_matches_the_point_evaluated_alone(self, baseline_cfg, variable, bounds):
@@ -329,6 +351,20 @@ class TestOptimize:
     def test_out_of_range_bounds_raise_the_config_error(self, baseline_cfg):
         with pytest.raises(ValueError, match=r"wz: value 0.001 outside allowed range"):
             optimize(baseline_cfg, "wz", 1e-3, (1e-3, 1.0))
+        with pytest.raises(ValueError, match=r"wz: value 20.0 outside allowed range"):
+            optimize(baseline_cfg, "wz", 1e-3, (0.05, 20.0))
+
+    def test_range_checks_hi_once_and_no_golden_section_point(self, baseline_cfg, monkeypatch):
+        seen = []
+        check = sweep_module._check_range
+
+        def counted(key, value):
+            seen.append((key, value))
+            check(key, value)
+
+        monkeypatch.setattr(sweep_module, "_check_range", counted)
+        optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0))
+        assert seen == [("wz", 1.0)]
 
     def test_validation(self, baseline_cfg):
         with pytest.raises(ValueError):
