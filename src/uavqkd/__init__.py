@@ -8,6 +8,6 @@ from .channel import atm_transmittance, background_mean, fov_accept_prob, fov_ge
 from .config import LinkConfig, build_context, load_config
 from .errors import ConfigError, LinearizationWarning, NumericError
 from .montecarlo import McReport, run
-from .sweep import OptimizeResult, SweepResult, SweepSpec, optimize, sweep
+from .sweep import OptimizeResult, SweepResult, SweepSpec, optimize
 
 __version__ = "0.1.0"

@@ -153,8 +153,8 @@ def _cmd_mc(args, cfg) -> str:
     mc = montecarlo.run(ctx, cfg.n_slots, cfg.seed)
     elapsed = time.perf_counter() - start
     log.info(
-        "mc: slots=%d batches=%d clamp_rate=%.6g capture_share=%.6g %s slots_per_s=%.4g",
-        mc.n_slots, mc.batches, mc.clamp_rate, mc.capture_evals / mc.n_slots,
+        "mc: slots=%d batches=%d capture_share=%.6g %s slots_per_s=%.4g",
+        mc.n_slots, mc.batches, mc.capture_evals / mc.n_slots,
         " ".join(f"{name}={n}" for name, n in zip(montecarlo.OUTCOMES, mc.outcomes)), mc.n_slots / elapsed,
     )
     return output.emit(mc.estimates, args.format)

@@ -15,10 +15,12 @@ between points is ``build_grid``'s cache of immutable grids, keyed by
 equal to the same point evaluated alone. Monte Carlo points keep a
 context each and run on seeds spawned from the config seed, one per
 point; a sweep that runs no Monte Carlo spawns none. The optimizer maximizes
-the analytic key rate under a QBER ceiling with a coarse global grid
-followed by golden-section refinement; Monte Carlo is intentionally not
-part of the objective (its noise breaks a line search) and is meant for
-post-hoc validation of the chosen optimum.
+the analytic key rate under a QBER ceiling with array passes too: a coarse
+global grid, then grids of a few points that narrow the bracket around the
+best feasible point until the grid step falls below a fixed share of the
+bounds; Monte Carlo is intentionally not part of the objective (its noise
+breaks a line search) and is meant for post-hoc validation of the chosen
+optimum.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "SweepResult", "OptimizeResult"
 SWEEPABLE = ("wz", "sigma_theta_e", "sigma_aoa", "theta_fov", "B_lambda")
 OPTIMIZABLE = ("wz", "theta_fov")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE = 64  # points of optimize's coarse global grid
-_TOL = 1e-6  # optimize's final golden-section bracket, relative to max(hi - lo, 1)
+_REFINE = 8  # interior points of each of optimize's narrowing passes
+_TOL = 1e-6  # optimize's final grid step, relative to hi - lo
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,13 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
     """Maximize analytic key rate in one variable subject to qber <= qber_max.
 
     Unimodality is not guaranteed a priori, so a coarse global grid of
-    _COARSE points seeds a golden-section refinement around the best
-    feasible bracket. The config at lo is validated and hi range-checked;
-    every point evaluated lies in [lo, hi], so none is checked again.
+    _COARSE points finds the best feasible point; each further pass then
+    evaluates _REFINE interior points of [best - step, best + step] within
+    the bounds, narrowing the step by at least (_REFINE + 1) / 2, until it
+    is at most _TOL * (hi - lo). Every pass is one array pass, and an
+    infeasible point never displaces the best feasible one. The config at
+    lo is validated and hi range-checked; every point evaluated lies in
+    [lo, hi], so none is checked again.
     """
     if variable not in OPTIMIZABLE:
         raise ValueError(f"variable must be one of {OPTIMIZABLE}")
@@ -208,15 +214,10 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
     if not lo < hi:
         raise ValueError("bounds must satisfy lo < hi")
 
-    # the coarse grid is one array pass; each golden-section step one point
     xs = np.linspace(lo, hi, _COARSE)
     cfg = replace(base, **{variable: float(xs[0])})
     validate(cfg)
     _check_range(variable, hi)
-
-    def at(x: float) -> PerformanceReport:
-        return _analytic_reports(cfg, {variable: np.array([x])})[0]
-
     reports = _analytic_reports(cfg, {variable: xs})
     feas = [r.qber <= qber_max for r in reports]
 
@@ -226,26 +227,13 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
 
     best = max((i for i in range(_COARSE) if feas[i]), key=lambda i: reports[i].key_rate)
     best_x, best_r = float(xs[best]), reports[best]
-
-    # Golden-section on the bracket around the best grid point; infeasible
-    # candidates simply never displace the incumbent.
-    a, b = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, _COARSE - 1)])
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    rc, rd_ = at(c), at(d)
-    while b - a > _TOL * max(abs(hi - lo), 1.0):
-        fc = rc.key_rate if rc.qber <= qber_max else -math.inf
-        fd = rd_.key_rate if rd_.qber <= qber_max else -math.inf
-        if fc > best_r.key_rate:
-            best_x, best_r = c, rc
-        if fd > best_r.key_rate:
-            best_x, best_r = d, rd_
-        if fc >= fd:
-            b, d, rd_ = d, c, rc
-            c = b - _GOLDEN * (b - a)
-            rc = at(c)
-        else:
-            a, c, rc = c, d, rd_
-            d = a + _GOLDEN * (b - a)
-            rd_ = at(d)
+    step = (hi - lo) / (_COARSE - 1)
+    while step > _TOL * (hi - lo):
+        a, b = max(best_x - step, lo), min(best_x + step, hi)
+        xs = np.linspace(a, b, _REFINE + 2)[1:-1]
+        step = (b - a) / (_REFINE + 1)
+        for x, r in zip(xs.tolist(), _analytic_reports(cfg, {variable: xs})):
+            if r.qber <= qber_max and r.key_rate > best_r.key_rate:
+                best_x, best_r = x, r
 
     return OptimizeResult(variable, best_x, best_r, True, qber_max)

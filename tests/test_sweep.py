@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 import warnings
@@ -10,13 +9,13 @@ import pytest
 
 from conftest import make_config
 from uavqkd import analytics, config, montecarlo
+from uavqkd import sweep as sweep_module
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
 from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
 
 _FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
 RTOL = 1e-14  # the array pass against the same point evaluated alone
-sweep_module = importlib.import_module("uavqkd.sweep")  # the package's ``sweep`` is the function
 
 
 def _recorded(fn):
@@ -354,7 +353,7 @@ class TestOptimize:
         with pytest.raises(ValueError, match=r"wz: value 20.0 outside allowed range"):
             optimize(baseline_cfg, "wz", 1e-3, (0.05, 20.0))
 
-    def test_range_checks_hi_once_and_no_golden_section_point(self, baseline_cfg, monkeypatch):
+    def test_range_checks_hi_once_and_no_refinement_point(self, baseline_cfg, monkeypatch):
         seen = []
         check = sweep_module._check_range
 
@@ -365,6 +364,40 @@ class TestOptimize:
         monkeypatch.setattr(sweep_module, "_check_range", counted)
         optimize(baseline_cfg, "wz", 1e-3, (0.05, 1.0))
         assert seen == [("wz", 1.0)]
+
+    @pytest.mark.parametrize("qber_max,bounds", [(4.2e-4, (5e-6, 30e-6)), (1e-3, (5e-6, 200e-6))])
+    def test_theta_fov_optimum_reaches_the_qber_ceiling(self, qber_max, bounds):
+        # key rate rises and QBER rises with FoV here, so the optimum is the
+        # FoV at which QBER meets the ceiling, found apart by bisection; the
+        # search's stop rule is relative to the bounds, so it refines even
+        # when hi - lo is far below 1
+        cfg = LinkConfig(theta_fov=None, B_lambda=1e-6)
+
+        def excess(x):
+            return analytics.evaluate(build_context(replace(cfg, theta_fov=x))).qber - qber_max
+
+        lo, hi = bounds
+        assert excess(lo) < 0.0 < excess(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) <= 0.0 else (lo, mid)
+        result = optimize(cfg, "theta_fov", qber_max, bounds)
+        assert result.feasible
+        assert abs(result.value - lo) <= 1e-5 * (bounds[1] - bounds[0])
+
+    @pytest.mark.parametrize("variable,bounds", [("wz", (0.05, 1.0)), ("theta_fov", (5e-6, 200e-6))])
+    def test_makes_only_array_passes(self, baseline_cfg, monkeypatch, variable, bounds):
+        shapes = []
+        evaluate = sweep_module.analytics.evaluate
+
+        def counted(ctx):
+            shapes.append(ctx.shape)
+            return evaluate(ctx)
+
+        monkeypatch.setattr(sweep_module.analytics, "evaluate", counted)
+        optimize(baseline_cfg, variable, 1e-3, bounds)
+        assert 0 < len(shapes) <= 10
+        assert all(shape != () for shape in shapes)
 
     def test_validation(self, baseline_cfg):
         with pytest.raises(ValueError):
