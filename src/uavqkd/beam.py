@@ -173,33 +173,31 @@ def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
     """The capture grid of each beam radius in the array ``wz`` (> 0), as
     one grid of len(wz) rows sharing ra, N_g and the segment centres.
 
-    Each distinct wz is computed once. Its ``mu_p0`` and ``peak`` are
-    ``_grid_sum`` at rd = 0 and its largest value at the probe (rd = 0 and,
-    where dx > wz, every positive segment centre). Where the 9 wz window
-    covers every segment and dx <= wz, that is the same dense arithmetic
-    for all rows at once, one dot product per row, so a row does not depend
-    on the others. The grid holds len(wz) x N_g weights, so callers bound
-    len(wz) (a sweep passes at most max(1, _CHUNK // N_g)).
+    Each row's ``mu_p0`` and ``peak`` are ``_grid_sum`` at rd = 0 and its largest
+    value at the probe (rd = 0 and, where dx > wz, every positive segment
+    centre). Where the 9 wz window covers every segment and dx <= wz, that
+    is the same dense arithmetic for all rows at once, one dot product per
+    row, so a row does not depend on the others. The grid holds len(wz) x
+    N_g weights, so callers bound len(wz) (a sweep passes at most
+    max(1, _CHUNK // N_g)).
     """
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
     centers.setflags(write=False)
     chord = np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
-    row = {w: i for i, w in enumerate(dict.fromkeys(wz.tolist()))}  # distinct wz, first-seen order
-    col = np.array(list(row))[:, None]
+    col = wz[:, None]
     weights = (2.0 * dx / (math.sqrt(2.0 * math.pi) * col)) * special.erf(np.sqrt(2.0 / (col * col)) * chord)
-    d = centers * centers * -2.0 / np.array([w**2 for w in row])[:, None]
+    # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
+    # col**2 is col*col, an ulp off on ~0.1% of radii), so mu_p0 is its sum
+    d = centers * centers * -2.0 / np.float_power(col, 2)
     np.exp(d, out=d)
     mu_p0 = np.matmul(d[:, None, :], weights[..., None])[:, 0, 0]
     peak = mu_p0.copy()
-    for i in np.flatnonzero((np.ceil(18.0 * col[:, 0] / dx) + 2 < ng) | (dx > col[:, 0])):  # windowed or spiked
-        w = float(col[i, 0])
+    for i in np.flatnonzero((np.ceil(18.0 * wz / dx) + 2 < ng) | (dx > wz)):  # windowed or spiked
+        w = float(wz[i])
         probe = np.concatenate(([0.0], centers[centers > 0.0])) if dx > w else np.zeros(1)
         vals = _grid_sum(centers, weights[i], w, dx, probe)
         mu_p0[i], peak[i] = vals[0], vals.max()
-    if len(row) < wz.size:
-        index = [row[w] for w in wz.tolist()]
-        weights, mu_p0, peak = weights[index], mu_p0[index], peak[index]
     weights.setflags(write=False)
     return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights, mu_p0=mu_p0, peak=peak)
 
@@ -258,8 +256,7 @@ def capture_grid(grid: CaptureGrid, rd):
     """
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()
-    if (rd_arr < 0).any():
-        raise ValueError("rd must be >= 0")
+    _check_capture_args(rd_arr, grid.wz, grid.ra)
     vals = _grid_sum(grid.centers, grid.weights, grid.wz, grid.dx, rd_arr)
     if (vals > _OVERFLOW).any():
         _warn_overflow(float(vals.max()))

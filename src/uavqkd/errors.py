@@ -12,10 +12,6 @@ class NumericError(RuntimeError):
     detection averages are closed forms or fixed-node products); it stays
     exported for callers that test for it."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class LinearizationWarning(UserWarning):
     """The small-signal linearization behind the analytic detection

@@ -18,7 +18,7 @@ import json
 from .analytics import PerformanceReport
 from .sweep import SweepResult
 
-__all__ = ["PERF_COLUMNS", "report_rows", "sweep_rows", "render", "emit"]
+__all__ = ["PERF_COLUMNS", "perf_row", "render", "emit"]
 
 PERF_COLUMNS = [
     "axis",
@@ -40,9 +40,16 @@ PERF_COLUMNS = [
 ]
 
 
-def _perf_fields(report: PerformanceReport) -> dict:
+def perf_row(
+    report: PerformanceReport, axis: str = "", axis_value=None, overlay: str = "", overlay_value=None
+) -> dict:
+    """One performance row: the report's fields under the given axis and overlay."""
     se = report.se or {}
     return {
+        "axis": axis,
+        "axis_value": axis_value,
+        "overlay": overlay,
+        "overlay_value": overlay_value,
         "p_detect": report.p_detect,
         "p_s1": report.p_s1,
         "p_s2": report.p_s2,
@@ -56,26 +63,6 @@ def _perf_fields(report: PerformanceReport) -> dict:
         "se_key_rate_bps": se.get("key_rate"),
         "se_qber": se.get("qber"),
     }
-
-
-def report_rows(report: PerformanceReport) -> list[dict]:
-    row = {"axis": "", "axis_value": None, "overlay": "", "overlay_value": None}
-    row.update(_perf_fields(report))
-    return [row]
-
-
-def sweep_rows(result: SweepResult) -> list[dict]:
-    rows = []
-    for r in result.rows:
-        row = {
-            "axis": result.spec.axis,
-            "axis_value": r.axis_value,
-            "overlay": result.spec.overlay or "",
-            "overlay_value": r.overlay_value,
-        }
-        row.update(_perf_fields(r.report))
-        rows.append(row)
-    return rows
 
 
 def _fmt(value) -> str:
@@ -115,5 +102,9 @@ def _shorten(value) -> str:
 
 def emit(result: PerformanceReport | SweepResult, fmt: str) -> str:
     """Render a point report or a sweep result in the performance schema."""
-    rows = report_rows(result) if isinstance(result, PerformanceReport) else sweep_rows(result)
+    if isinstance(result, PerformanceReport):
+        rows = [perf_row(result)]
+    else:
+        axis, overlay = result.spec.axis, result.spec.overlay or ""
+        rows = [perf_row(r.report, axis, r.axis_value, overlay, r.overlay_value) for r in result.rows]
     return render(rows, fmt, PERF_COLUMNS)

@@ -12,7 +12,7 @@ from scipy import special
 
 import oracles
 from conftest import log_uniform_field, make_context
-from uavqkd import analytics
+from uavqkd import analytics, config
 from uavqkd.analytics import detect_prob, evaluate
 from uavqkd.beam import build_grid, capture_exact, capture_grid
 from uavqkd.config import LinkConfig, build_context
@@ -141,6 +141,25 @@ class TestDetectProb:
         detect_prob(baseline_ctx, turbulence="averaged")
         assert len(calls) == 1  # mu_p once, on all the Rayleigh nodes
         detect_prob(replace(baseline_ctx, mu_p_mode="exact"), turbulence="averaged")
+
+    def test_exact_linearized_pass_makes_no_capture_call(self, monkeypatch):
+        # mu_p(0) for the linearization check is the closed form at sigma_rd = 0
+        wz = np.array([0.03, 0.1, 0.03, 0.5])
+        cfg = LinkConfig(mu_t=1.0)
+        ctx = replace(config._derive(cfg, {"wz": wz}), mu_p_mode="exact")
+        want = [f"c_pt * mu_p(0) = {ctx.c_pt * capture_exact(0.0, w, ctx.ra):.3f}" for w in wz.tolist()]
+
+        def no_capture(*args, **kwargs):
+            raise AssertionError("linearized detect_prob called capture_exact")
+
+        monkeypatch.setattr(analytics, "capture_exact", no_capture)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = detect_prob(ctx)
+        assert got.shape == (4,)
+        texts = [str(w.message) for w in caught if w.category is LinearizationWarning]
+        assert [t.split(" >")[0] for t in texts] == [t for t in want if float(t.split("= ")[1]) > 0.1]
+        assert texts  # the check fires at some of these radii
 
     def test_wide_jitter_regression(self):
         # sigma_rd = 20 m on the reference link: an adaptive quadrature over

@@ -281,6 +281,12 @@ class TestCaptureGrid:
         assert vals[1, 2] == capture_grid(grid, rd[1, 2])
         assert isinstance(capture_grid(grid, 0.1), float)
 
+    @pytest.mark.parametrize("rd", [-0.1, math.nan, np.array([0.0, math.nan]), np.array([0.0, -1e-3])])
+    def test_rejects_bad_displacement(self, rd):
+        # the displacement check of capture_exact: a NaN rd gave a NaN
+        with pytest.raises(ValueError, match="rd"):
+            capture_grid(build_grid(RA, 0.1, 10), rd)
+
     def test_too_few_segments_rejected(self):
         with pytest.raises(ValueError):
             build_grid(RA, 0.1, 1)

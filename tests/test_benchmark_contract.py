@@ -95,6 +95,7 @@ def test_design_sweep_step_runs_under_the_trace_hooks(tmp_path):
     calls = tracer.calls()
     assert calls["cli.main"] == 2 and calls["sweep.sweep"] == 1 and calls["sweep.optimize"] == 1
     assert tracer.counts["sweep.sweep.points"] == 8
+    assert tracer.counts["output.emit.rows"] == 9  # render's rows: 8 sweep rows and 1 optimize row
     assert tracer.child_counts("sweep.optimize")["analytics.evaluate"] >= 1  # the coarse grid is one call
     assert not any(".raised." in key for key in tracer.counts)
 

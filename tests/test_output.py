@@ -29,7 +29,7 @@ class TestRows:
         cfg = replace(baseline_cfg, n_slots=20_000)
         values = tuple(np.linspace(0.05, 0.3, 20).tolist())
         result = sweep(cfg, SweepSpec(axis="wz", values=values, engine="both"))
-        rows = output.sweep_rows(result)
+        rows = list(csv.DictReader(io.StringIO(output.emit(result, "csv"))))
         assert len(rows) == 40
         assert {r["method"] for r in rows} == {"analytic", "monte_carlo"}
         assert all(r["axis"] == "wz" for r in rows)
