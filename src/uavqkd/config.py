@@ -27,14 +27,14 @@ from .errors import ConfigError
 
 __all__ = ["LinkConfig", "load_config", "loads", "dumps", "build_context", "parse_quantity"]
 
-# unit -> factor to SI (bandwidth is kept in nm to pair with B_lambda per nm)
+# unit -> power of ten to SI (bandwidth is kept in nm to pair with B_lambda per nm)
 _UNITS = {
-    "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "km": 1e3},
-    "angle": {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6},
-    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9},
-    "bandwidth_nm": {"nm": 1.0, "pm": 1e-3, "um": 1e3, "µm": 1e3},
-    "radiance": {"W/m2/sr/nm": 1.0, "W/m^2/sr/nm": 1.0},
-    "attenuation": {"1/m": 1.0, "1/km": 1e-3},
+    "length": {"m": 0, "cm": -2, "mm": -3, "um": -6, "µm": -6, "nm": -9, "km": 3},
+    "angle": {"rad": 0, "mrad": -3, "urad": -6, "µrad": -6},
+    "time": {"s": 0, "ms": -3, "us": -6, "µs": -6, "ns": -9},
+    "bandwidth_nm": {"nm": 0, "pm": -3, "um": 3, "µm": 3},
+    "radiance": {"W/m2/sr/nm": 0, "W/m^2/sr/nm": 0},
+    "attenuation": {"1/m": 0, "1/km": -3},
 }
 
 # field -> (kind, lo, hi); None bounds are open. Ranges are the reference
@@ -79,11 +79,11 @@ def parse_quantity(text: str, kind: str, field: str = "") -> float:
     m = _QTY_RE.match(text)
     if not m:
         raise ConfigError(f"{field or kind}: cannot parse quantity {text!r}")
-    value, unit = float(m.group(1)), m.group(2)
+    number, unit = m.group(1), m.group(2)
     if kind == "float":
         if unit:
             raise ConfigError(f"{field}: unexpected unit {unit!r} on dimensionless value")
-        return value
+        return float(number)
     table = _UNITS[kind]
     if not unit:
         raise ConfigError(
@@ -92,7 +92,10 @@ def parse_quantity(text: str, kind: str, field: str = "") -> float:
         )
     if unit not in table:
         raise ConfigError(f"{field}: unknown unit {unit!r} (allowed: {', '.join(sorted(table))})")
-    return value * table[unit]
+    # shift the decimal exponent: the double nearest the decimal value in SI,
+    # where multiplying by an inexact factor (1e-6) can miss it by an ulp
+    digits, _, exp = number.lower().partition("e")
+    return float(f"{digits}e{int(exp or 0) + table[unit]}")
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,8 @@ def validate(cfg: LinkConfig) -> None:
     cfg.resolved_wz()
 
 
-# kind -> the first unit of factor 1.0 in _UNITS, which dumps writes
-_CANONICAL_UNIT = {kind: next(u for u, f in table.items() if f == 1.0) for kind, table in _UNITS.items()}
+# kind -> the first unit of power 0 in _UNITS, which dumps writes
+_CANONICAL_UNIT = {kind: next(u for u, p in table.items() if p == 0) for kind, table in _UNITS.items()}
 
 
 def dumps(cfg: LinkConfig) -> str:

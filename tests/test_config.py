@@ -35,6 +35,22 @@ class TestParseQuantity:
         assert parse_quantity("1e-6 W/m2/sr/nm", "radiance") == 1e-6
         assert parse_quantity("0.9163 1/km", "attenuation") == pytest.approx(9.163e-4)
 
+    @pytest.mark.parametrize("key", [k for k, (kind, _, _) in config._FIELDS.items() if kind in config._UNITS])
+    def test_every_bound_exact_in_every_unit(self, key):
+        # a factor of 1e-6 read 5 urad as 4.9999999999999996e-06, below its own bound
+        kind, lo, hi = config._FIELDS[key]
+        for bound in (lo, hi):
+            for unit, power in config._UNITS[kind].items():
+                text = f"{Decimal(repr(bound)).scaleb(-power)} {unit}"
+                assert parse_quantity(text, kind) == bound, text
+                assert getattr(loads(f"{key} = {text}"), key) == bound, text
+
+    def test_prefixed_unit_gives_the_nearest_double(self):
+        # the README's 50 urad was an ulp below LinkConfig()'s 50e-6
+        assert parse_quantity("50 urad", "angle") == LinkConfig().sigma_theta_e
+        assert parse_quantity("1.55 um", "length") == LinkConfig().wavelength
+        assert parse_quantity("0.9163 1/km", "attenuation") == 9.163e-4
+
     def test_dimensionless(self):
         assert parse_quantity("0.5", "float") == 0.5
         assert parse_quantity("-1e-3", "float") == -1e-3
