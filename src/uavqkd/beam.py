@@ -173,13 +173,13 @@ def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
     """The capture grid of each beam radius in the array ``wz`` (> 0), as
     one grid of len(wz) rows sharing ra, N_g and the segment centres.
 
-    Each row's ``mu_p0`` and ``peak`` are ``_grid_sum`` at rd = 0 and its largest
-    value at the probe (rd = 0 and, where dx > wz, every positive segment
-    centre). Where the 9 wz window covers every segment and dx <= wz, that
-    is the same dense arithmetic for all rows at once, one dot product per
-    row, so a row does not depend on the others. The grid holds len(wz) x
-    N_g weights, so callers bound len(wz) (a sweep passes at most
-    max(1, _CHUNK // N_g)).
+    Each row's ``mu_p0`` and ``peak`` are ``_grid_sum`` at rd = 0 and its
+    largest value at the probe (rd = 0 and, where dx > wz, every positive
+    segment centre). Where the 9 wz window covers every segment and
+    dx <= wz, that is the same dense arithmetic for all rows at once, one
+    dot product per row, so a row does not depend on the others. The grid
+    holds len(wz) x N_g weights, so callers bound len(wz) (a sweep passes
+    at most max(1, _CHUNK // N_g)).
     """
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
