@@ -95,7 +95,10 @@ def parse_quantity(text: str, kind: str, field: str = "") -> float:
     # shift the decimal exponent: the double nearest the decimal value in SI,
     # where multiplying by an inexact factor (1e-6) can miss it by an ulp
     digits, _, exp = number.lower().partition("e")
-    return float(f"{digits}e{int(exp or 0) + table[unit]}")
+    try:
+        return float(f"{digits}e{int(exp or 0) + table[unit]}")
+    except ValueError:  # an exponent past Python's digit limit for int()
+        raise ConfigError(f"{field or kind}: cannot parse quantity {text!r}") from None
 
 
 @dataclass(frozen=True)

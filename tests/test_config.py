@@ -69,6 +69,10 @@ class TestParseQuantity:
         with pytest.raises(ConfigError):
             parse_quantity("ten cm", "length")
 
+    def test_exponent_past_the_int_digit_limit_rejected(self):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_quantity("1e" + "0" * 5000 + "1 cm", "length")
+
 
 class TestDefaults:
     def test_reference_parameter_set(self):
