@@ -17,6 +17,13 @@ two evaluators and one approximation:
 * ``capture_classical`` -- the wide-beam FSO approximation (valid only for
                            wz >> ra, not clamped to [0, 1]).
 
+``capture_grid`` sums the segments directly or, on a grid much finer than
+the beam (a block of about wz / (36 dx) segments holds at least 32), by
+blocks: one exp and 16 Taylor moments a block in place of one exp a
+segment, to the same accuracy (see ``capture_grid``). At N_g = 100,000,
+ra = 0.906 m and wz = 0.64 m, 104 blocks take the place of 100,000
+segments.
+
 By rotational symmetry the displacement enters only through its norm, so
 all capture functions take rd >= 0, a norm (``capture_exact`` and
 ``capture_grid`` also take an array of norms); collapse a vector
@@ -25,10 +32,10 @@ displacement to its norm before calling.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -37,6 +44,8 @@ from .errors import CaptureOverflowWarning
 
 _CHUNK = 1 << 16  # elements per temporary in capture_grid and the turbulence average
 _OVERFLOW = 1.0 + 1e-6  # a grid capture value above this is reported
+_TERMS = 16  # Taylor terms per block of the blocked grid sum
+_FACTORIALS = np.array([math.factorial(k) for k in range(_TERMS)], dtype=float)
 
 __all__ = [
     "CaptureGrid",
@@ -134,7 +143,14 @@ class CaptureGrid:
     returns it, kept with the grid for the linearization check, and
     ``peak`` the largest grid sum at rd = 0 and, where dx > wz (a row of
     spikes peaking at the segment centres), at every positive segment
-    centre: the value the overflow check of ``detect_prob`` reads.
+    centre: the value the overflow check of ``detect_prob`` reads. The
+    grid derives both on construction, by the kernel of ``capture_grid``.
+
+    On a grid much finer than the beam (a block of about wz / (36 dx)
+    segments holds at least 2 x 16 of them), that kernel is the blocked sum
+    of ``capture_grid``. A one-point grid builds its blocks' Taylor moments
+    once, as it derives ``mu_p0``, and keeps them in a private cached
+    attribute.
 
     A context of P points that differ in wz holds one grid of P rows
     (``_grid_rows``):
@@ -149,11 +165,44 @@ class CaptureGrid:
     dx: float
     centers: np.ndarray
     weights: np.ndarray
-    mu_p0: float
-    peak: float
+    mu_p0: float = field(init=False)
+    peak: float = field(init=False)
+
+    def __post_init__(self):
+        """``mu_p0`` and ``peak`` of each row: ``_grid_sum`` at rd = 0 and its
+        largest value at the probe (rd = 0 and, where dx > wz, every
+        positive segment centre). Where the 9 wz window covers every
+        segment, dx <= wz and the sum is direct, that is the same dense
+        arithmetic for all rows at once, one dot product per row, so a row
+        does not depend on the others."""
+        one = np.ndim(self.wz) == 0
+        x, dx, ng = self.centers, self.dx, self.ng
+        wz, weights = np.atleast_1d(self.wz), np.atleast_2d(self.weights)
+        # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
+        # col**2 is col*col, an ulp off on ~0.1% of radii), so mu_p0 is its sum
+        d = x * x * -2.0 / np.float_power(wz[:, None], 2)
+        np.exp(d, out=d)
+        mu_p0 = np.matmul(d[:, None, :], weights[..., None])[:, 0, 0]
+        peak = mu_p0.copy()
+        # windowed, spiked or maybe blocked (_half_block): the direct sum at
+        # rd = 0 is the dense dot product above, bit for bit
+        for i in np.flatnonzero((np.ceil(18.0 * wz / dx) + 2 < ng) | (dx > wz) | (wz / (73.0 * dx) >= _TERMS)):
+            w = float(wz[i])
+            probe = np.concatenate(([0.0], x[x > 0.0])) if dx > w else np.zeros(1)
+            blocks = self._blocks if one else _block_moments(x, weights[i], w, dx)
+            vals = _grid_sum(x, weights[i], w, dx, probe, blocks)
+            mu_p0[i], peak[i] = vals[0], vals.max()
+        object.__setattr__(self, "mu_p0", float(mu_p0[0]) if one else mu_p0)
+        object.__setattr__(self, "peak", float(peak[0]) if one else peak)
+
+    @functools.cached_property
+    def _blocks(self):
+        """``_block_moments`` of this one-point grid, built on first use and
+        kept: None on the direct sum's grids."""
+        return _block_moments(self.centers, self.weights, self.wz, self.dx)
 
 
-@lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256)
 def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
     """Build (and cache) the capture grid for an (ra, wz, Ng) triple.
 
@@ -164,48 +213,77 @@ def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
         raise ValueError("grid needs at least 2 segments")
     if not ra > 0 or not wz > 0:
         raise ValueError("build_grid requires ra > 0 and wz > 0")
-    rows = _grid_rows(ra, np.array([wz], dtype=float), ng)
-    mu_p0, peak = float(rows.mu_p0[0]), float(rows.peak[0])
-    return CaptureGrid(ra, wz, ng, rows.dx, rows.centers, rows.weights[0], mu_p0, peak)
+    return _grid_rows(ra, wz, ng)
 
 
-def _grid_rows(ra: float, wz: np.ndarray, ng: int) -> CaptureGrid:
-    """The capture grid of each beam radius in the array ``wz`` (> 0), as
-    one grid of len(wz) rows sharing ra, N_g and the segment centres.
-
-    Each row's ``mu_p0`` and ``peak`` are ``_grid_sum`` at rd = 0 and its
-    largest value at the probe (rd = 0 and, where dx > wz, every positive
-    segment centre). Where the 9 wz window covers every segment and
-    dx <= wz, that is the same dense arithmetic for all rows at once, one
-    dot product per row, so a row does not depend on the others. The grid
-    holds len(wz) x N_g weights, so callers bound len(wz) (a sweep passes
-    at most max(1, _CHUNK // N_g)).
+def _grid_rows(ra: float, wz, ng: int) -> CaptureGrid:
+    """The capture grid of the beam radius ``wz`` (> 0): a grid of one point
+    for a float, and for an array one grid of len(wz) rows sharing ra, N_g
+    and the segment centres. The grid holds len(wz) x N_g weights, so
+    callers bound len(wz) (a sweep passes at most max(1, _CHUNK // N_g)).
     """
     dx = 2.0 * ra / ng
     centers = -ra + dx * (np.arange(ng) + 0.5)
     centers.setflags(write=False)
     chord = np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
-    col = wz[:, None]
+    col = np.atleast_1d(wz)[:, None]
     weights = (2.0 * dx / (math.sqrt(2.0 * math.pi) * col)) * special.erf(np.sqrt(2.0 / (col * col)) * chord)
-    # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
-    # col**2 is col*col, an ulp off on ~0.1% of radii), so mu_p0 is its sum
-    d = centers * centers * -2.0 / np.float_power(col, 2)
-    np.exp(d, out=d)
-    mu_p0 = np.matmul(d[:, None, :], weights[..., None])[:, 0, 0]
-    peak = mu_p0.copy()
-    for i in np.flatnonzero((np.ceil(18.0 * wz / dx) + 2 < ng) | (dx > wz)):  # windowed or spiked
-        w = float(wz[i])
-        probe = np.concatenate(([0.0], centers[centers > 0.0])) if dx > w else np.zeros(1)
-        vals = _grid_sum(centers, weights[i], w, dx, probe)
-        mu_p0[i], peak[i] = vals[0], vals.max()
     weights.setflags(write=False)
-    return CaptureGrid(ra=ra, wz=wz, ng=ng, dx=dx, centers=centers, weights=weights, mu_p0=mu_p0, peak=peak)
+    return CaptureGrid(ra, wz, ng, dx, centers, weights if np.ndim(wz) else weights[0])
 
 
-def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray) -> np.ndarray:
+def _half_block(wz: float, dx: float, ng: int) -> int:
+    """Half-width h, in segments, of the 2h + 1 segment blocks of the blocked
+    grid sum, or 0 where a block would hold fewer than 2 _TERMS segments:
+    the direct sum's grids. A block spans at most wz / 73 either side of its
+    centre, and at most the whole grid."""
+    h = min(math.floor(wz / (73.0 * dx)), ng // 2)
+    return h if h >= _TERMS else 0
+
+
+def _block_moments(x: np.ndarray, c: np.ndarray, wz: float, dx: float):
+    """Block centres X_b, Taylor moments M_bk and block half-width s of the
+    blocked grid sum of the segments ``x``, ``c``, or None where the direct
+    sum is used (``_half_block``).
+
+    Blocks are runs of 2h + 1 segments centred on their middle segment's
+    centre X_b (the last run padded past the grid with segments of weight
+    0), and with tau_i = (x_i - X_b) / s,
+    s = h dx, M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k!,
+    returned as an array of shape (_TERMS, blocks).
+    """
+    h = _half_block(wz, dx, x.size)
+    if not h:
+        return None
+    size = 2 * h + 1
+    pad = -x.size % size
+    xb = np.concatenate((x, x[-1] + dx * np.arange(1.0, pad + 1.0))).reshape(-1, size)
+    centre = xb[:, h].copy()
+    # from the stored centres, each to half an ulp of itself (exact for most):
+    # (j - h) dx would be off by an ulp of ra, 1e-11 of t at N_g = 100,000
+    t = xb - centre[:, None]
+    w = t * t
+    w /= -0.5 * wz**2
+    np.exp(w, out=w)
+    w *= np.concatenate((c, np.zeros(pad))).reshape(-1, size)
+    s = h * dx
+    t /= s
+    m = np.empty((_TERMS, centre.size))
+    for k in range(_TERMS):
+        np.sum(w, axis=1, out=m[k])
+        w *= t
+    m /= _FACTORIALS[:, None]
+    return centre, m, s
+
+
+def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray, blocks) -> np.ndarray:
     """sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) for a flat array ``rd``: the
     grid model's one kernel, behind ``capture_grid``, ``CaptureGrid.mu_p0``
-    and ``CaptureGrid.peak``."""
+    and ``CaptureGrid.peak``. ``blocks`` is ``_block_moments(x, c, wz, dx)``,
+    which picks the path: the direct sum where it is None, else the blocked
+    sum (``capture_grid``)."""
+    if blocks is not None:
+        return _blocked_sum(*blocks, wz, rd)
     ng = x.size
     wz2 = wz**2
     k = min(ng, math.ceil(18.0 * wz / dx) + 2)  # segments within 9 wz
@@ -232,6 +310,46 @@ def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray
     return vals
 
 
+def _blocked_sum(centre: np.ndarray, m: np.ndarray, s: float, wz: float, rd: np.ndarray) -> np.ndarray:
+    """The blocked path of ``_grid_sum``: sum_b exp(-2 u^2 / wz^2) sum_k M_bk z^k
+    with u = X_b - rd and z = -4 s u / wz^2, by Horner, over a window of the
+    blocks nearest rd, wide enough to hold every block centre within
+    9 wz + s of it (the direct sum's window, widened by a block). A block
+    centred more than 20 wz from rd adds exactly 0: its terms are below
+    e^-798, under the smallest double, and its series would overflow, so an
+    infinite rd gives 0, never NaN. Each row is its own pairwise sum."""
+    nb = centre.size
+    wz2 = wz**2
+    lim = 9.0 * wz + s
+    spacing = centre[1] - centre[0] if nb > 1 else math.inf
+    k = min(nb, math.ceil(2.0 * lim / spacing) + 2)  # blocks within lim
+    step = max(1, _CHUNK // k)
+    vals = np.empty(rd.size)
+    for i in range(0, rd.size, step):
+        r = rd[i : i + step, None]
+        if k == nb:
+            idx = slice(None)
+            u = centre - r
+        else:
+            lo = np.minimum(np.searchsorted(centre, r[:, 0] - lim), nb - k)
+            idx = lo[:, None] + np.arange(k)
+            u = centre[idx] - r
+        far = np.abs(u) > 20.0 * wz
+        u[far] = 0.0
+        z = u * (-4.0 * s / wz2)
+        acc = np.zeros(u.shape)
+        for row in m[::-1]:
+            acc *= z
+            acc += row[idx]
+        u *= u
+        u /= -0.5 * wz2
+        np.exp(u, out=u)
+        u[far] = 0.0
+        u *= acc
+        vals[i : i + step] = np.sum(u, axis=1)
+    return vals
+
+
 def _warn_overflow(peak: float) -> None:
     """CaptureOverflowWarning for a grid capture value ``peak`` > _OVERFLOW,
     attributed to the caller of the function that calls this one."""
@@ -253,11 +371,35 @@ def capture_grid(grid: CaptureGrid, rd):
     N_g segments lie within 9 wz of a displacement only that window is
     summed (each segment left out adds less than c_i e^-162). Each value
     depends on its own rd alone, not on the other displacements of the call.
+
+    The grid alone (wz, dx and N_g, never rd) picks one of two paths:
+
+    * direct: one exp per segment of the window;
+    * blocked, where runs of 2h + 1 segments, h = floor(wz / (73 dx)) (about
+      wz / (36 dx) segments, at most the whole grid), hold at least
+      2 x 16: wz >= 1,168 dx and N_g >= 32. Grids of N_g <= 100 with
+      wz / dx <= 1,000 (the CLI default, design sweeps) stay direct.
+      With the block centre X_b, u = X_b - rd and t = x_i - X_b,
+      exp(-2 (t + u)^2 / wz^2) = exp(-2 u^2 / wz^2) exp(-2 t^2 / wz^2) exp(-4 t u / wz^2),
+      and the last factor is cut to 16 Taylor terms in t. Each block keeps
+      16 moments, built once per grid, so a displacement costs one exp and
+      16 multiply-adds per block in a window holding every block centre
+      within 9 wz + h dx, in place of one exp per segment (a fast Gauss
+      transform; Greengard & Strain, SIAM J. Sci. Stat. Comput. 12(1),
+      1991). Inside that window |4 t u / wz^2| <= 0.494, so the cut leaves
+      under 1e-18 of each term; a block farther than 20 wz from rd adds
+      exactly 0 (its terms lie below the smallest double), so an infinite
+      rd gives 0.
+
+    Both paths are within 8 eps (1 + |ln v|) relative of the sum over every
+    segment in long double, eps being the double epsilon and v the value:
+    the conditioning of exp. Over 40 random blocked and 25 direct grids
+    with rd up to ra + 12 wz the worst was 1.4 and 1.7 of those units.
     """
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()
     _check_capture_args(rd_arr, grid.wz, grid.ra)
-    vals = _grid_sum(grid.centers, grid.weights, grid.wz, grid.dx, rd_arr)
+    vals = _grid_sum(grid.centers, grid.weights, grid.wz, grid.dx, rd_arr, grid._blocks)
     if (vals > _OVERFLOW).any():
         _warn_overflow(float(vals.max()))
     return vals.reshape(rd_in.shape) if rd_in.ndim else float(vals[0])

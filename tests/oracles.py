@@ -3,7 +3,8 @@
 The Gamma-Gamma density and CDF here check the package's Gamma-Gamma
 sampler (moments and Kolmogorov-Smirnov tests); the package itself never
 needs them. The nested adaptive quadrature of the turbulence-averaged
-detection probability checks the package's fixed-node engine.
+detection probability checks the package's fixed-node engine, and the
+long-double grid sum the package's grid kernel.
 """
 
 import math
@@ -124,3 +125,17 @@ def detect_prob_averaged(ctx) -> float:
         epsabs=0.0, epsrel=1e-12, limit=200 + 2 * len(breaks),
     )
     return -math.expm1(-0.5 * (ctx.theta_fov / ctx.sigma_aoa) ** 2) * val
+
+
+def grid_sum(grid, rd) -> np.ndarray:
+    """sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) over every segment of a
+    one-point ``grid``, from its stored ``centers`` and ``weights``, in long
+    double (a 64-bit significand, 2^11 times finer than a double's), one
+    displacement at a time. Where long double is only a double it fails
+    rather than compare the package with itself.
+    """
+    assert np.finfo(np.longdouble).nmant >= 63, "the grid-sum oracle needs an 80-bit long double"
+    x = grid.centers.astype(np.longdouble)
+    c = grid.weights.astype(np.longdouble)
+    scale = np.longdouble(-2.0) / np.longdouble(grid.wz) ** 2
+    return np.array([np.sum(c * np.exp(scale * (x - r) ** 2)) for r in np.asarray(rd, dtype=np.longdouble)])

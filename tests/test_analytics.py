@@ -378,6 +378,27 @@ def test_averaged_engine_matches_oracle_at_grid_corner():
             assert abs(got - want) <= 1e-9 * want, f"{mode} sigma_rd={c.sigma_rd}: {got!r} vs {want!r}"
 
 
+@pytest.mark.parametrize(
+    "ra,wz,sigma_rd,link",
+    [
+        (0.906, 0.64, 11.7,
+         dict(mu_t=3.68, eta_atm=0.166, mu_d=0.265, theta_fov=1.43e-4, sigma_aoa=5.17e-5, alpha=0.652, beta=8.39)),
+        (0.0332, 7.9e-3, 0.171,
+         dict(mu_t=0.206, eta_atm=1.48e-3, mu_d=0.144, theta_fov=2.78e-5, sigma_aoa=2.14e-5, alpha=0.888, beta=0.893)),
+    ],
+    ids=["wz=0.64m", "wz=7.9mm"],
+)
+def test_averaged_engine_matches_oracle_on_the_blocked_grid_sum(ra, wz, sigma_rd, link):
+    # two N_g = 100,000 design points, grids 35,000 and 12,000 segments per
+    # wz: the engine's capture values come from the blocked grid sum, the
+    # oracle's from the full sum over every segment
+    grid = build_grid(ra, wz, 100_000)
+    assert grid._blocks is not None
+    ctx = analytics.AnalyticContext(T_qs=1e-8, grid=grid, sigma_rd=sigma_rd, mu_b=0.0, **link)
+    got, want = detect_prob(ctx, turbulence="averaged"), oracles.detect_prob_averaged(ctx)
+    assert abs(got - want) <= 1e-9 * want, f"engine {got:.15g} vs oracle {want:.15g}"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     alpha=log_uniform_field("alpha"),

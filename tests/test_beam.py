@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import log_uniform_field
 from uavqkd.beam import (
     _grid_rows,
@@ -241,11 +242,12 @@ class TestCaptureGrid:
         vals = capture_grid(grid, np.linspace(0.0, 0.4, 50))
         assert np.all(np.diff(vals) <= 1e-12)
 
-    @pytest.mark.parametrize("ra,wz,n", [(1.5, 0.005, 4096), (RA, 0.10, 512)])
+    @pytest.mark.parametrize("ra,wz,n", [(1.5, 0.005, 4096), (RA, 0.10, 512), (1.5, 0.10, 4096)])
     def test_bounded_memory_matches_dense_sum(self, ra, wz, n):
         # N_g = 100,000: a dense (displacements x segments) matrix would take
-        # 3.3 GB (n = 4096) or 410 MB (n = 512); the first case sums a
-        # window of 3,002 segments per displacement, the second all of them
+        # 3.3 GB (n = 4096) or 410 MB (n = 512); the first case sums a window
+        # of 3,002 segments per displacement, the second all 110 blocks of
+        # the blocked sum, the third a window of 663 of its 1,099 blocks
         grid = build_grid(ra, wz, 100_000)
         rd = np.linspace(0.0, ra + 12.0 * wz, n)
         tracemalloc.start()
@@ -255,14 +257,18 @@ class TestCaptureGrid:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        sub = rd[::31]
-        dense = np.exp(-2.0 * (grid.centers[None, :] - sub[:, None]) ** 2 / wz**2) @ grid.weights
-        np.testing.assert_allclose(vals[::31], dense, rtol=1e-14, atol=0.0)
+        # against the long-double sum over every segment, to exp's
+        # conditioning: a relative error eps in the exponent ln v moves the
+        # value by eps |ln v|
+        truth = oracles.grid_sum(grid, rd[::31])
+        bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(truth)))
+        assert np.all(np.abs(vals[::31] - truth) <= bound * truth)
 
-    @pytest.mark.parametrize("ng", [10, 1000])
+    @pytest.mark.parametrize("ng", [10, 1000, 100_000])
     def test_value_does_not_depend_on_the_batch(self, ng):
         # a row's grid sum must not depend on its place in the batch: 2,000
-        # scalar calls equal the same rows of one 65,536-row call, bit for bit
+        # scalar calls equal the same rows of one 65,536-row call, bit for
+        # bit, on the direct sum and (ng = 100,000) the blocked one
         grid = build_grid(0.15, 0.1, ng)
         rng = np.random.default_rng(27)
         rd = rng.uniform(0.0, 0.45, 1 << 16)
@@ -272,6 +278,25 @@ class TestCaptureGrid:
         assert np.array_equal(scalar, batch[rows])
         rows.sort()
         assert np.array_equal(capture_grid(grid, rd[rows]), batch[rows])
+
+    @pytest.mark.parametrize(
+        "ra,wz,ng,blocked",
+        [
+            (0.15, 0.10, 10, False),
+            (1.5, 0.005, 100_000, False),
+            (0.15, 0.10, 100_000, True),
+            (1.5, 0.10, 100_000, True),
+        ],
+        ids=["dense-direct", "windowed-direct", "blocked", "blocked-windowed"],
+    )
+    def test_far_displacement_gives_zero(self, ra, wz, ng, blocked):
+        # past every segment by far more than 9 wz the grid sum is exactly 0,
+        # never NaN, on each of the kernel's four paths
+        grid = build_grid(ra, wz, ng)
+        assert (grid._blocks is not None) == blocked
+        for rd in (1e3, 1e200, math.inf):
+            assert capture_grid(grid, rd) == 0.0
+        assert np.array_equal(capture_grid(grid, np.array([0.0, 1e3, 1e200, math.inf]))[1:], np.zeros(3))
 
     def test_keeps_the_shape_of_rd(self):
         grid = build_grid(RA, 0.01, 300)
