@@ -17,12 +17,12 @@ two evaluators and one approximation:
 * ``capture_classical`` -- the wide-beam FSO approximation (valid only for
                            wz >> ra, not clamped to [0, 1]).
 
-``capture_grid`` sums the segments directly or, on a grid much finer than
-the beam (a block of about wz / (36 dx) segments holds at least 32), by
-blocks: one exp and 16 Taylor moments a block in place of one exp a
-segment, to the same accuracy (see ``capture_grid``). At N_g = 100,000,
-ra = 0.906 m and wz = 0.64 m, 104 blocks take the place of 100,000
-segments.
+``capture_grid`` sums the segments by blocks whose size the grid sets: one
+segment each or, on a grid much finer than the beam, about wz / (36 dx)
+segments (at least 32), each summed by one exp and 16 Taylor moments in
+place of one exp a segment, to the same accuracy (see ``capture_grid``).
+At N_g = 100,000, ra = 0.906 m and wz = 0.64 m, 104 blocks take the place
+of 100,000 segments.
 
 By rotational symmetry the displacement enters only through its norm, so
 all capture functions take rd >= 0, a norm (``capture_exact`` and
@@ -141,16 +141,16 @@ class CaptureGrid:
     compare by identity (``build_grid`` caches one per (ra, wz, Ng)).
     ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
     returns it, kept with the grid for the linearization check, and
-    ``peak`` the largest grid sum at rd = 0 and, where dx > wz (a row of
-    spikes peaking at the segment centres), at every positive segment
-    centre: the value the overflow check of ``detect_prob`` reads. The
-    grid derives both on construction, by the kernel of ``capture_grid``.
+    ``peak`` the largest grid sum at rd = 0 and, where 2 dx > wz (segments
+    wide enough that the sum peaks near the segment centres, not at rd = 0),
+    at every positive segment centre: the value the overflow check of
+    ``detect_prob`` reads. The grid derives both on construction, by the
+    kernel of ``capture_grid``.
 
-    On a grid much finer than the beam (a block of about wz / (36 dx)
-    segments holds at least 2 x 16 of them), that kernel is the blocked sum
-    of ``capture_grid``. A one-point grid builds its blocks' Taylor moments
-    once, as it derives ``mu_p0``, and keeps them in a private cached
-    attribute.
+    That kernel sums the grid by blocks whose size the grid sets (one
+    segment each, or on a grid much finer than the beam about
+    wz / (36 dx) of them). A one-point grid builds its blocks once, as it
+    derives ``mu_p0``, and keeps them in a private cached attribute.
 
     A context of P points that differ in wz holds one grid of P rows
     (``_grid_rows``):
@@ -170,11 +170,11 @@ class CaptureGrid:
 
     def __post_init__(self):
         """``mu_p0`` and ``peak`` of each row: ``_grid_sum`` at rd = 0 and its
-        largest value at the probe (rd = 0 and, where dx > wz, every
+        largest value at the probe (rd = 0 and, where 2 dx > wz, every
         positive segment centre). Where the 9 wz window covers every
-        segment, dx <= wz and the sum is direct, that is the same dense
-        arithmetic for all rows at once, one dot product per row, so a row
-        does not depend on the others."""
+        segment, 2 dx <= wz and the blocks are single segments, that is the
+        same dense arithmetic for all rows at once, one dot product per
+        row, so a row does not depend on the others."""
         one = np.ndim(self.wz) == 0
         x, dx, ng = self.centers, self.dx, self.ng
         wz, weights = np.atleast_1d(self.wz), np.atleast_2d(self.weights)
@@ -184,13 +184,13 @@ class CaptureGrid:
         np.exp(d, out=d)
         mu_p0 = np.matmul(d[:, None, :], weights[..., None])[:, 0, 0]
         peak = mu_p0.copy()
-        # windowed, spiked or maybe blocked (_half_block): the direct sum at
-        # rd = 0 is the dense dot product above, bit for bit
-        for i in np.flatnonzero((np.ceil(18.0 * wz / dx) + 2 < ng) | (dx > wz) | (wz / (73.0 * dx) >= _TERMS)):
+        # windowed, probed or maybe of wider blocks (_half_block): the sum of
+        # one-segment blocks at rd = 0 is the dense dot product above, bit for bit
+        for i in np.flatnonzero((np.ceil(18.0 * wz / dx) + 2 < ng) | (2.0 * dx > wz) | (wz / (73.0 * dx) >= _TERMS)):
             w = float(wz[i])
-            probe = np.concatenate(([0.0], x[x > 0.0])) if dx > w else np.zeros(1)
+            probe = np.concatenate(([0.0], x[x > 0.0])) if 2.0 * dx > w else np.zeros(1)
             blocks = self._blocks if one else _block_moments(x, weights[i], w, dx)
-            vals = _grid_sum(x, weights[i], w, dx, probe, blocks)
+            vals = _grid_sum(*blocks, w, probe)
             mu_p0[i], peak[i] = vals[0], vals.max()
         object.__setattr__(self, "mu_p0", float(mu_p0[0]) if one else mu_p0)
         object.__setattr__(self, "peak", float(peak[0]) if one else peak)
@@ -198,7 +198,7 @@ class CaptureGrid:
     @functools.cached_property
     def _blocks(self):
         """``_block_moments`` of this one-point grid, built on first use and
-        kept: None on the direct sum's grids."""
+        kept."""
         return _block_moments(self.centers, self.weights, self.wz, self.dx)
 
 
@@ -233,28 +233,29 @@ def _grid_rows(ra: float, wz, ng: int) -> CaptureGrid:
 
 
 def _half_block(wz: float, dx: float, ng: int) -> int:
-    """Half-width h, in segments, of the 2h + 1 segment blocks of the blocked
-    grid sum, or 0 where a block would hold fewer than 2 _TERMS segments:
-    the direct sum's grids. A block spans at most wz / 73 either side of its
+    """Half-width h, in segments, of the 2h + 1 segment blocks of the grid
+    sum, or 0 (blocks of one segment) where a block would hold fewer than
+    2 _TERMS segments. A block spans at most wz / 73 either side of its
     centre, and at most the whole grid."""
     h = min(math.floor(wz / (73.0 * dx)), ng // 2)
     return h if h >= _TERMS else 0
 
 
 def _block_moments(x: np.ndarray, c: np.ndarray, wz: float, dx: float):
-    """Block centres X_b, Taylor moments M_bk and block half-width s of the
-    blocked grid sum of the segments ``x``, ``c``, or None where the direct
-    sum is used (``_half_block``).
+    """Block centres X_b, Taylor moments M_bk (shape (moments, blocks)),
+    block half-width s and centre spacing of the grid sum of the segments
+    ``x``, ``c``: ``_grid_sum``'s first four arguments.
 
-    Blocks are runs of 2h + 1 segments centred on their middle segment's
-    centre X_b (the last run padded past the grid with segments of weight
-    0), and with tau_i = (x_i - X_b) / s,
-    s = h dx, M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k!,
-    returned as an array of shape (_TERMS, blocks).
+    Where ``_half_block`` gives 0 each block is one segment:
+    (x, c[None, :], 0.0, dx). Else blocks are runs of 2h + 1 segments
+    centred on their middle segment's centre X_b (the last run padded past
+    the grid with segments of weight 0), and with tau_i = (x_i - X_b) / s,
+    s = h dx, M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k!
+    for k < _TERMS.
     """
     h = _half_block(wz, dx, x.size)
     if not h:
-        return None
+        return x, c[None, :], 0.0, dx
     size = 2 * h + 1
     pad = -x.size % size
     xb = np.concatenate((x, x[-1] + dx * np.arange(1.0, pad + 1.0))).reshape(-1, size)
@@ -273,57 +274,27 @@ def _block_moments(x: np.ndarray, c: np.ndarray, wz: float, dx: float):
         np.sum(w, axis=1, out=m[k])
         w *= t
     m /= _FACTORIALS[:, None]
-    return centre, m, s
+    return centre, m, s, centre[1] - centre[0] if centre.size > 1 else math.inf
 
 
-def _grid_sum(x: np.ndarray, c: np.ndarray, wz: float, dx: float, rd: np.ndarray, blocks) -> np.ndarray:
-    """sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) for a flat array ``rd``: the
-    grid model's one kernel, behind ``capture_grid``, ``CaptureGrid.mu_p0``
-    and ``CaptureGrid.peak``. ``blocks`` is ``_block_moments(x, c, wz, dx)``,
-    which picks the path: the direct sum where it is None, else the blocked
-    sum (``capture_grid``)."""
-    if blocks is not None:
-        return _blocked_sum(*blocks, wz, rd)
-    ng = x.size
-    wz2 = wz**2
-    k = min(ng, math.ceil(18.0 * wz / dx) + 2)  # segments within 9 wz
-    step = max(1, _CHUNK // k)
-    vals = np.empty(rd.size)
-    for i in range(0, rd.size, step):
-        r = rd[i : i + step, None]
-        if k == ng:
-            d = x - r
-        else:
-            lo = np.minimum(np.searchsorted(x, r[:, 0] - 9.0 * wz), ng - k)
-            idx = lo[:, None] + np.arange(k)
-            d = x[idx] - r
-        d *= d
-        d /= -0.5 * wz2  # one rounding, as -2 d / wz^2: -0.5 wz^2 and -2 d are exact
-        np.exp(d, out=d)
-        # each row is its own dot product (a stack of 1 x N_g by N_g x 1
-        # products), so a value does not depend on its row's place in the
-        # batch as it does with one gemv; np.sum adds a window pairwise
-        if k == ng:
-            vals[i : i + step] = np.matmul(d[:, None, :], c[:, None])[:, 0, 0]
-        else:
-            vals[i : i + step] = np.sum(d * c[idx], axis=1)
-    return vals
+def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: float, rd: np.ndarray) -> np.ndarray:
+    """sum_b exp(-2 u^2 / wz^2) sum_k M_bk z^k for a flat array ``rd``, with
+    u = X_b - rd and z = -4 s u / wz^2, over the blocks ``_block_moments``
+    returns: the grid model's one kernel, behind ``capture_grid``,
+    ``CaptureGrid.mu_p0`` and ``CaptureGrid.peak``. With one-segment blocks
+    (s = 0) it is sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) itself.
 
-
-def _blocked_sum(centre: np.ndarray, m: np.ndarray, s: float, wz: float, rd: np.ndarray) -> np.ndarray:
-    """The blocked path of ``_grid_sum``: sum_b exp(-2 u^2 / wz^2) sum_k M_bk z^k
-    with u = X_b - rd and z = -4 s u / wz^2, by Horner, over a window of the
-    blocks nearest rd, wide enough to hold every block centre within
-    9 wz + s of it (the direct sum's window, widened by a block). A block
-    centred more than 20 wz from rd adds exactly 0: its terms are below
-    e^-798, under the smallest double, and its series would overflow, so an
-    infinite rd gives 0, never NaN. Each row is its own pairwise sum."""
+    The sum runs over a window of the blocks nearest rd, wide enough to hold
+    every block centre within 9 wz + s of it. Past centre[-1] + 20 wz every
+    segment's term is below e^-798, under the smallest double, so rd is
+    clamped there: u * u and the series stay finite for any rd, and an
+    infinite rd gives 0."""
     nb = centre.size
     wz2 = wz**2
     lim = 9.0 * wz + s
-    spacing = centre[1] - centre[0] if nb > 1 else math.inf
     k = min(nb, math.ceil(2.0 * lim / spacing) + 2)  # blocks within lim
     step = max(1, _CHUNK // k)
+    rd = np.minimum(rd, centre[-1] + 20.0 * wz)
     vals = np.empty(rd.size)
     for i in range(0, rd.size, step):
         r = rd[i : i + step, None]
@@ -334,19 +305,25 @@ def _blocked_sum(centre: np.ndarray, m: np.ndarray, s: float, wz: float, rd: np.
             lo = np.minimum(np.searchsorted(centre, r[:, 0] - lim), nb - k)
             idx = lo[:, None] + np.arange(k)
             u = centre[idx] - r
-        far = np.abs(u) > 20.0 * wz
-        u[far] = 0.0
-        z = u * (-4.0 * s / wz2)
-        acc = np.zeros(u.shape)
-        for row in m[::-1]:
-            acc *= z
-            acc += row[idx]
+        if len(m) == 1:
+            acc = m[0][idx]
+        else:
+            z = u * (-4.0 * s / wz2)
+            acc = np.zeros(u.shape)
+            for row in m[::-1]:
+                acc *= z
+                acc += row[idx]
         u *= u
-        u /= -0.5 * wz2
+        u /= -0.5 * wz2  # one rounding, as -2 u^2 / wz^2: -0.5 wz^2 and -2 u^2 are exact
         np.exp(u, out=u)
-        u[far] = 0.0
-        u *= acc
-        vals[i : i + step] = np.sum(u, axis=1)
+        # each row is its own sum, so a value does not depend on its row's
+        # place in the batch as it does with one gemv: a stack of 1 x N_g by
+        # N_g x 1 products over a whole grid of segments, else pairwise
+        if k == nb and len(m) == 1:
+            vals[i : i + step] = np.matmul(u[:, None, :], acc[:, None])[:, 0, 0]
+        else:
+            u *= acc
+            vals[i : i + step] = np.sum(u, axis=1)
     return vals
 
 
@@ -372,34 +349,34 @@ def capture_grid(grid: CaptureGrid, rd):
     summed (each segment left out adds less than c_i e^-162). Each value
     depends on its own rd alone, not on the other displacements of the call.
 
-    The grid alone (wz, dx and N_g, never rd) picks one of two paths:
+    One kernel sums the grid by blocks, and the grid alone (wz, dx and N_g,
+    never rd) sets their size: runs of 2h + 1 segments, h = floor(wz / (73 dx))
+    (about wz / (36 dx) segments, at most the whole grid), where those hold
+    at least 2 x 16 (wz >= 1,168 dx and N_g >= 32), else one segment each,
+    which is one exp per segment. Grids of N_g <= 100 with wz / dx <= 1,000
+    (the CLI default, design sweeps) have one-segment blocks. With the
+    block centre X_b, u = X_b - rd and t = x_i - X_b,
+    exp(-2 (t + u)^2 / wz^2) = exp(-2 u^2 / wz^2) exp(-2 t^2 / wz^2) exp(-4 t u / wz^2),
+    and the last factor is cut to 16 Taylor terms in t (a single term where
+    t = 0). Each block keeps its moments, built once per grid, so a
+    displacement costs one exp and 16 multiply-adds per block in a window
+    holding every block centre within 9 wz + h dx (a fast Gauss transform;
+    Greengard & Strain, SIAM J. Sci. Stat. Comput. 12(1), 1991). Inside
+    that window |4 t u / wz^2| <= 0.494, so the cut leaves under 1e-18 of
+    each term. Past the last block centre by 20 wz every term lies below
+    the smallest double, so the sum is exactly 0 there and an infinite rd
+    gives 0.
 
-    * direct: one exp per segment of the window;
-    * blocked, where runs of 2h + 1 segments, h = floor(wz / (73 dx)) (about
-      wz / (36 dx) segments, at most the whole grid), hold at least
-      2 x 16: wz >= 1,168 dx and N_g >= 32. Grids of N_g <= 100 with
-      wz / dx <= 1,000 (the CLI default, design sweeps) stay direct.
-      With the block centre X_b, u = X_b - rd and t = x_i - X_b,
-      exp(-2 (t + u)^2 / wz^2) = exp(-2 u^2 / wz^2) exp(-2 t^2 / wz^2) exp(-4 t u / wz^2),
-      and the last factor is cut to 16 Taylor terms in t. Each block keeps
-      16 moments, built once per grid, so a displacement costs one exp and
-      16 multiply-adds per block in a window holding every block centre
-      within 9 wz + h dx, in place of one exp per segment (a fast Gauss
-      transform; Greengard & Strain, SIAM J. Sci. Stat. Comput. 12(1),
-      1991). Inside that window |4 t u / wz^2| <= 0.494, so the cut leaves
-      under 1e-18 of each term; a block farther than 20 wz from rd adds
-      exactly 0 (its terms lie below the smallest double), so an infinite
-      rd gives 0.
-
-    Both paths are within 8 eps (1 + |ln v|) relative of the sum over every
-    segment in long double, eps being the double epsilon and v the value:
-    the conditioning of exp. Over 40 random blocked and 25 direct grids
-    with rd up to ra + 12 wz the worst was 1.4 and 1.7 of those units.
+    Either block size is within 8 eps (1 + |ln v|) relative of the sum over
+    every segment in long double, eps being the double epsilon and v the
+    value: the conditioning of exp. Over 40 random grids of wider blocks
+    and 25 of one-segment blocks with rd up to ra + 12 wz the worst was 1.4
+    and 1.7 of those units.
     """
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()
     _check_capture_args(rd_arr, grid.wz, grid.ra)
-    vals = _grid_sum(grid.centers, grid.weights, grid.wz, grid.dx, rd_arr, grid._blocks)
+    vals = _grid_sum(*grid._blocks, grid.wz, rd_arr)
     if (vals > _OVERFLOW).any():
         _warn_overflow(float(vals.max()))
     return vals.reshape(rd_in.shape) if rd_in.ndim else float(vals[0])

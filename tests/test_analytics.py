@@ -182,6 +182,14 @@ class TestDetectProb:
         with pytest.warns(CaptureOverflowWarning):
             detect_prob(ctx)
 
+    def test_grid_overflow_reported_where_segments_span_half_the_beam(self):
+        # dx = wz with even N_g: rd = 0 is a dip (0.9856) between two peaks,
+        # and the grid sum reaches 1.0144 at the segment centre 2.5 cm out
+        ctx = make_context(Ng=10, ra=0.25, wz=0.05)
+        assert ctx.grid.dx == ctx.wz and ctx.grid.mu_p0 < 1.0
+        with pytest.warns(CaptureOverflowWarning, match="1.44e-02"):
+            evaluate(ctx)
+
     @pytest.mark.parametrize(
         "ng,wz,ra,linearization",
         [
@@ -393,7 +401,7 @@ def test_averaged_engine_matches_oracle_on_the_blocked_grid_sum(ra, wz, sigma_rd
     # wz: the engine's capture values come from the blocked grid sum, the
     # oracle's from the full sum over every segment
     grid = build_grid(ra, wz, 100_000)
-    assert grid._blocks is not None
+    assert grid._blocks[2] > 0.0
     ctx = analytics.AnalyticContext(T_qs=1e-8, grid=grid, sigma_rd=sigma_rd, mu_b=0.0, **link)
     got, want = detect_prob(ctx, turbulence="averaged"), oracles.detect_prob_averaged(ctx)
     assert abs(got - want) <= 1e-9 * want, f"engine {got:.15g} vs oracle {want:.15g}"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -291,12 +292,16 @@ class TestCaptureGrid:
     )
     def test_far_displacement_gives_zero(self, ra, wz, ng, blocked):
         # past every segment by far more than 9 wz the grid sum is exactly 0,
-        # never NaN, on each of the kernel's four paths
+        # never NaN, and no overflow warns on the way, for one-segment and
+        # wider blocks, summed whole or by windows
         grid = build_grid(ra, wz, ng)
-        assert (grid._blocks is not None) == blocked
-        for rd in (1e3, 1e200, math.inf):
-            assert capture_grid(grid, rd) == 0.0
-        assert np.array_equal(capture_grid(grid, np.array([0.0, 1e3, 1e200, math.inf]))[1:], np.zeros(3))
+        assert (grid._blocks[2] > 0.0) == blocked
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for rd in (1e3, 1e200, math.inf):
+                assert capture_grid(grid, rd) == 0.0
+            assert np.array_equal(capture_grid(grid, np.array([0.0, 1e3, 1e200, math.inf]))[1:], np.zeros(3))
+        assert not caught
 
     def test_keeps_the_shape_of_rd(self):
         grid = build_grid(RA, 0.01, 300)
@@ -340,15 +345,18 @@ class TestCaptureGrid:
         assert isinstance(grid.mu_p0, float)
 
     @pytest.mark.parametrize(
-        "ng,ra,wz", [(2, 1.5, 0.005), (3, RA, 0.05), (100, 1.5, 0.005), (10, RA, 0.10), (20_000, 1.5, 0.005)]
+        "ng,ra,wz",
+        [(2, 1.5, 0.005), (3, RA, 0.05), (100, 1.5, 0.005), (10, RA, 0.10), (20_000, 1.5, 0.005), (10, 0.25, 0.05)],
     )
     def test_peak_is_the_largest_probed_grid_sum(self, ng, ra, wz):
-        # segments wider than the beam: the grid sum is a row of spikes, so
+        # segments wider than half the beam: the grid sum peaks near the
+        # segment centres (at N_g = 10, ra = 25 cm, wz = 5 cm it dips to
+        # 0.9856 at rd = 0 and reaches 1.0144 at the centre 2.5 cm out), so
         # peak is its largest value at rd = 0 and the positive centres
         grid = build_grid(ra, wz, ng)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CaptureOverflowWarning)
-            if grid.dx > wz:
+            if 2.0 * grid.dx > wz:
                 probe = np.concatenate(([0.0], grid.centers[grid.centers > 0.0]))
                 assert grid.peak == capture_grid(grid, probe).max()
                 assert grid.peak >= grid.mu_p0
@@ -366,8 +374,41 @@ class TestCaptureGrid:
             assert (rows.mu_p0[k], rows.peak[k]) == (one.mu_p0, one.peak)
             assert np.array_equal(rows.centers, one.centers) and rows.dx == one.dx
 
+    def test_grid_sums_match_pinned_digest(self):
+        assert grid_sum_digest() == GRID_SUM_DIGEST
+
     def test_cached_mu_p0_covers_the_windowed_path(self):
         # the parameter grid above reaches the windowed sum: fewer segments
         # lie within 9 wz of rd = 0 than the grid has
         grid = build_grid(1.5, 0.005, 1000)
         assert math.ceil(18.0 * grid.wz / grid.dx) + 2 < grid.ng
+
+
+# sha256 of the bytes of capture_grid values (signs of zero included) and of
+# mu_p0, recorded while one-segment and wider blocks had kernels of their
+# own: any change to the arithmetic of the grid sum changes it
+GRID_SUM_DIGEST = "cd018a27db28a539"
+GRID_SUM_CASES = [
+    (0.15, 0.10, 10), (1.5, 2.0, 1000),  # one-segment blocks, whole grid
+    (1.5, 0.005, 1000), (1.5, 0.005, 100_000),  # one-segment blocks, windowed
+    (0.15, 0.10, 100_000), (0.906, 0.64, 100_000), (0.015, 10.0, 5000),  # wider blocks, whole grid
+    (1.5, 0.10, 100_000),  # wider blocks, windowed
+    (1.5, 0.005, 2), (0.15, 0.05, 3), (0.25, 0.05, 10),  # segments wider than half the beam
+]
+
+
+def grid_sum_digest() -> str:
+    """Digest of the grid sums of GRID_SUM_CASES and 8 seeded grids over the
+    validator box at rd = 0, 24 seeded draws up to ra + 12 wz, 1e3, 1e200
+    and inf, and of the mu_p0 row of a grid of 5 radii."""
+    rng = np.random.default_rng(19)
+    box = np.exp(rng.uniform(np.log([0.015, 0.005, 2.0]), np.log([1.5, 10.0, 100_000.0]), (8, 3)))
+    cases = GRID_SUM_CASES + [(ra, wz, round(ng)) for ra, wz, ng in box.tolist()]
+    digest = hashlib.sha256()
+    for ra, wz, ng in cases:
+        grid = build_grid(ra, wz, ng)
+        rd = np.concatenate(([0.0], rng.uniform(0.0, ra + 12.0 * wz, 24), [1e3, 1e200, math.inf]))
+        digest.update(capture_grid(grid, rd).tobytes())
+        digest.update(np.float64(grid.mu_p0).tobytes())
+    digest.update(_grid_rows(1.5, np.array([0.005, 0.1, 2.0, 0.03, 5.0]), 20_000).mu_p0.tobytes())
+    return digest.hexdigest()[:16]
