@@ -25,8 +25,8 @@ At N_g = 100,000, ra = 0.906 m and wz = 0.64 m, 104 blocks take the place
 of 100,000 segments.
 
 By rotational symmetry the displacement enters only through its norm, so
-all capture functions take rd >= 0, a norm (``capture_exact`` and
-``capture_grid`` also take an array of norms); collapse a vector
+all capture functions take rd >= 0, a norm, or an array of norms, and give
+a value of the shape of ``rd`` (a float for a float); collapse a vector
 displacement to its norm before calling.
 """
 
@@ -64,7 +64,7 @@ def beam_radius(w0: float, wavelength: float, Lz: float) -> float:
 
     wz = w0 * sqrt(1 + (lambda Lz / (pi w0^2))^2); always >= w0.
     """
-    if w0 <= 0 or wavelength <= 0 or Lz < 0:
+    if not (w0 > 0 and wavelength > 0 and Lz >= 0):
         raise ValueError("beam_radius requires w0 > 0, wavelength > 0, Lz >= 0")
     t = wavelength * Lz / (math.pi * w0 * w0)
     return w0 * math.sqrt(1.0 + t * t)
@@ -110,23 +110,25 @@ capture_exact_many = capture_exact
 
 @dataclass(frozen=True)
 class ClassicalCapture:
-    """Wide-beam approximation result; ``valid`` is False when wz < 4 ra,
+    """Wide-beam approximation result: ``value`` of the shape of ``rd``, and
+    one ``valid`` (it depends on wz and ra alone), False when wz < 4 ra,
     where the approximation can exceed 1 and is nonphysical."""
 
-    value: float
+    value: float | np.ndarray
     valid: bool
 
 
-def capture_classical(rd: float, wz: float, ra: float) -> ClassicalCapture:
+def capture_classical(rd, wz: float, ra: float) -> ClassicalCapture:
     """Classical FSO wide-beam capture approximation.
 
     Returns (2 ra^2 / wz^2) exp(-2 rd^2 / wz^2) *unclamped*: in the
     narrow-beam regime the raw value exceeds 1 and that failure is itself a
     result callers may want to display.
     """
-    _check_capture_args(rd, wz, ra)
-    value = (2.0 * ra * ra / (wz * wz)) * math.exp(-2.0 * rd * rd / (wz * wz))
-    return ClassicalCapture(value=value, valid=wz >= 4.0 * ra)
+    rd_arr = np.asarray(rd, dtype=float)
+    _check_capture_args(rd_arr, wz, ra)
+    value = (2.0 * ra * ra / (wz * wz)) * np.exp(-2.0 * rd_arr * rd_arr / (wz * wz))
+    return ClassicalCapture(value=value if value.ndim else float(value), valid=wz >= 4.0 * ra)
 
 
 @dataclass(frozen=True, eq=False)

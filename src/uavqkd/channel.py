@@ -5,6 +5,9 @@ fading (Gamma-Gamma with unit mean), receiver angle-of-arrival acceptance
 (narrow field of view), and background photon arrival statistics. The
 Rayleigh pointing displacement, of scale sigma_rd = sigma_theta_e * Lz,
 enters the analytics in closed form and the Monte Carlo as a drawn norm.
+``fov_accept_prob``, ``solid_angle`` and ``background_mean`` take floats
+or arrays of one value per point, by one numpy arithmetic, and give floats
+for floats. Domain checks are negated positive tests, so NaN raises.
 """
 
 from __future__ import annotations
@@ -32,38 +35,41 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 def atm_transmittance(alpha_a: float, Lz: float) -> float:
     """Beer-Lambert transmittance exp(-alpha_a * Lz)."""
-    if alpha_a < 0:
+    if not alpha_a >= 0:
         raise ValueError("attenuation coefficient must be >= 0")
-    if Lz <= 0:
+    if not Lz > 0:
         raise ValueError("link distance must be > 0")
     return math.exp(-alpha_a * Lz)
 
 
 def gg_sample(rng: np.random.Generator, alpha: float, beta: float, size=None):
     """Draw Gamma-Gamma variates as a product of two unit-mean Gammas."""
-    if alpha <= 0 or beta <= 0:
+    if not (alpha > 0 and beta > 0):
         raise ValueError("Gamma-Gamma parameters must be > 0")
     return rng.gamma(alpha, 1.0 / alpha, size) * rng.gamma(beta, 1.0 / beta, size)
 
 
-def fov_accept_prob(theta_fov: float, sigma_aoa: float) -> float:
+def fov_accept_prob(theta_fov, sigma_aoa):
     """P(|theta_AoA| <= theta_fov) = 1 - exp(-theta_fov^2 / (2 sigma_aoa^2))."""
-    if theta_fov <= 0 or sigma_aoa <= 0:
+    theta, sigma = np.asarray(theta_fov, dtype=float), np.asarray(sigma_aoa, dtype=float)
+    if not ((theta > 0.0).all() and (sigma > 0.0).all()):
         raise ValueError("theta_fov and sigma_aoa must be > 0")
-    return -math.expm1(-(theta_fov**2) / (2.0 * sigma_aoa**2))
+    p = -np.expm1(-(theta**2) / (2.0 * sigma**2))
+    return p if p.ndim else float(p)
 
 
 def fov_geometry(r_f: float, L_f: float) -> tuple[float, float]:
     """Half-angle FoV and solid angle from fiber core radius and focal length."""
-    if r_f < 0 or L_f <= 0:
+    if not (r_f >= 0 and L_f > 0):
         raise ValueError("fov_geometry requires r_f >= 0 and L_f > 0")
     theta = math.atan2(r_f, L_f)
     return theta, solid_angle(theta)
 
 
-def solid_angle(theta_fov: float) -> float:
+def solid_angle(theta_fov):
     """Solid angle of a cone of half-angle theta_fov: 2 pi (1 - cos theta)."""
-    return 2.0 * math.pi * (1.0 - math.cos(theta_fov))
+    omega = 2.0 * math.pi * (1.0 - np.cos(np.asarray(theta_fov, dtype=float)))
+    return omega if omega.ndim else float(omega)
 
 
 def background_mean(
@@ -81,11 +87,10 @@ def background_mean(
     E_photon = h c / lambda by default. The ``planck_hbar`` mode uses
     hbar c / lambda instead (exactly 2 pi times more photons), matching a
     printed form of the source expression; the physically standard photon
-    energy uses h, so that is the default. ``B_lambda`` and ``omega_fov``
-    may be arrays of one value per point.
+    energy uses h, so that is the default.
     """
-    if min(A_r, delta_lambda_nm, T_qs) < 0 or np.less(B_lambda, 0.0).any() or np.less(omega_fov, 0.0).any() \
-            or wavelength <= 0:
+    if not (A_r >= 0 and delta_lambda_nm >= 0 and T_qs >= 0 and wavelength > 0
+            and np.greater_equal(B_lambda, 0.0).all() and np.greater_equal(omega_fov, 0.0).all()):
         raise ValueError("background_mean requires nonnegative inputs and wavelength > 0")
     if energy_convention == "planck_h":
         e_photon = PLANCK_H * SPEED_OF_LIGHT / wavelength

@@ -218,23 +218,14 @@ def _cmd_validate(args, cfg) -> str:
     if args.points < 1:
         raise ConfigError(f"--points: {args.points} is not >= 1")
     rd_grid = np.linspace(0.0, rd_max, args.points)
+    cols = ["wz", "rd", "mu_p_exact", "mu_p_grid", "mu_p_classical", "classical_valid"]
     rows = []
     for wz in wz_values:
         exact = capture_exact(rd_grid, wz, cfg.ra)
         approx = capture_grid(build_grid(cfg.ra, wz, ng), rd_grid)
-        for rd, mu_exact, mu_grid in zip(rd_grid, exact, approx):
-            classical = capture_classical(rd, wz, cfg.ra)
-            rows.append(
-                {
-                    "wz": wz,
-                    "rd": float(rd),
-                    "mu_p_exact": float(mu_exact),
-                    "mu_p_grid": float(mu_grid),
-                    "mu_p_classical": classical.value,
-                    "classical_valid": classical.valid,
-                }
-            )
-    cols = ["wz", "rd", "mu_p_exact", "mu_p_grid", "mu_p_classical", "classical_valid"]
+        classical = capture_classical(rd_grid, wz, cfg.ra)
+        for values in zip(rd_grid.tolist(), exact.tolist(), approx.tolist(), classical.value.tolist()):
+            rows.append(dict(zip(cols, (wz, *values, classical.valid))))
     return output.render(rows, args.format, cols)
 
 

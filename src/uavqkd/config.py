@@ -153,25 +153,6 @@ class LinkConfig:
             return self.eta_atm
         return atm_transmittance(self.alpha_a, self.Lz)
 
-    def resolved_mu_b(self) -> float:
-        if self.mu_b is not None:
-            return self.mu_b
-        return _background(self, solid_angle(self.resolved_theta_fov()), self.B_lambda)
-
-
-def _background(cfg: LinkConfig, omega_fov, B_lambda):
-    """Radiometric mean background count of ``cfg`` at the FoV solid angle
-    ``omega_fov`` and radiance ``B_lambda`` (floats, or arrays per point)."""
-    return background_mean(
-        B_lambda,
-        math.pi * cfg.ra**2,
-        omega_fov,
-        cfg.delta_lambda,
-        cfg.T_qs,
-        cfg.wavelength,
-        cfg.energy_convention,
-    )
-
 
 # LinkConfig's field names in declaration order, listed once for validate and dumps
 _FIELD_NAMES = tuple(f.name for f in fields(LinkConfig))
@@ -307,8 +288,8 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     theta_fov, B_lambda) to arrays of one range-checked value per point,
     all of one length P; they replace the config's values and the context
     holds P points. Each point's quantities are derived from its own
-    values by the same functions as for a single config: a grid row per
-    wz, a background mean per (theta_fov, B_lambda).
+    values by the same numpy arithmetic as for a single config: a grid row
+    per wz, a background mean per (theta_fov, B_lambda).
     """
     points = points or {}
     n = len(next(iter(points.values()))) if points else 0
@@ -324,12 +305,13 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     else:
         grid = build_grid(cfg.ra, cfg.resolved_wz(), cfg.Ng)
     theta_fov = per_point("theta_fov", cfg.resolved_theta_fov())
-    if cfg.mu_b is None and ("theta_fov" in points or "B_lambda" in points):
-        # 1 - cos(theta) cancels: each solid angle from math.cos, as for one config
-        omega = np.array([solid_angle(t) for t in theta_fov.tolist()])
-        mu_b = _background(cfg, omega, per_point("B_lambda", cfg.B_lambda))
+    if cfg.mu_b is not None:
+        mu_b = per_point("mu_b", cfg.mu_b)
     else:
-        mu_b = per_point("mu_b", cfg.resolved_mu_b())
+        mu_b = background_mean(
+            per_point("B_lambda", cfg.B_lambda), math.pi * cfg.ra**2, solid_angle(theta_fov),
+            cfg.delta_lambda, cfg.T_qs, cfg.wavelength, cfg.energy_convention,
+        )
     return AnalyticContext(
         mu_t=cfg.mu_t,
         eta_atm=cfg.resolved_eta_atm(),

@@ -191,20 +191,20 @@ def _binom_se(p: float, n: int) -> float:
 
 
 def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McReport:
-    """Simulate ``n_slots`` quantum slots and aggregate the estimates."""
+    """Simulate ``n_slots`` quantum slots and aggregate the estimates; the
+    batches go through a pool of ``workers`` (>= 1) threads."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if ctx.shape:
         raise ValueError("the Monte Carlo simulates a context of one point")
     n_batches = (n_slots + BATCH_SIZE - 1) // BATCH_SIZE
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_SIZE] * (n_batches - 1) + [n_slots - BATCH_SIZE * (n_batches - 1)]
 
-    if workers <= 1:
-        counts = [_simulate_batch(ss, ctx, m) for ss, m in zip(children, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes))
     detect, capture_evals, *outcomes = (int(c) for c in np.sum(counts, axis=0))
     _, s1, s2_ok, s2_err, s3, _ = outcomes
 

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 import uavqkd
 from conftest import make_context
+from uavqkd.beam import beam_radius, capture_classical
 from oracles import gg_cdf, gg_cdf_interpolator, gg_pdf
 from uavqkd.channel import (
     PLANCK_H,
@@ -21,7 +22,7 @@ from uavqkd.channel import (
     gg_sample,
     solid_angle,
 )
-from uavqkd.config import LinkConfig, build_context, validate
+from uavqkd.config import _FIELDS, LinkConfig, build_context, validate
 from uavqkd.errors import ConfigError
 
 ALPHA, BETA = 2.1, 1.8
@@ -214,9 +215,9 @@ class TestBackground:
             background_mean(1e-6, 1.0, 1e-8, 1.0, 1e-8, 1.55e-6, "joules")
 
     def test_model_wrapper(self):
-        # LinkConfig.resolved_mu_b assembles A_r = pi ra^2 and the FoV solid angle
+        # the context's mu_b assembles A_r = pi ra^2 and the FoV solid angle
         cfg = LinkConfig(ra=0.15, theta_fov=100e-6, B_lambda=1e-6, delta_lambda=1.0, T_qs=1e-8)
-        assert cfg.resolved_mu_b() == pytest.approx(1.7327552631619765e-4, rel=1e-12)
+        assert build_context(cfg).mu_b == pytest.approx(1.7327552631619765e-4, rel=1e-12)
 
 
 class TestChannelParams:
@@ -245,3 +246,68 @@ def test_import_loads_no_interpolation():
     code = "import sys, uavqkd; print('scipy.interpolate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fov_accept_prob(NAN, 5e-5),
+        lambda: fov_accept_prob(5e-5, NAN),
+        lambda: fov_accept_prob(np.array([5e-5, NAN]), 5e-5),
+        lambda: atm_transmittance(NAN, 1000.0),
+        lambda: atm_transmittance(1e-3, NAN),
+        lambda: fov_geometry(NAN, 0.15),
+        lambda: fov_geometry(5e-6, NAN),
+        lambda: background_mean(NAN, 0.07, 1e-8, 1.0, 1e-8, 1.55e-6),
+        lambda: background_mean(np.array([1e-6, NAN]), 0.07, 1e-8, 1.0, 1e-8, 1.55e-6),
+        lambda: background_mean(1e-6, NAN, 1e-8, 1.0, 1e-8, 1.55e-6),
+        lambda: background_mean(1e-6, 0.07, 1e-8, 1.0, 1e-8, NAN),
+        lambda: beam_radius(NAN, 1.55e-6, 1000.0),
+        lambda: beam_radius(0.01, 1.55e-6, NAN),
+        lambda: gg_sample(np.random.default_rng(0), NAN, 2.0, 3),
+        lambda: gg_sample(np.random.default_rng(0), 2.0, NAN, 3),
+    ],
+    ids=[
+        "fov_theta", "fov_sigma", "fov_array", "atm_alpha", "atm_Lz", "geometry_r_f", "geometry_L_f",
+        "background_B", "background_B_array", "background_A_r", "background_wavelength",
+        "beam_w0", "beam_Lz", "gg_alpha", "gg_beta",
+    ],
+)
+def test_nan_parameter_raises(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: fov_accept_prob(x, 5e-5),
+        lambda x: fov_accept_prob(1e-4, x),
+        solid_angle,
+        lambda x: capture_classical(x, 0.7, 0.15).value,
+    ],
+    ids=["fov_theta", "fov_sigma", "solid_angle", "capture_classical"],
+)
+def test_array_call_gives_the_scalar_values(f):
+    """An array argument gives the scalar calls' values bit for bit, in its
+    own shape; a float gives a float."""
+    xs = np.random.default_rng(5).uniform(1e-6, 1e-3, 257)
+    scalars = [f(x) for x in xs.tolist()]
+    assert all(type(v) is float for v in scalars)
+    got = f(xs)
+    assert got.shape == xs.shape
+    assert got.tolist() == scalars
+    assert f(xs.reshape(1, -1)).shape == (1, xs.size)
+
+
+def test_solid_angle_is_math_cos_form():
+    """1 - cos(theta) cancels, so an ulp of cos moves mu_b by up to ~1e-5
+    relative: over the validator's theta_fov range the array form equals
+    2 pi (1 - math.cos(theta)) bit for bit."""
+    _, lo, hi = _FIELDS["theta_fov"]
+    theta = np.exp(np.random.default_rng(11).uniform(math.log(lo), math.log(hi), 10_000))
+    want = [2.0 * math.pi * (1.0 - math.cos(t)) for t in theta.tolist()]
+    assert solid_angle(theta).tolist() == want

@@ -97,11 +97,11 @@ class TestDefaults:
 
     def test_resolved_mu_b(self):
         cfg = loads("theta_fov = 100 urad")
-        assert cfg.resolved_mu_b() == pytest.approx(1.73e-4, rel=1e-2)
+        assert build_context(cfg).mu_b == pytest.approx(1.73e-4, rel=1e-2)
 
     def test_explicit_mu_b_wins(self):
         cfg = loads("mu_b = 0.25")
-        assert cfg.resolved_mu_b() == 0.25
+        assert build_context(cfg).mu_b == 0.25
 
 
 class TestLoads:

@@ -93,6 +93,10 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run(baseline_ctx, 0, seed=1)
 
+    def test_rejects_fewer_than_one_worker(self, baseline_ctx):
+        with pytest.raises(ValueError, match="workers"):
+            run(baseline_ctx, 1000, seed=1, workers=0)
+
 
 class TestOutcomeOracles:
     def test_empty_source_never_produces_bits(self, baseline_ctx):

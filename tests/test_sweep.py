@@ -15,7 +15,6 @@ from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
 from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
 
 _FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
-RTOL = 1e-14  # the array pass against the same point evaluated alone
 
 
 def _recorded(fn):
@@ -37,14 +36,13 @@ def _one_by_one(base, spec):
     return reports
 
 
-def _assert_close(got, want):
+def _assert_same(got, want):
+    """A row of the array pass equals the point evaluated alone, bit for bit
+    (NaN equals NaN)."""
     for name in _FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is float, name
-        if math.isnan(b):
-            assert math.isnan(a), name
-        else:
-            assert abs(a - b) <= RTOL * abs(b), f"{name}: {a!r} vs {b!r}"
+        assert a == b or (math.isnan(a) and math.isnan(b)), f"{name}: {a!r} vs {b!r}"
 
 
 def _assert_array_pass_matches(base, spec):
@@ -52,7 +50,7 @@ def _assert_array_pass_matches(base, spec):
     want, want_warned = _recorded(lambda: _one_by_one(base, spec))
     assert len(result.rows) == len(want)
     for row, rep in zip(result.rows, want):
-        _assert_close(row.report, rep)
+        _assert_same(row.report, rep)
     assert warned == want_warned
     return result, warned
 
@@ -243,7 +241,7 @@ class TestArrayPass:
         analytic = [row.report for row in result.rows if row.report.method == "analytic"]
         assert len(analytic) == 4 and len(result.rows) == 8
         for got, rep in zip(analytic, want):
-            _assert_close(got, rep)
+            _assert_same(got, rep)
 
     def test_engine_both_validates_once(self, baseline_cfg, monkeypatch):
         # the first point's validation and the range checks of the swept
@@ -345,7 +343,7 @@ class TestOptimize:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinearizationWarning)
             result = optimize(baseline_cfg, variable, 1e-3, bounds)
-            _assert_close(result.report, analytics.evaluate(build_context(replace(baseline_cfg, **{variable: result.value}))))
+            _assert_same(result.report, analytics.evaluate(build_context(replace(baseline_cfg, **{variable: result.value}))))
 
     def test_out_of_range_bounds_raise_the_config_error(self, baseline_cfg):
         with pytest.raises(ValueError, match=r"wz: value 0.001 outside allowed range"):
