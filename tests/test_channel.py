@@ -10,8 +10,8 @@ from scipy import integrate, stats
 
 import uavqkd
 from conftest import make_context
-from uavqkd.beam import beam_radius, capture_classical
 from oracles import gg_cdf, gg_cdf_interpolator, gg_pdf
+from uavqkd.beam import beam_radius, capture_classical
 from uavqkd.channel import (
     PLANCK_H,
     SPEED_OF_LIGHT,
