@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -284,3 +285,37 @@ class TestWarningsLogged:
         assert len(hits) == 1
         assert hits[0].startswith("WARNING ")
         assert err.startswith("INFO resolved parameters:")
+
+
+class TestGoldenOutput:
+    """The stdout bytes of every subcommand in every format, pinned by one
+    sha256: a change of representation between ``evaluate`` and ``render``
+    must leave the CLI's output byte-identical."""
+
+    CONFIG = "theta_fov = 100 urad\nn_slots = 3000\nseed = 11\n"
+    BRIGHT = "B_lambda = 1e-4 W/m2/sr/nm\n"  # theta_fov derived, high radiance
+    CALLS = [
+        ("link", ["eval"]),
+        ("link", ["mc", "--slots", "2500", "--seed", "5"]),
+        ("link", ["sweep", "--axis", "theta_fov", "--values", "50urad,100urad,150urad",
+                  "--overlay", "B_lambda=1e-6,1e-4"]),
+        ("link", ["sweep", "--axis", "wz", "--range", "5cm:30cm:3", "--overlay", "sigma_aoa=30urad,80urad",
+                  "--engine", "both"]),
+        ("link", ["sweep", "--axis", "sigma_theta_e", "--values", "20urad,100urad", "--engine", "monte_carlo"]),
+        ("link", ["optimize", "--var", "wz", "--qber-max", "1e-3", "--bounds", "5cm:1m"]),
+        ("bright", ["optimize", "--var", "theta_fov", "--qber-max", "1e-9", "--bounds", "5urad:200urad"]),
+        ("link", ["validate", "--wz", "5cm,10cm", "--rd-max", "0.2", "--points", "4"]),
+    ]
+    SHA256 = "15e6d6c7676c3f213d1743f931ec55b92fa938f707246ac63805765ae0cdfb38"
+
+    def test_stdout_bytes_pinned(self, capsys, tmp_path):
+        paths = {"link": tmp_path / "link.cfg", "bright": tmp_path / "bright.cfg"}
+        paths["link"].write_text(self.CONFIG)
+        paths["bright"].write_text(self.BRIGHT)
+        digest = hashlib.sha256()
+        for name, argv in self.CALLS:
+            for fmt in ("csv", "json", "table"):
+                code, out = run_cli(capsys, "--config", str(paths[name]), "--quiet", "--format", fmt, *argv)
+                assert code == cli.EXIT_OK, (argv, fmt)
+                digest.update(f"{fmt} {' '.join(argv)}\n".encode() + out.encode())
+        assert digest.hexdigest() == self.SHA256
