@@ -190,12 +190,12 @@ def _cmd_optimize(args, cfg) -> str:
     result = optimize(
         cfg, args.var, args.qber_max, (_qty(parts[0], kind), _qty(parts[1], kind))
     )
-    row = output.perf_row(result.report, result.variable, result.value, "feasible", int(result.feasible))
+    rows = output.perf_rows(result.report, result.variable, [result.value], "feasible", [int(result.feasible)])
     if not result.feasible:
         log.warning(
             "no point satisfies qber <= %g; reporting the minimum-QBER point", result.qber_max
         )
-    return output.render([row], args.format, output.PERF_COLUMNS)
+    return output.render(rows, args.format, output.PERF_COLUMNS)
 
 
 def _check_flag(flag: str, key: str, value) -> None:

@@ -7,18 +7,22 @@ fixed):
     p_detect, p_s1, p_s2, p_s3, p_eff_one, key_rate_bps, qber, method,
     se_p_detect, se_p_eff_one, se_key_rate_bps, se_qber
 
-Floats are serialized with 17 significant digits so a JSON or CSV
-round-trip reproduces them bit-exactly.
+``perf_rows`` is the one builder of these rows: from a one-point report
+(``eval``, ``mc``, ``optimize``, each Monte Carlo sweep point) or from a
+report of (P,) columns (an analytic sweep). ``sweep(...).rows`` are such
+rows, so ``emit`` only renders them. Floats are serialized with 17
+significant digits so a JSON or CSV round-trip reproduces them bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 
-from .analytics import PerformanceReport
-from .sweep import SweepResult
+import numpy as np
 
-__all__ = ["PERF_COLUMNS", "perf_row", "render", "emit"]
+from .analytics import PerformanceReport
+
+__all__ = ["PERF_COLUMNS", "perf_rows", "render", "emit"]
 
 PERF_COLUMNS = [
     "axis",
@@ -39,38 +43,32 @@ PERF_COLUMNS = [
     "se_qber",
 ]
 
+# column -> report field, of the values and (in ``report.se``) their standard errors
+_VALUES = {"p_detect": "p_detect", "p_s1": "p_s1", "p_s2": "p_s2", "p_s3": "p_s3",
+           "p_eff_one": "p_eff_one", "key_rate_bps": "key_rate", "qber": "qber"}
+_ERRORS = {"se_p_detect": "p_detect", "se_p_eff_one": "p_eff_one", "se_key_rate_bps": "key_rate", "se_qber": "qber"}
 
-def perf_row(
-    report: PerformanceReport, axis: str = "", axis_value=None, overlay: str = "", overlay_value=None
-) -> dict:
-    """One performance row: the report's fields under the given axis and overlay."""
+
+def perf_rows(
+    report: PerformanceReport, axis: str = "", axis_values=(None,), overlay: str = "", overlay_values=(None,)
+) -> list[dict]:
+    """Performance rows of a report under the given axis and overlay: one
+    row for a one-point report, P rows for a report of (P,) columns, with
+    one axis and one overlay value per row. Values are Python floats."""
     se = report.se or {}
-    return {
-        "axis": axis,
-        "axis_value": axis_value,
-        "overlay": overlay,
-        "overlay_value": overlay_value,
-        "p_detect": report.p_detect,
-        "p_s1": report.p_s1,
-        "p_s2": report.p_s2,
-        "p_s3": report.p_s3,
-        "p_eff_one": report.p_eff_one,
-        "key_rate_bps": report.key_rate,
-        "qber": report.qber,
-        "method": report.method,
-        "se_p_detect": se.get("p_detect"),
-        "se_p_eff_one": se.get("p_eff_one"),
-        "se_key_rate_bps": se.get("key_rate"),
-        "se_qber": se.get("qber"),
-    }
+    shared = {"axis": axis, "overlay": overlay, "method": report.method}
+    shared.update((c, se.get(f)) for c, f in _ERRORS.items())
+    keys = ("axis_value", "overlay_value", *_VALUES)
+    columns = [np.atleast_1d(getattr(report, f)).tolist() for f in _VALUES.values()]
+    points = zip(axis_values, overlay_values, *columns, strict=True)
+    return [{**shared, **dict(zip(keys, point))} for point in points]
 
 
-def _fmt(value) -> str:
+def _text(value, none: str, spec: str) -> str:
+    """A cell's text: ``none`` for None, a float formatted by ``spec``."""
     if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+        return none
+    return format(value, spec) if isinstance(value, float) else str(value)
 
 
 def render(rows: list[dict], fmt: str, columns: list[str]) -> str:
@@ -79,12 +77,12 @@ def render(rows: list[dict], fmt: str, columns: list[str]) -> str:
         return ""
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
+        lines += [",".join(_text(row.get(c), "", ".17g") for c in columns) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2) + "\n"
     if fmt == "table":
-        cells = [[_shorten(row.get(c)) for c in columns] for row in rows]
+        cells = [[_text(row.get(c), "-", ".6g") for c in columns] for row in rows]
         widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
         head = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
         body = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in cells]
@@ -92,19 +90,7 @@ def render(rows: list[dict], fmt: str, columns: list[str]) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _shorten(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
-def emit(result: PerformanceReport | SweepResult, fmt: str) -> str:
+def emit(result, fmt: str) -> str:
     """Render a point report or a sweep result in the performance schema."""
-    if isinstance(result, PerformanceReport):
-        rows = [perf_row(result)]
-    else:
-        axis, overlay = result.spec.axis, result.spec.overlay or ""
-        rows = [perf_row(r.report, axis, r.axis_value, overlay, r.overlay_value) for r in result.rows]
+    rows = perf_rows(result) if isinstance(result, PerformanceReport) else result.rows
     return render(rows, fmt, PERF_COLUMNS)

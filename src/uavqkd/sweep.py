@@ -11,16 +11,18 @@ each point from that point's own values, in the same pass and by the
 same functions as ``build_context``. A point therefore cannot see a value
 derived for another point or an earlier sweep; the only state kept
 between points is ``build_grid``'s cache of immutable grids, keyed by
-(ra, wz, N_g). One ``evaluate`` call per context gives its reports, each
-equal to the same point evaluated alone. Monte Carlo points keep a
-context each and run on seeds spawned from the config seed, one per
+(ra, wz, N_g). One ``evaluate`` call per context gives (P,) columns, row
+k equal to the same point evaluated alone, and ``sweep(...).rows`` are the
+output-schema rows built from them once (``output.perf_rows``: keys = the
+CSV columns, so the key rate is ``key_rate_bps``). Monte Carlo points keep
+a context each and run on seeds spawned from the config seed, one per
 point; a sweep that runs no Monte Carlo spawns none. The optimizer maximizes
-the analytic key rate under a QBER ceiling with array passes too: a coarse
-global grid, then grids of a few points that narrow the bracket around the
-best feasible point until the grid step falls below a fixed share of the
-bounds; Monte Carlo is intentionally not part of the objective (its noise
-breaks a line search) and is meant for post-hoc validation of the chosen
-optimum.
+the analytic key rate under a QBER ceiling with array passes too, picking
+points with numpy masks on the columns: a coarse global grid, then grids of
+a few points that narrow the bracket around the best feasible point until
+the grid step falls below a fixed share of the bounds; Monte Carlo is
+intentionally not part of the objective (its noise breaks a line search)
+and is meant for post-hoc validation of the chosen optimum.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from . import analytics, montecarlo
 from .analytics import PerformanceReport
 from .beam import _CHUNK
 from .config import _FIELD_NAMES, LinkConfig, _check_range, _derive, validate
+from .output import perf_rows
 
-__all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "SweepResult", "OptimizeResult", "sweep", "optimize"]
+__all__ = ["SWEEPABLE", "SweepSpec", "SweepResult", "OptimizeResult", "sweep", "optimize"]
 
 SWEEPABLE = ("wz", "sigma_theta_e", "sigma_aoa", "theta_fov", "B_lambda")
 OPTIMIZABLE = ("wz", "theta_fov")
@@ -64,26 +67,20 @@ class SweepSpec:
             raise ValueError("sweep and overlay values must be finite")
         if any(not b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.overlay is not None:
-            if self.overlay not in SWEEPABLE or self.overlay == self.axis:
-                raise ValueError(f"overlay must be a sweepable axis distinct from {self.axis!r}")
-            if not self.overlay_values:
-                raise ValueError("overlay given without overlay values")
+        if self.overlay is not None and (self.overlay not in SWEEPABLE or self.overlay == self.axis):
+            raise ValueError(f"overlay must be a sweepable axis distinct from {self.axis!r}")
+        if (self.overlay is None) != (not self.overlay_values):
+            raise ValueError("an overlay axis and overlay values must be given together")
         if self.engine not in ("analytic", "monte_carlo", "both"):
             raise ValueError(f"unknown engine {self.engine!r}")
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
-    overlay_value: float | None
-    report: PerformanceReport
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """The sweep's output-schema rows (``output.perf_rows``), in sweep order."""
+
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    rows: tuple[dict, ...]
 
 
 def _point_config(base: LinkConfig, spec: SweepSpec, v: float, ov: float | None) -> LinkConfig:
@@ -93,24 +90,31 @@ def _point_config(base: LinkConfig, spec: SweepSpec, v: float, ov: float | None)
     return replace(base, **updates)
 
 
-_REPORT_FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
+def _columns(report: PerformanceReport) -> dict[str, np.ndarray]:
+    """The (P,) columns of an analytic report, by field name."""
+    return {name: value for name, value in vars(report).items() if isinstance(value, np.ndarray)}
 
 
-def _analytic_reports(cfg: LinkConfig, points: dict[str, np.ndarray]) -> list[PerformanceReport]:
-    """Analytic reports of the points of ``cfg`` with ``points``' fields
-    replaced (see ``config._derive``): one context and one ``evaluate``
-    call for all points, except that points differing in wz each hold a
-    row of N_g grid weights, so they go in blocks of at most
-    max(1, _CHUNK // N_g) points, one context each.
+def _analytic_report(cfg: LinkConfig, points: dict[str, np.ndarray]) -> PerformanceReport:
+    """The analytic report, of (P,) columns, of the points of ``cfg`` with
+    ``points``' fields replaced (see ``config._derive``): one context and
+    one ``evaluate`` call for all points, except that points differing in
+    wz each hold a row of N_g grid weights, so they go in blocks of at most
+    max(1, _CHUNK // N_g) points, one context each, joined column by column.
     """
     n = len(next(iter(points.values())))
     step = max(1, _CHUNK // cfg.Ng) if "wz" in points else n
-    reports: list[PerformanceReport] = []
-    for i in range(0, n, step):
-        report = analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()}))
-        columns = [getattr(report, name).tolist() for name in _REPORT_FIELDS]
-        reports += [PerformanceReport(*values, method="analytic") for values in zip(*columns)]
-    return reports
+    blocks = [
+        _columns(analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()})))
+        for i in range(0, n, step)
+    ]
+    joined = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    return PerformanceReport(**joined, method="analytic")
+
+
+def _point(report: PerformanceReport, i: int) -> PerformanceReport:
+    """Point i of a report of (P,) columns, its fields Python floats."""
+    return replace(report, **{name: column[i].item() for name, column in _columns(report).items()})
 
 
 def _point_error(spec: SweepSpec, v: float, ov: float | None, exc: ValueError) -> ValueError:
@@ -141,40 +145,39 @@ def _checked_first_point(base: LinkConfig, spec: SweepSpec, points: list) -> Lin
 
 
 def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
-    """Evaluate the link at every (axis x overlay) combination, in order.
+    """Rows of the link at every (axis x overlay) combination, in order, analytic before Monte Carlo.
 
     The analytic engine evaluates all points in one array pass. When the
     engine runs the Monte Carlo, points draw per-point seeds from the
     config seed via SeedSequence spawning, so the same spec and seed
     reproduce the same SweepResult exactly; an analytic sweep spawns none.
     """
-    overlays: tuple[float | None, ...] = spec.overlay_values if spec.overlay else (None,)
-    points = [(v, ov) for ov in overlays for v in spec.values]
+    points = [(v, ov) for ov in spec.overlay_values or (None,) for v in spec.values]
     cfg = _checked_first_point(base, spec, points)
-    analytic: list[PerformanceReport] = []
+    axis_values, overlay_values = zip(*points)
+    axis, overlay = spec.axis, spec.overlay or ""
+    analytic: list[dict] = []
     if spec.engine in ("analytic", "both"):
-        swept = {spec.axis: np.tile(np.asarray(spec.values, dtype=float), len(overlays))}
+        swept = {axis: np.array(axis_values, dtype=float)}
         if spec.overlay:
-            swept[spec.overlay] = np.repeat(np.asarray(spec.overlay_values, dtype=float), len(spec.values))
+            swept[overlay] = np.array(overlay_values, dtype=float)
         try:
-            analytic = _analytic_reports(cfg, swept)
+            report = _analytic_report(cfg, swept)
         except ValueError as exc:  # a derived quantity out of range: the same at every point
             raise _point_error(spec, *points[0], exc) from exc
-    run_mc = spec.engine in ("monte_carlo", "both")
-    mc_seeds = np.random.SeedSequence(base.seed).spawn(len(points)) if run_mc else [None] * len(points)
+        analytic = perf_rows(report, axis, axis_values, overlay, overlay_values)
+    if spec.engine == "analytic":
+        return SweepResult(spec=spec, rows=tuple(analytic))
 
-    rows: list[SweepRow] = []
-    for k, ((v, ov), ss) in enumerate(zip(points, mc_seeds)):
-        if analytic:
-            rows.append(SweepRow(v, ov, analytic[k]))
-        if run_mc:
-            try:
-                ctx = _derive(_point_config(base, spec, v, ov))  # validated by _checked_first_point
-            except ValueError as exc:
-                raise _point_error(spec, v, ov, exc) from exc
-            seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-            mc = montecarlo.run(ctx, base.n_slots, seed)
-            rows.append(SweepRow(v, ov, mc.estimates))
+    rows: list[dict] = []
+    for k, ((v, ov), ss) in enumerate(zip(points, np.random.SeedSequence(base.seed).spawn(len(points)))):
+        rows += analytic[k : k + 1]  # none under engine "monte_carlo"
+        try:
+            ctx = _derive(_point_config(base, spec, v, ov))  # validated by _checked_first_point
+        except ValueError as exc:
+            raise _point_error(spec, v, ov, exc) from exc
+        seed = int(ss.generate_state(1, dtype=np.uint64)[0])
+        rows += perf_rows(montecarlo.run(ctx, base.n_slots, seed).estimates, axis, [v], overlay, [ov])
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -218,22 +221,24 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
     cfg = replace(base, **{variable: float(xs[0])})
     validate(cfg)
     _check_range(variable, hi)
-    reports = _analytic_reports(cfg, {variable: xs})
-    feas = [r.qber <= qber_max for r in reports]
+    r = _analytic_report(cfg, {variable: xs})
+    feasible = r.qber <= qber_max  # False where the QBER is NaN
 
-    if not any(feas):
-        i = int(np.argmin([r.qber for r in reports]))
-        return OptimizeResult(variable, float(xs[i]), reports[i], False, qber_max)
+    if not feasible.any():
+        i = int(np.argmin(r.qber))
+        return OptimizeResult(variable, float(xs[i]), _point(r, i), False, qber_max)
 
-    best = max((i for i in range(_COARSE) if feas[i]), key=lambda i: reports[i].key_rate)
-    best_x, best_r = float(xs[best]), reports[best]
+    # a feasible point's key rate is finite: the first maximum is the first feasible best
+    i = int(np.argmax(np.where(feasible, r.key_rate, -np.inf)))
+    best_x, best_r = float(xs[i]), _point(r, i)
     step = (hi - lo) / (_COARSE - 1)
     while step > _TOL * (hi - lo):
         a, b = max(best_x - step, lo), min(best_x + step, hi)
         xs = np.linspace(a, b, _REFINE + 2)[1:-1]
         step = (b - a) / (_REFINE + 1)
-        for x, r in zip(xs.tolist(), _analytic_reports(cfg, {variable: xs})):
-            if r.qber <= qber_max and r.key_rate > best_r.key_rate:
-                best_x, best_r = x, r
+        r = _analytic_report(cfg, {variable: xs})
+        i = int(np.argmax(np.where(r.qber <= qber_max, r.key_rate, -np.inf)))
+        if r.qber[i] <= qber_max and r.key_rate[i] > best_r.key_rate:
+            best_x, best_r = float(xs[i]), _point(r, i)
 
     return OptimizeResult(variable, best_x, best_r, True, qber_max)

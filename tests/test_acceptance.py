@@ -217,8 +217,8 @@ def test_criterion_7_fov_tradeoff_shape():
                 result = sweep(cfg, SweepSpec(axis="theta_fov", values=values))
                 mu_bs = [build_context(replace(cfg, theta_fov=v)).mu_b for v in values]
                 assert max(mu_bs) < 1.0
-                keys = [r.report.key_rate for r in result.rows]
-                qbers = [r.report.qber for r in result.rows]
+                keys = [row["key_rate_bps"] for row in result.rows]
+                qbers = [row["qber"] for row in result.rows]
                 assert all(b >= a for a, b in zip(keys, keys[1:]))
                 assert all(b >= a for a, b in zip(qbers, qbers[1:]))
 

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_config
-from uavqkd import analytics, output
+from uavqkd import analytics, config, output
 from uavqkd.config import build_context
+from uavqkd.errors import LinearizationWarning
 from uavqkd.sweep import SweepSpec, sweep
 
 
@@ -24,8 +27,6 @@ class TestRows:
         assert lines[0] == ",".join(output.PERF_COLUMNS)
 
     def test_sweep_rows_engine_both(self, baseline_cfg):
-        from dataclasses import replace
-
         cfg = replace(baseline_cfg, n_slots=20_000)
         values = tuple(np.linspace(0.05, 0.3, 20).tolist())
         result = sweep(cfg, SweepSpec(axis="wz", values=values, engine="both"))
@@ -33,6 +34,21 @@ class TestRows:
         assert len(rows) == 40
         assert {r["method"] for r in rows} == {"analytic", "monte_carlo"}
         assert all(r["axis"] == "wz" for r in rows)
+
+    def test_columns_give_the_rows_of_each_point_alone(self, baseline_cfg):
+        values = [0.05, 0.1, 0.2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinearizationWarning)
+            columns = analytics.evaluate(config._derive(baseline_cfg, {"wz": np.array(values)}))
+            alone = [analytics.evaluate(build_context(replace(baseline_cfg, wz=v))) for v in values]
+        rows = output.perf_rows(columns, "wz", values, "", [None] * 3)
+        assert rows == [output.perf_rows(r, "wz", [v])[0] for r, v in zip(alone, values)]
+        assert all(type(row[c]) is float for row in rows for c in ("p_detect", "key_rate_bps", "qber"))
+        assert set(rows[0]) == set(output.PERF_COLUMNS)
+
+    def test_one_value_per_row(self, report):
+        with pytest.raises(ValueError):
+            output.perf_rows(report, "wz", [0.05, 0.1])
 
 
 class TestRender:

@@ -8,13 +8,23 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from uavqkd import analytics, config, montecarlo
+from uavqkd import analytics, config, montecarlo, output
 from uavqkd import sweep as sweep_module
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
+from uavqkd.analytics import PerformanceReport
 from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
 
-_FIELDS = ("p_detect", "p_s1", "p_s2", "p_s3", "p_eff_one", "key_rate", "qber")
+# report field -> output row column
+_FIELDS = {
+    "p_detect": "p_detect",
+    "p_s1": "p_s1",
+    "p_s2": "p_s2",
+    "p_s3": "p_s3",
+    "p_eff_one": "p_eff_one",
+    "key_rate": "key_rate_bps",
+    "qber": "qber",
+}
 
 
 def _recorded(fn):
@@ -37,10 +47,11 @@ def _one_by_one(base, spec):
 
 
 def _assert_same(got, want):
-    """A row of the array pass equals the point evaluated alone, bit for bit
-    (NaN equals NaN)."""
-    for name in _FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
+    """A report, or an output row of the array pass, equals the report of
+    the point evaluated alone, bit for bit (NaN equals NaN)."""
+    for name, column in _FIELDS.items():
+        a = got[column] if isinstance(got, dict) else getattr(got, name)
+        b = getattr(want, name)
         assert type(a) is float, name
         assert a == b or (math.isnan(a) and math.isnan(b)), f"{name}: {a!r} vs {b!r}"
 
@@ -50,7 +61,7 @@ def _assert_array_pass_matches(base, spec):
     want, want_warned = _recorded(lambda: _one_by_one(base, spec))
     assert len(result.rows) == len(want)
     for row, rep in zip(result.rows, want):
-        _assert_same(row.report, rep)
+        _assert_same(row, rep)
     assert warned == want_warned
     return result, warned
 
@@ -71,6 +82,8 @@ class TestSweepSpec:
             SweepSpec(axis="wz", values=(0.1,), engine="exact")
         with pytest.raises(ValueError, match="increasing"):
             SweepSpec(axis="wz", values=(0.1, 0.1))
+        with pytest.raises(ValueError, match="given together"):
+            SweepSpec("wz", (0.05, 0.1), overlay_values=(1e-6, 2e-6))
 
     @pytest.mark.parametrize(
         "values,overlay_values",
@@ -89,7 +102,8 @@ class TestSweep:
         result = sweep(baseline_cfg, spec)
         assert len(result.rows) == 1
         direct = analytics.evaluate(build_context(baseline_cfg))
-        assert result.rows[0].report == direct
+        assert result.rows[0] == output.perf_rows(direct, "wz", [0.1])[0]
+        _assert_same(result.rows[0], direct)
 
     def test_row_count_engine_both(self, baseline_cfg):
         cfg = replace(baseline_cfg, n_slots=20_000)
@@ -98,10 +112,10 @@ class TestSweep:
         assert len(result.rows) == 40
         # rows interleave analytic + MC per point, preserving input order
         for i, v in enumerate(values):
-            assert result.rows[2 * i].axis_value == v
-            assert result.rows[2 * i].report.method == "analytic"
-            assert result.rows[2 * i + 1].axis_value == v
-            assert result.rows[2 * i + 1].report.method == "monte_carlo"
+            assert result.rows[2 * i]["axis_value"] == v
+            assert result.rows[2 * i]["method"] == "analytic"
+            assert result.rows[2 * i + 1]["axis_value"] == v
+            assert result.rows[2 * i + 1]["method"] == "monte_carlo"
 
     def test_overlay_grid(self, baseline_cfg):
         spec = SweepSpec(
@@ -114,12 +128,12 @@ class TestSweep:
         assert len(result.rows) == 6
         # higher radiance -> strictly worse QBER at each FoV
         for i in range(3):
-            assert result.rows[i + 3].report.qber > result.rows[i].report.qber
+            assert result.rows[i + 3]["qber"] > result.rows[i]["qber"]
 
     def test_detection_has_interior_waist_maximum(self, baseline_cfg):
         values = tuple(np.linspace(0.05, 1.0, 30).tolist())
         result = sweep(baseline_cfg, SweepSpec(axis="wz", values=values))
-        detect = [row.report.p_detect for row in result.rows]
+        detect = [row["p_detect"] for row in result.rows]
         best = int(np.argmax(detect))
         assert values[best] < 0.10
 
@@ -127,7 +141,7 @@ class TestSweep:
         cfg = replace(baseline_cfg, B_lambda=1e-4, theta_fov=None)
         values = tuple(np.linspace(5e-6, 200e-6, 25).tolist())
         result = sweep(cfg, SweepSpec(axis="theta_fov", values=values))
-        qbers = [row.report.qber for row in result.rows]
+        qbers = [row["qber"] for row in result.rows]
         assert all(b > a for a, b in zip(qbers, qbers[1:]))
 
     def test_mc_sweep_reproducible(self, baseline_cfg):
@@ -238,7 +252,7 @@ class TestArrayPass:
         spec = SweepSpec("theta_fov", (50e-6, 150e-6), "B_lambda", (1e-6, 1e-4), engine="both")
         result = sweep(cfg, spec)
         want = _one_by_one(cfg, spec)
-        analytic = [row.report for row in result.rows if row.report.method == "analytic"]
+        analytic = [row for row in result.rows if row["method"] == "analytic"]
         assert len(analytic) == 4 and len(result.rows) == 8
         for got, rep in zip(analytic, want):
             _assert_same(got, rep)
@@ -302,6 +316,121 @@ class TestArrayPass:
             montecarlo.run(ctx, 100, 1)
         with pytest.raises(ValueError):
             replace(ctx, sigma_aoa=np.full(2, 50e-6))
+
+
+def _loop_optimize(base, variable, qber_max, bounds):
+    """``optimize``'s selection as the Python loops over one report per point
+    that its numpy masks replaced: the oracle of the masked selection. It
+    evaluates through the same ``_analytic_report``, so a test can swap in
+    synthetic columns for both."""
+    lo, hi = bounds
+    xs = np.linspace(lo, hi, sweep_module._COARSE)
+    cfg = replace(base, **{variable: float(xs[0])})
+
+    def reports(xs):
+        r = sweep_module._analytic_report(cfg, {variable: xs})
+        return [sweep_module._point(r, i) for i in range(len(xs))]
+
+    rs = reports(xs)
+    feas = [r.qber <= qber_max for r in rs]
+    if not any(feas):
+        i = int(np.argmin([r.qber for r in rs]))
+        return OptimizeResult(variable, float(xs[i]), rs[i], False, qber_max)
+    best = max((i for i in range(len(xs)) if feas[i]), key=lambda i: rs[i].key_rate)
+    best_x, best_r = float(xs[best]), rs[best]
+    step = (hi - lo) / (sweep_module._COARSE - 1)
+    while step > sweep_module._TOL * (hi - lo):
+        a, b = max(best_x - step, lo), min(best_x + step, hi)
+        xs = np.linspace(a, b, sweep_module._REFINE + 2)[1:-1]
+        step = (b - a) / (sweep_module._REFINE + 1)
+        for x, r in zip(xs.tolist(), reports(xs)):
+            if r.qber <= qber_max and r.key_rate > best_r.key_rate:
+                best_x, best_r = x, r
+    return OptimizeResult(variable, best_x, best_r, True, qber_max)
+
+
+def _assert_same_optimum(got, want):
+    assert (got.variable, got.value, got.feasible, got.qber_max) == (want.variable, want.value, want.feasible, want.qber_max)
+    assert got.report.method == want.report.method
+    _assert_same(got.report, want.report)
+
+
+def _synthetic(key_rate, qber):
+    """An ``_analytic_report`` stand-in whose columns are functions of the
+    one swept variable."""
+
+    def report(cfg, points):
+        (x,) = points.values()
+        k, q = key_rate(x), qber(x)
+        return PerformanceReport(k, k, 0.0 * x, 0.0 * x, k, k, q, method="analytic")
+
+    return report
+
+
+class TestOptimizeSelection:
+    """The masked selection of ``optimize`` against the loops it replaced."""
+
+    COARSE = np.linspace(0.05, 1.0, 64)
+
+    @pytest.mark.parametrize(
+        "variable,qber_max,bounds,overrides",
+        [
+            ("wz", 1e-3, (0.05, 1.0), {}),
+            ("wz", 1e-3, (0.05, 1.0), {"B_lambda": 0.0}),
+            ("theta_fov", 1e-3, (10e-6, 500e-6), {}),
+            ("theta_fov", 4.2e-4, (5e-6, 30e-6), {"theta_fov": None, "B_lambda": 1e-6}),
+            ("theta_fov", 1e-3, (5e-6, 200e-6), {"theta_fov": None, "B_lambda": 1e-6}),
+            ("theta_fov", 1e-3, (5e-6, 200e-6), {"theta_fov": None, "B_lambda": 1e-4}),
+            ("theta_fov", 1e-9, (5e-6, 200e-6), {"theta_fov": None, "B_lambda": 1e-4}),
+        ],
+    )
+    def test_matches_the_loops_on_the_model(self, baseline_cfg, variable, qber_max, bounds, overrides):
+        cfg = replace(baseline_cfg, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinearizationWarning)
+            _assert_same_optimum(optimize(cfg, variable, qber_max, bounds), _loop_optimize(cfg, variable, qber_max, bounds))
+
+    def test_tied_key_rates_first_wins_and_an_equal_refinement_keeps_it(self, baseline_cfg, monkeypatch):
+        # key rate 2 on the plateau [0.5, 0.75), feasible up to 0.6: seven
+        # coarse points tie, the first of them wins, and no refinement point
+        # beats it strictly, so it stays
+        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(lambda x: np.floor(4.0 * x), lambda x: 0.1 * x))
+        got = optimize(baseline_cfg, "wz", 0.06, (0.05, 1.0))
+        tied = np.flatnonzero((np.floor(4.0 * self.COARSE) == 2.0) & (0.1 * self.COARSE <= 0.06))
+        assert len(tied) > 1
+        assert got.feasible and got.value == float(self.COARSE[tied[0]])
+        _assert_same_optimum(got, _loop_optimize(baseline_cfg, "wz", 0.06, (0.05, 1.0)))
+
+    def test_refinement_replaces_on_a_strictly_higher_key_rate(self, baseline_cfg, monkeypatch):
+        # the key rate peaks at 0.3337 between coarse points; the NaN-QBER
+        # points above 0.9 have the highest key rate but are infeasible
+        key = lambda x: np.where(x > 0.9, 10.0, 1.0 - (x - 0.3337) ** 2)
+        qber = lambda x: np.where(x > 0.9, np.nan, 0.01 + 0.0 * x)
+        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(key, qber))
+        got = optimize(baseline_cfg, "wz", 0.02, (0.05, 1.0))
+        assert got.feasible and got.value not in self.COARSE.tolist()
+        assert got.value == pytest.approx(0.3337, abs=1e-5)
+        _assert_same_optimum(got, _loop_optimize(baseline_cfg, "wz", 0.02, (0.05, 1.0)))
+
+    def test_an_all_infeasible_refinement_pass_never_replaces(self, baseline_cfg, monkeypatch):
+        # only the coarse points are feasible; every refinement point has a
+        # higher key rate but exceeds the ceiling
+        on_grid = lambda x: np.isin(x, self.COARSE)
+        key, qber = lambda x: np.where(on_grid(x), 0.5, 1.0), lambda x: np.where(on_grid(x), 0.0, 0.4)
+        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(key, qber))
+        got = optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0))
+        assert got.feasible and got.value == 0.05 and got.report.key_rate == 0.5
+        _assert_same_optimum(got, _loop_optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0)))
+
+    def test_all_infeasible_takes_the_argmin_nan_included(self, baseline_cfg, monkeypatch):
+        # np.argmin stops at the first NaN, as it did over the loop's list
+        qber = lambda x: np.where(x < 0.4, 0.45 - 0.1 * x, np.nan)
+        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(lambda x: 1.0 + 0.0 * x, qber))
+        got = optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0))
+        first_nan = int(np.flatnonzero(self.COARSE >= 0.4)[0])
+        assert not got.feasible and got.value == float(self.COARSE[first_nan])
+        assert math.isnan(got.report.qber) and type(got.report.key_rate) is float
+        _assert_same_optimum(got, _loop_optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0)))
 
 
 class TestOptimize:
