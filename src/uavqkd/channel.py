@@ -67,10 +67,10 @@ def fov_geometry(r_f: float, L_f: float) -> tuple[float, float]:
 
 
 def solid_angle(theta_fov):
-    """Solid angle of a cone of half-angle theta_fov in [0, pi]: 2 pi (1 - cos theta)."""
+    """Solid angle of a cone of half-angle theta_fov >= 0: 2 pi (1 - cos theta)."""
     theta = np.asarray(theta_fov, dtype=float)
-    if not ((theta >= 0.0).all() and (theta <= math.pi).all()):
-        raise ValueError("solid_angle requires 0 <= theta_fov <= pi")
+    if not (theta >= 0.0).all():
+        raise ValueError("solid_angle requires theta_fov >= 0")
     omega = 2.0 * math.pi * (1.0 - np.cos(theta))
     return omega if omega.ndim else float(omega)
 

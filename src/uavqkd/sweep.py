@@ -105,16 +105,20 @@ def _analytic_report(cfg: LinkConfig, points: dict[str, np.ndarray]) -> Performa
     n = len(next(iter(points.values())))
     step = max(1, _CHUNK // cfg.Ng) if "wz" in points else n
     blocks = [
-        _columns(analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()})))
+        analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()}))
         for i in range(0, n, step)
     ]
-    joined = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    if len(blocks) == 1:
+        return blocks[0]
+    columns = [_columns(block) for block in blocks]
+    joined = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
     return PerformanceReport(**joined, method="analytic")
 
 
 def _point(report: PerformanceReport, i: int) -> PerformanceReport:
     """Point i of a report of (P,) columns, its fields Python floats."""
-    return replace(report, **{name: column[i].item() for name, column in _columns(report).items()})
+    point = {name: column[i].item() for name, column in _columns(report).items()}
+    return PerformanceReport(**point, method="analytic")
 
 
 def _point_error(spec: SweepSpec, v: float, ov: float | None, exc: ValueError) -> ValueError:

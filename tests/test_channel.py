@@ -264,7 +264,6 @@ NAN = math.nan
         lambda: solid_angle(NAN),
         lambda: solid_angle(np.array([1e-4, NAN])),
         lambda: solid_angle(-1e-4),
-        lambda: solid_angle(4.0),
         lambda: background_mean(NAN, 0.07, 1e-8, 1.0, 1e-8, 1.55e-6),
         lambda: background_mean(np.array([1e-6, NAN]), 0.07, 1e-8, 1.0, 1e-8, 1.55e-6),
         lambda: background_mean(1e-6, NAN, 1e-8, 1.0, 1e-8, 1.55e-6),
@@ -276,7 +275,7 @@ NAN = math.nan
     ],
     ids=[
         "fov_theta", "fov_sigma", "fov_array", "atm_alpha", "atm_Lz", "geometry_r_f", "geometry_L_f",
-        "solid_angle_nan", "solid_angle_array", "solid_angle_negative", "solid_angle_above_pi",
+        "solid_angle_nan", "solid_angle_array", "solid_angle_negative",
         "background_B", "background_B_array", "background_A_r", "background_wavelength",
         "beam_w0", "beam_Lz", "gg_alpha", "gg_beta",
     ],
