@@ -108,8 +108,6 @@ def _analytic_report(cfg: LinkConfig, points: dict[str, np.ndarray]) -> Performa
         analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()}))
         for i in range(0, n, step)
     ]
-    if len(blocks) == 1:
-        return blocks[0]
     columns = [_columns(block) for block in blocks]
     joined = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
     return PerformanceReport(**joined, method="analytic")
