@@ -105,11 +105,10 @@ def _analytic_report(cfg: LinkConfig, points: dict[str, np.ndarray]) -> Performa
     n = len(next(iter(points.values())))
     step = max(1, _CHUNK // cfg.Ng) if "wz" in points else n
     blocks = [
-        analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()}))
+        _columns(analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()})))
         for i in range(0, n, step)
     ]
-    columns = [_columns(block) for block in blocks]
-    joined = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
+    joined = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     return PerformanceReport(**joined, method="analytic")
 
 
