@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -81,6 +81,7 @@ class AnalyticContext:
     alpha: float
     beta: float
     mu_p_mode: str = "grid"  # segment-grid capture model, or "exact" for error attribution
+    p_fov: float = field(init=False, compare=False)  # P(photon inside the acceptance cone), per point
 
     def __post_init__(self):
         if not 0.0 < self.mu_t:
@@ -91,8 +92,11 @@ class AnalyticContext:
             raise ValueError("T_qs must be > 0")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be > 0")
-        if not all(_all(v > 0.0) for v in (self.sigma_rd, self.theta_fov, self.sigma_aoa)):
-            raise ValueError("sigma_rd, theta_fov and sigma_aoa must be > 0")
+        if not _all(self.sigma_rd > 0.0):
+            raise ValueError("sigma_rd must be > 0")
+        # fov_accept_prob is the one check that theta_fov and sigma_aoa are > 0
+        p_fov = fov_accept_prob(_col(self, self.theta_fov), _col(self, self.sigma_aoa))
+        object.__setattr__(self, "p_fov", _out(self, p_fov))
         if not _all(self.mu_b >= 0.0):
             raise ValueError("mu_b must be >= 0")
         if self.mu_p_mode not in ("grid", "exact"):
@@ -125,11 +129,6 @@ class AnalyticContext:
     @property
     def ra(self) -> float:
         return self.grid.ra
-
-    @property
-    def p_fov(self):
-        """Probability the photon lies inside the acceptance cone, per point."""
-        return _out(self, fov_accept_prob(_col(self, self.theta_fov), _col(self, self.sigma_aoa)))
 
     def mu_p(self, rd):
         """Capture probability at displacement(s) ``rd``, for a context of one point."""

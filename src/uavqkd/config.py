@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,37 +36,6 @@ _UNITS = {
     "radiance": {"W/m2/sr/nm": 0, "W/m^2/sr/nm": 0},
     "attenuation": {"1/m": 0, "1/km": -3},
 }
-
-# field -> (kind, lo, hi); None bounds are open. Ranges are the reference
-# values with a 10x margin.
-_FIELDS: dict[str, tuple[str, float | None, float | None]] = {
-    "Lz": ("length", 100.0, 10_000.0),
-    "ra": ("length", 0.015, 1.5),
-    "mu_t": ("float", 0.05, 5.0),
-    "eta_atm": ("float", 1e-3, 1.0),
-    "alpha_a": ("attenuation", 0.0, 1.0),
-    "mu_d": ("float", 0.06, 1.0),
-    "T_qs": ("time", 1e-9, 1e-7),
-    "r_f": ("length", 5e-7, 5e-5),
-    "L_f": ("length", 0.015, 1.5),
-    "alpha": ("float", 0.2, 25.0),
-    "beta": ("float", 0.2, 25.0),
-    "wavelength": ("length", 1.55e-7, 1.55e-5),
-    "delta_lambda": ("bandwidth_nm", 0.1, 10.0),
-    "Ng": ("int", 2, 100_000),
-    "wz": ("length", 0.005, 10.0),
-    "w0": ("length", 0.001, 10.0),
-    "sigma_theta_e": ("angle", 5e-6, 2e-2),
-    "sigma_aoa": ("angle", 5e-6, 2e-3),
-    "theta_fov": ("angle", 5e-7, 2e-3),
-    "B_lambda": ("radiance", 0.0, 1e-3),
-    "energy_convention": ("enum:planck_h,planck_hbar", None, None),
-    "n_slots": ("int", 1, 10**9),
-    "seed": ("int", 0, 2**64 - 1),
-    "mu_b": ("float", 0.0, 100.0),
-}
-
-_OPTIONAL = {"alpha_a", "w0", "theta_fov", "mu_b"}
 
 _QTY_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([^\s]*)\s*$")
 
@@ -101,61 +70,56 @@ def parse_quantity(text: str, kind: str, field: str = "") -> float:
         raise ConfigError(f"{field or kind}: cannot parse quantity {text!r}") from None
 
 
+def _field(default, kind: str, lo: float | None = None, hi: float | None = None):
+    """A ``LinkConfig`` field: its default, unit kind and validator range [lo, hi]."""
+    return field(default=default, metadata={"spec": (kind, lo, hi)})
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Full link parameter set in SI units, defaulting to the reference values.
 
-    ``theta_fov = None`` derives the field of view from (r_f, L_f);
-    ``mu_b = None`` derives the mean background count from radiometry;
-    ``wz`` is used directly and wins over a ``w0``-derived value.
+    Each field declares its unit kind and its validator range [lo, hi]: the
+    reference value with a 10x margin; None bounds are open. Four fields
+    are given or derived, and a given value wins:
+
+    * ``eta_atm``, else derived from ``alpha_a`` and ``Lz``;
+    * ``wz``, else the beam radius at ``Lz`` of the waist ``w0``;
+    * ``theta_fov``, else the FoV of the fiber optics (``r_f``, ``L_f``);
+    * ``mu_b``, else the mean background count from radiometry.
     """
 
-    Lz: float = 1000.0
-    ra: float = 0.15
-    mu_t: float = 0.5
-    eta_atm: float | None = 0.4
-    alpha_a: float | None = None
-    mu_d: float = 0.6
-    T_qs: float = 1e-8
-    r_f: float = 5e-6
-    L_f: float = 0.15
-    alpha: float = 2.1
-    beta: float = 1.8
-    wavelength: float = 1.55e-6
-    delta_lambda: float = 1.0  # nm
-    Ng: int = 10
-    wz: float | None = 0.10
-    w0: float | None = None
-    sigma_theta_e: float = 50e-6
-    sigma_aoa: float = 50e-6
-    theta_fov: float | None = None
-    B_lambda: float = 1e-6
-    energy_convention: str = "planck_h"
-    n_slots: int = 1_000_000
-    seed: int = 12345
-    mu_b: float | None = None
-
-    def resolved_wz(self) -> float:
-        if self.wz is not None:
-            return self.wz
-        if self.w0 is not None:
-            return beam_radius(self.w0, self.wavelength, self.Lz)
-        raise ConfigError("one of wz or w0 is required")
-
-    def resolved_theta_fov(self) -> float:
-        if self.theta_fov is not None:
-            return self.theta_fov
-        return fov_geometry(self.r_f, self.L_f)[0]
-
-    def resolved_eta_atm(self) -> float:
-        # A direct transmittance wins over the attenuation coefficient.
-        if self.eta_atm is not None:
-            return self.eta_atm
-        return atm_transmittance(self.alpha_a, self.Lz)
+    Lz: float = _field(1000.0, "length", 100.0, 10_000.0)
+    ra: float = _field(0.15, "length", 0.015, 1.5)
+    mu_t: float = _field(0.5, "float", 0.05, 5.0)
+    eta_atm: float | None = _field(0.4, "float", 1e-3, 1.0)
+    alpha_a: float | None = _field(None, "attenuation", 0.0, 1.0)
+    mu_d: float = _field(0.6, "float", 0.06, 1.0)
+    T_qs: float = _field(1e-8, "time", 1e-9, 1e-7)
+    r_f: float = _field(5e-6, "length", 5e-7, 5e-5)
+    L_f: float = _field(0.15, "length", 0.015, 1.5)
+    alpha: float = _field(2.1, "float", 0.2, 25.0)
+    beta: float = _field(1.8, "float", 0.2, 25.0)
+    wavelength: float = _field(1.55e-6, "length", 1.55e-7, 1.55e-5)
+    delta_lambda: float = _field(1.0, "bandwidth_nm", 0.1, 10.0)
+    Ng: int = _field(10, "int", 2, 100_000)
+    wz: float | None = _field(0.10, "length", 0.005, 10.0)
+    w0: float | None = _field(None, "length", 0.001, 10.0)
+    sigma_theta_e: float = _field(50e-6, "angle", 5e-6, 2e-2)
+    sigma_aoa: float = _field(50e-6, "angle", 5e-6, 2e-3)
+    theta_fov: float | None = _field(None, "angle", 5e-7, 2e-3)
+    B_lambda: float = _field(1e-6, "radiance", 0.0, 1e-3)
+    energy_convention: str = _field("planck_h", "enum:planck_h,planck_hbar")
+    n_slots: int = _field(1_000_000, "int", 1, 10**9)
+    seed: int = _field(12345, "int", 0, 2**64 - 1)
+    mu_b: float | None = _field(None, "float", 0.0, 100.0)
 
 
-# LinkConfig's field names in declaration order, listed once for validate and dumps
-_FIELD_NAMES = tuple(f.name for f in fields(LinkConfig))
+# field -> (kind, lo, hi), in LinkConfig's declaration order
+_FIELDS: dict[str, tuple[str, float | None, float | None]] = {f.name: f.metadata["spec"] for f in fields(LinkConfig)}
+
+# the fields that may be None: one of each given-or-derived pair, theta_fov and mu_b
+_OPTIONAL = {"eta_atm", "alpha_a", "wz", "w0", "theta_fov", "mu_b"}
 
 
 def _check_range(key: str, value) -> None:
@@ -215,9 +179,10 @@ def loads(text: str) -> LinkConfig:
         else:
             parsed = parse_quantity(val, kind, field=f"line {lineno}: {key}")
         overrides[key] = parsed
-    # A file that supplies alpha_a without eta_atm asks for derivation.
-    if "alpha_a" in overrides and "eta_atm" not in overrides:
-        overrides["eta_atm"] = None
+    # A file that sets a source but not the field it derives asks for derivation.
+    for source, derived in (("alpha_a", "eta_atm"), ("w0", "wz")):
+        if source in overrides and derived not in overrides:
+            overrides[derived] = None
     cfg = replace(LinkConfig(), **overrides)
     validate(cfg)
     return cfg
@@ -230,16 +195,17 @@ def load_config(path: str) -> LinkConfig:
 
 def validate(cfg: LinkConfig) -> None:
     """Range-check every set field and the cross-field constraints."""
-    for name in _FIELD_NAMES:
+    for name in _FIELDS:
         value = getattr(cfg, name)
         if value is None:
-            if name in _OPTIONAL or name in ("eta_atm", "wz"):
+            if name in _OPTIONAL:
                 continue
             raise ConfigError(f"{name} is required")
         _check_range(name, value)
     if cfg.eta_atm is None and cfg.alpha_a is None:
         raise ConfigError("one of eta_atm or alpha_a is required")
-    cfg.resolved_wz()
+    if cfg.wz is None and cfg.w0 is None:
+        raise ConfigError("one of wz or w0 is required")
 
 
 # kind -> the first unit of power 0 in _UNITS, which dumps writes
@@ -253,7 +219,7 @@ def dumps(cfg: LinkConfig) -> str:
     scalars in the config dump as plain numbers too.
     """
     lines = []
-    for name in _FIELD_NAMES:
+    for name in _FIELDS:
         value = getattr(cfg, name)
         if value is None:
             continue
@@ -303,8 +269,9 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     if "wz" in points:
         grid = _grid_rows(cfg.ra, per_point("wz", None), cfg.Ng)
     else:
-        grid = build_grid(cfg.ra, cfg.resolved_wz(), cfg.Ng)
-    theta_fov = per_point("theta_fov", cfg.resolved_theta_fov())
+        wz = cfg.wz if cfg.wz is not None else beam_radius(cfg.w0, cfg.wavelength, cfg.Lz)
+        grid = build_grid(cfg.ra, wz, cfg.Ng)
+    theta_fov = per_point("theta_fov", cfg.theta_fov if cfg.theta_fov is not None else fov_geometry(cfg.r_f, cfg.L_f)[0])
     if cfg.mu_b is not None:
         mu_b = per_point("mu_b", cfg.mu_b)
     else:
@@ -314,7 +281,7 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
         )
     return AnalyticContext(
         mu_t=cfg.mu_t,
-        eta_atm=cfg.resolved_eta_atm(),
+        eta_atm=cfg.eta_atm if cfg.eta_atm is not None else atm_transmittance(cfg.alpha_a, cfg.Lz),
         mu_d=cfg.mu_d,
         T_qs=cfg.T_qs,
         grid=grid,

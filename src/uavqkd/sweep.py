@@ -35,7 +35,7 @@ import numpy as np
 from . import analytics, montecarlo
 from .analytics import PerformanceReport
 from .beam import _CHUNK
-from .config import _FIELD_NAMES, LinkConfig, _check_range, _derive, validate
+from .config import _FIELDS, LinkConfig, _check_range, _derive, validate
 from .output import perf_rows
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepResult", "OptimizeResult", "sweep", "optimize"]
@@ -128,7 +128,7 @@ def _checked_first_point(base: LinkConfig, spec: SweepSpec, points: list) -> Lin
     An invalid point raises the error of the first invalid point in sweep
     order, before any point is evaluated. A value that passed is not
     checked again."""
-    swept = [name for name in _FIELD_NAMES if name in (spec.axis, spec.overlay)]
+    swept = [name for name in _FIELDS if name in (spec.axis, spec.overlay)]
     cfg = _point_config(base, spec, *points[0])
     passed = set()
     for k, (v, ov) in enumerate(points):

@@ -227,11 +227,11 @@ class TestChannelParams:
             validate(LinkConfig(eta_atm=None, alpha_a=None))
 
     def test_direct_value_wins(self):
-        assert LinkConfig(eta_atm=0.4, alpha_a=1e-2).resolved_eta_atm() == 0.4
+        assert build_context(LinkConfig(eta_atm=0.4, alpha_a=1e-2)).eta_atm == 0.4
 
     def test_derived_transmittance(self):
         cfg = LinkConfig(eta_atm=None, alpha_a=math.log(2.5) / 1000.0, Lz=1000.0)
-        assert cfg.resolved_eta_atm() == pytest.approx(0.4, rel=1e-12)
+        assert build_context(cfg).eta_atm == pytest.approx(0.4, rel=1e-12)
 
     def test_range_validation(self):
         with pytest.raises(ConfigError, match="eta_atm"):

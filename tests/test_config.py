@@ -1,17 +1,19 @@
 import math
 import sys
+import warnings
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavqkd import config
+from conftest import log_uniform_field
+from uavqkd import analytics, config
 from uavqkd.config import (
-    _FIELD_NAMES,
+    _FIELDS,
     LinkConfig,
     _check_range,
     build_context,
@@ -22,6 +24,23 @@ from uavqkd.config import (
     validate,
 )
 from uavqkd.errors import ConfigError
+
+
+def _log_uniform_from_zero(name):
+    """Zero or a log-uniform draw over the top nine decades of a field whose range starts at zero."""
+    _, lo, hi = _FIELDS[name]
+    assert lo == 0.0
+    return st.just(0.0) | st.floats(-9.0, 0.0).map(lambda e: hi * 10.0**e)
+
+
+def _evaluated(cfg):
+    """The repr of ``cfg``'s analytic evaluation, exact to the bit, or of the error it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return repr(analytics.evaluate(build_context(cfg)))
+    except ValueError as exc:
+        return repr(exc)
 
 
 class TestParseQuantity:
@@ -93,7 +112,11 @@ class TestDefaults:
 
     def test_derived_fov_default(self):
         cfg = loads("")
-        assert cfg.resolved_theta_fov() == pytest.approx(33.333e-6, rel=1e-3)
+        assert build_context(cfg).theta_fov == pytest.approx(33.333e-6, rel=1e-3)
+
+    def test_explicit_theta_fov_wins(self):
+        cfg = loads("theta_fov = 100 urad\nr_f = 10 um")
+        assert build_context(cfg).theta_fov == 1e-4
 
     def test_resolved_mu_b(self):
         cfg = loads("theta_fov = 100 urad")
@@ -140,7 +163,7 @@ class TestLoads:
 
         monkeypatch.setattr(config, "_check_range", check)
         cfg = loads("wz = 7 cm\nmu_t = 0.4\ntheta_fov = 100 urad")
-        assert seen == [(name, "validate") for name in _FIELD_NAMES if getattr(cfg, name) is not None]
+        assert seen == [(name, "validate") for name in _FIELDS if getattr(cfg, name) is not None]
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -177,15 +200,32 @@ class TestLoads:
         alpha_a = math.log(2.5) / 1000.0
         cfg = loads(f"alpha_a = {alpha_a} 1/m")
         assert cfg.eta_atm is None
-        assert cfg.resolved_eta_atm() == pytest.approx(0.4, rel=1e-12)
+        assert build_context(cfg).eta_atm == pytest.approx(0.4, rel=1e-12)
+
+    def test_direct_eta_atm_wins_over_alpha_a(self):
+        cfg = loads("alpha_a = 1e-3 1/m\neta_atm = 0.7")
+        assert cfg.alpha_a == 1e-3
+        assert build_context(cfg).eta_atm == 0.7
 
     def test_w0_derivation_when_wz_unset(self):
         cfg = LinkConfig(wz=None, w0=1e-2)
-        assert cfg.resolved_wz() == pytest.approx(5.034e-2, rel=1e-3)
+        assert build_context(cfg).wz == pytest.approx(5.034e-2, rel=1e-3)
 
     def test_direct_wz_wins_over_w0(self):
         cfg = LinkConfig(wz=0.08, w0=1e-2)
-        assert cfg.resolved_wz() == 0.08
+        assert build_context(cfg).wz == 0.08
+
+    def test_w0_in_a_file_derives_wz(self):
+        # wz's 10 cm default used to win over a w0 the file set
+        cfg = loads("w0 = 1 cm\n")
+        assert cfg.wz is None
+        assert build_context(cfg).wz == build_context(LinkConfig(wz=None, w0=0.01)).wz
+        assert build_context(cfg).wz == pytest.approx(5.034e-2, rel=1e-3)
+
+    def test_wz_in_a_file_wins_over_w0(self):
+        cfg = loads("w0 = 1 cm\nwz = 8 cm")
+        assert (cfg.w0, cfg.wz) == (0.01, 0.08)
+        assert build_context(cfg).wz == 0.08
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "link.cfg"
@@ -203,6 +243,28 @@ class TestRoundTrip:
     def test_default_round_trip(self):
         cfg = LinkConfig()
         assert loads(dumps(cfg)) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lz=log_uniform_field("Lz"),
+        wavelength=log_uniform_field("wavelength"),
+        eta_atm=st.none() | log_uniform_field("eta_atm"),
+        alpha_a=st.none() | _log_uniform_from_zero("alpha_a"),
+        wz=st.none() | log_uniform_field("wz"),
+        w0=st.none() | log_uniform_field("w0"),
+        theta_fov=st.none() | log_uniform_field("theta_fov"),
+        mu_b=st.none() | _log_uniform_from_zero("mu_b"),
+    )
+    @example(lz=1000.0, wavelength=1.55e-6, eta_atm=0.4, alpha_a=None, wz=None, w0=0.01, theta_fov=None, mu_b=None)
+    @example(lz=1000.0, wavelength=1.55e-6, eta_atm=None, alpha_a=1e-4, wz=0.1, w0=None, theta_fov=None, mu_b=None)
+    def test_round_trip_over_the_validator_box(self, lz, wavelength, eta_atm, alpha_a, wz, w0, theta_fov, mu_b):
+        assume(eta_atm is not None or alpha_a is not None)
+        assume(wz is not None or w0 is not None)
+        cfg = LinkConfig(Lz=lz, wavelength=wavelength, eta_atm=eta_atm, alpha_a=alpha_a, wz=wz, w0=w0,
+                         theta_fov=theta_fov, mu_b=mu_b)
+        loaded = loads(dumps(cfg))
+        assert loaded == cfg
+        assert _evaluated(loaded) == _evaluated(cfg)
 
     def test_canonical_text(self):
         # every unit kind in its SI unit, the optional fields included
