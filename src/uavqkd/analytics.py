@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .beam import _CHUNK, _OVERFLOW, CaptureGrid, _warn_overflow, capture_exact, capture_grid
+from .beam import _CHUNK, _OVERFLOW, CaptureGrid, capture_exact, capture_grid
 from .channel import fov_accept_prob
-from .errors import LinearizationWarning
+from .errors import CaptureOverflowWarning, LinearizationWarning
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -173,6 +173,12 @@ def _out(ctx: AnalyticContext, values: np.ndarray):
     return values if ctx.shape else float(values[0])
 
 
+def _span(values: list[float], spec: str) -> str:
+    """The range of ``values`` in format ``spec``: one figure where both ends print alike."""
+    lo, hi = format(min(values), spec), format(max(values), spec)
+    return lo if lo == hi else f"{lo} to {hi}"
+
+
 def _fading_mean(b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """E[1 - exp(-b eta)] for unit-mean Gamma-Gamma eta, elementwise in b >= 0.
 
@@ -263,9 +269,9 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     makes a quadrature call.
 
     The linearized mode takes a context of P points and returns an array
-    of P probabilities; the averaged mode takes one point. A
-    CaptureOverflowWarning and a LinearizationWarning are issued for each
-    point they concern, in point order.
+    of P probabilities; the averaged mode takes one point. A call issues at
+    most one CaptureOverflowWarning and one LinearizationWarning, each
+    naming how many of the P points cross its limit and their range.
     """
     if turbulence not in ("linearized", "averaged"):
         raise ValueError("turbulence must be 'linearized' or 'averaged'")
@@ -293,17 +299,15 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     else:
         mu_p0, peak = _col(ctx, ctx.grid.mu_p0), _col(ctx, ctx.grid.peak)
         mean_mu_p = _rayleigh_average_grid(ctx.grid, sigma, wz)
-    for over, lin in zip(peak.tolist(), (ctx.c_pt * mu_p0).tolist()):
-        if over > _OVERFLOW:
-            _warn_overflow(over)
-        if lin > 0.1:
-            warnings.warn(
-                f"c_pt * mu_p(0) = {lin:.3f} > 0.1: the small-signal "
-                "linearization behind the analytic detection probability overstates "
-                "it here (by 10.8% at c_pt * mu_p(0) = 0.119, the reference link)",
-                LinearizationWarning,
-                stacklevel=2,
-            )
+    n, over = sigma.size, [v - 1.0 for v in peak.tolist() if v > _OVERFLOW]
+    lin = [v for v in (ctx.c_pt * mu_p0).tolist() if v > 0.1]
+    if over:
+        warnings.warn(f"grid capture probability exceeded 1 by {_span(over, '.2e')} at {len(over)} of {n} points",
+                      CaptureOverflowWarning, stacklevel=2)
+    if lin:
+        warnings.warn(f"c_pt * mu_p(0) = {_span(lin, '.3f')} > 0.1 at {len(lin)} of {n} points: the small-signal "
+                      "linearization behind the analytic detection probability overstates it there (by 10.8% at "
+                      "c_pt * mu_p(0) = 0.119, the reference link)", LinearizationWarning, stacklevel=2)
     return _out(ctx, ctx.c_pt * ctx.p_fov * mean_mu_p)
 
 

@@ -329,16 +329,6 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
     return vals
 
 
-def _warn_overflow(peak: float) -> None:
-    """CaptureOverflowWarning for a grid capture value ``peak`` > _OVERFLOW,
-    attributed to the caller of the function that calls this one."""
-    warnings.warn(
-        f"grid capture probability exceeded 1 by {peak - 1.0:.2e}",
-        CaptureOverflowWarning,
-        stacklevel=3,
-    )
-
-
 def capture_grid(grid: CaptureGrid, rd):
     """Grid-based capture probability sum_i c_i exp(-2 (x_i - rd)^2 / wz^2).
 
@@ -380,5 +370,7 @@ def capture_grid(grid: CaptureGrid, rd):
     _check_capture_args(rd_arr, grid.wz, grid.ra)
     vals = _grid_sum(*grid._blocks, grid.wz, rd_arr)
     if (vals > _OVERFLOW).any():
-        _warn_overflow(float(vals.max()))
+        warnings.warn(
+            f"grid capture probability exceeded 1 by {vals.max() - 1.0:.2e}", CaptureOverflowWarning, stacklevel=2
+        )
     return vals.reshape(rd_in.shape) if rd_in.ndim else float(vals[0])

@@ -121,6 +121,19 @@ _FIELDS: dict[str, tuple[str, float | None, float | None]] = {f.name: f.metadata
 # the fields that may be None: one of each given-or-derived pair, theta_fov and mu_b
 _OPTIONAL = {"eta_atm", "alpha_a", "wz", "w0", "theta_fov", "mu_b"}
 
+# a field derived when unset -> its sources and evaluator (derived mu_b is not range-checked)
+_DERIVED = {
+    "eta_atm": (("alpha_a", "Lz"), atm_transmittance),
+    "wz": (("w0", "wavelength", "Lz"), beam_radius),
+    "theta_fov": (("r_f", "L_f"), lambda r_f, L_f: fov_geometry(r_f, L_f)[0]),
+}
+
+
+def _resolved(cfg: LinkConfig, name: str) -> float:
+    """``cfg``'s value of a ``_DERIVED`` field, else the value derived from its sources."""
+    sources, derive = _DERIVED[name]
+    return derive(*(getattr(cfg, s) for s in sources)) if getattr(cfg, name) is None else getattr(cfg, name)
+
 
 def _check_range(key: str, value) -> None:
     kind, lo, hi = _FIELDS[key]
@@ -194,7 +207,7 @@ def load_config(path: str) -> LinkConfig:
 
 
 def validate(cfg: LinkConfig) -> None:
-    """Range-check every set field and the cross-field constraints."""
+    """Range-check every set field, the cross-field constraints and each derived field of ``_DERIVED``."""
     for name in _FIELDS:
         value = getattr(cfg, name)
         if value is None:
@@ -202,10 +215,13 @@ def validate(cfg: LinkConfig) -> None:
                 continue
             raise ConfigError(f"{name} is required")
         _check_range(name, value)
-    if cfg.eta_atm is None and cfg.alpha_a is None:
-        raise ConfigError("one of eta_atm or alpha_a is required")
-    if cfg.wz is None and cfg.w0 is None:
-        raise ConfigError("one of wz or w0 is required")
+    for name, (sources, _) in _DERIVED.items():  # theta_fov's first source, r_f, is never None here
+        if getattr(cfg, name) is None and getattr(cfg, sources[0]) is None:
+            raise ConfigError(f"one of {name} or {sources[0]} is required")
+    for name, (sources, _) in _DERIVED.items():
+        _, lo, hi = _FIELDS[name]
+        if getattr(cfg, name) is None and not lo <= (value := _resolved(cfg, name)) <= hi:
+            raise ConfigError(f"{name} derived from {', '.join(sources)}: {value} outside allowed range [{lo}, {hi}]")
 
 
 # kind -> the first unit of power 0 in _UNITS, which dumps writes
@@ -269,9 +285,8 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     if "wz" in points:
         grid = _grid_rows(cfg.ra, per_point("wz", None), cfg.Ng)
     else:
-        wz = cfg.wz if cfg.wz is not None else beam_radius(cfg.w0, cfg.wavelength, cfg.Lz)
-        grid = build_grid(cfg.ra, wz, cfg.Ng)
-    theta_fov = per_point("theta_fov", cfg.theta_fov if cfg.theta_fov is not None else fov_geometry(cfg.r_f, cfg.L_f)[0])
+        grid = build_grid(cfg.ra, _resolved(cfg, "wz"), cfg.Ng)
+    theta_fov = per_point("theta_fov", _resolved(cfg, "theta_fov"))
     if cfg.mu_b is not None:
         mu_b = per_point("mu_b", cfg.mu_b)
     else:
@@ -281,7 +296,7 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
         )
     return AnalyticContext(
         mu_t=cfg.mu_t,
-        eta_atm=cfg.eta_atm if cfg.eta_atm is not None else atm_transmittance(cfg.alpha_a, cfg.Lz),
+        eta_atm=_resolved(cfg, "eta_atm"),
         mu_d=cfg.mu_d,
         T_qs=cfg.T_qs,
         grid=grid,

@@ -35,7 +35,7 @@ import numpy as np
 from . import analytics, montecarlo
 from .analytics import PerformanceReport
 from .beam import _CHUNK
-from .config import _FIELDS, LinkConfig, _check_range, _derive, validate
+from .config import LinkConfig, _check_range, _derive, validate
 from .output import perf_rows
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepResult", "OptimizeResult", "sweep", "optimize"]
@@ -118,30 +118,25 @@ def _point(report: PerformanceReport, i: int) -> PerformanceReport:
     return PerformanceReport(**point, method="analytic")
 
 
-def _point_error(spec: SweepSpec, v: float, ov: float | None, exc: ValueError) -> ValueError:
-    return ValueError(f"sweep point {spec.axis}={v}, overlay={ov}: {exc}")
-
-
-def _checked_first_point(base: LinkConfig, spec: SweepSpec, points: list) -> LinkConfig:
-    """The first point's config, validated, after range-checking the swept
-    values of every other point: together the validation of every point.
-    An invalid point raises the error of the first invalid point in sweep
-    order, before any point is evaluated. A value that passed is not
-    checked again."""
-    swept = [name for name in _FIELDS if name in (spec.axis, spec.overlay)]
-    cfg = _point_config(base, spec, *points[0])
-    passed = set()
-    for k, (v, ov) in enumerate(points):
-        try:
-            if k == 0:
-                validate(cfg)
-            for name in swept:
-                value = v if name == spec.axis else ov
-                if (name, value) not in passed:
-                    _check_range(name, value)
-                    passed.add((name, value))
-        except ValueError as exc:
-            raise _point_error(spec, v, ov, exc) from exc
+def _checked_first_point(base: LinkConfig, spec: SweepSpec) -> LinkConfig:
+    """The first point's config, validated; then every other axis value is
+    range-checked at the first overlay value, and every other overlay value
+    at the first axis value: together the validation of every point, each
+    value checked once. An invalid point raises the error of the first
+    invalid point in sweep order, before any point is evaluated."""
+    v0, ov0 = spec.values[0], (spec.overlay_values or (None,))[0]
+    cfg = _point_config(base, spec, v0, ov0)
+    point = (v0, ov0)
+    try:
+        validate(cfg)
+        for v in spec.values[1:]:
+            point = (v, ov0)
+            _check_range(spec.axis, v)
+        for ov in spec.overlay_values[1:]:
+            point = (v0, ov)
+            _check_range(spec.overlay, ov)
+    except ValueError as exc:
+        raise ValueError(f"sweep point {spec.axis}={point[0]}, overlay={point[1]}: {exc}") from exc
     return cfg
 
 
@@ -154,7 +149,7 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
     reproduce the same SweepResult exactly; an analytic sweep spawns none.
     """
     points = [(v, ov) for ov in spec.overlay_values or (None,) for v in spec.values]
-    cfg = _checked_first_point(base, spec, points)
+    cfg = _checked_first_point(base, spec)
     axis_values, overlay_values = zip(*points)
     axis, overlay = spec.axis, spec.overlay or ""
     analytic: list[dict] = []
@@ -162,21 +157,14 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
         swept = {axis: np.array(axis_values, dtype=float)}
         if spec.overlay:
             swept[overlay] = np.array(overlay_values, dtype=float)
-        try:
-            report = _analytic_report(cfg, swept)
-        except ValueError as exc:  # a derived quantity out of range: the same at every point
-            raise _point_error(spec, *points[0], exc) from exc
-        analytic = perf_rows(report, axis, axis_values, overlay, overlay_values)
+        analytic = perf_rows(_analytic_report(cfg, swept), axis, axis_values, overlay, overlay_values)
     if spec.engine == "analytic":
         return SweepResult(spec=spec, rows=tuple(analytic))
 
     rows: list[dict] = []
     for k, ((v, ov), ss) in enumerate(zip(points, np.random.SeedSequence(base.seed).spawn(len(points)))):
         rows += analytic[k : k + 1]  # none under engine "monte_carlo"
-        try:
-            ctx = _derive(_point_config(base, spec, v, ov))  # validated by _checked_first_point
-        except ValueError as exc:
-            raise _point_error(spec, v, ov, exc) from exc
+        ctx = _derive(_point_config(base, spec, v, ov))  # validated by _checked_first_point
         seed = int(ss.generate_state(1, dtype=np.uint64)[0])
         rows += perf_rows(montecarlo.run(ctx, base.n_slots, seed).estimates, axis, [v], overlay, [ov])
     return SweepResult(spec=spec, rows=tuple(rows))

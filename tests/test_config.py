@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -57,12 +58,15 @@ class TestParseQuantity:
     @pytest.mark.parametrize("key", [k for k, (kind, _, _) in config._FIELDS.items() if kind in config._UNITS])
     def test_every_bound_exact_in_every_unit(self, key):
         # a factor of 1e-6 read 5 urad as 4.9999999999999996e-06, below its own bound
+        # a set partner keeps loads from deriving wz or eta_atm, which fall outside
+        # their own ranges at w0 = 10 m (wz = 10.0000000001 m) and alpha_a = 1 /m
+        partner = {"w0": "\nwz = 10 cm", "alpha_a": "\neta_atm = 0.4"}.get(key, "")
         kind, lo, hi = config._FIELDS[key]
         for bound in (lo, hi):
             for unit, power in config._UNITS[kind].items():
                 text = f"{Decimal(repr(bound)).scaleb(-power)} {unit}"
                 assert parse_quantity(text, kind) == bound, text
-                assert getattr(loads(f"{key} = {text}"), key) == bound, text
+                assert getattr(loads(f"{key} = {text}{partner}"), key) == bound, text
 
     def test_prefixed_unit_gives_the_nearest_double(self):
         # the README's 50 urad was an ulp below LinkConfig()'s 50e-6
@@ -261,6 +265,12 @@ class TestRoundTrip:
         assume(wz is not None or w0 is not None)
         cfg = LinkConfig(Lz=lz, wavelength=wavelength, eta_atm=eta_atm, alpha_a=alpha_a, wz=wz, w0=w0,
                          theta_fov=theta_fov, mu_b=mu_b)
+        try:
+            validate(cfg)
+        except ConfigError as exc:  # a derived field outside its range: loading the text raises it too
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                loads(dumps(cfg))
+            return
         loaded = loads(dumps(cfg))
         assert loaded == cfg
         assert _evaluated(loaded) == _evaluated(cfg)
@@ -307,6 +317,22 @@ class TestBuildContext:
     def test_w0_derived_beam(self):
         ctx = build_context(LinkConfig(wz=None, w0=1e-2))
         assert ctx.grid.wz == pytest.approx(5.034e-2, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # each used to build a context: wz = 49.3 m past its 10 m bound, eta_atm = exp(-750)
+            # = 0, which the context rejected without naming alpha_a, and theta_fov = 3.33 mrad
+            ({"wz": None, "w0": 1e-3, "wavelength": 1.55e-5, "Lz": 1e4}, r"^wz derived from w0, wavelength, Lz: 49\.3"),
+            ({"eta_atm": None, "alpha_a": 0.75}, r"^eta_atm derived from alpha_a, Lz: 0\.0 outside allowed range"),
+            ({"r_f": 50e-6, "L_f": 0.015}, r"^theta_fov derived from r_f, L_f: 0\.00333"),
+        ],
+    )
+    def test_derived_field_range_checked(self, overrides, message):
+        cfg = LinkConfig(**overrides)
+        for check in (validate, build_context, lambda cfg: loads(dumps(cfg))):
+            with pytest.raises(ConfigError, match=message):
+                check(cfg)
 
     def test_rejects_incomplete_config(self):
         from dataclasses import replace

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -36,14 +37,28 @@ def _recorded(fn):
 
 
 def _one_by_one(base, spec):
-    """Reports of every sweep point from its own config, in sweep order."""
+    """(report, warnings) of every sweep point evaluated from its own config, in sweep order."""
     overlays = spec.overlay_values if spec.overlay else (None,)
-    reports = []
+    out = []
     for ov in overlays:
         for v in spec.values:
-            updates = {spec.axis: v, **({spec.overlay: ov} if spec.overlay else {})}
-            reports.append(analytics.evaluate(build_context(replace(base, **updates))))
-    return reports
+            cfg = replace(base, **{spec.axis: v, **({spec.overlay: ov} if spec.overlay else {})})
+            out.append(_recorded(lambda: analytics.evaluate(build_context(cfg))))
+    return out
+
+
+# a warning's figures: "by <lo>[ to <hi>] ... at <k> of <n> points" or "= <lo>[ to <hi>] ..."
+_CROSSING = re.compile(r"(?:by|=) (\S+)(?: to (\S+))? .*?at (\d+) of (\d+) points")
+
+
+def _crossings(warned):
+    """Each warning as (category, lo, hi, count, of points, its text without the figures)."""
+    out = []
+    for cat, text in warned:
+        m = _CROSSING.search(text)
+        lo, hi, k, n = m.groups()
+        out.append((cat, float(lo), float(hi or lo), int(k), int(n), text[: m.start()] + text[m.end() :]))
+    return out
 
 
 def _assert_same(got, want):
@@ -57,12 +72,29 @@ def _assert_same(got, want):
 
 
 def _assert_array_pass_matches(base, spec):
+    """The rows of the array pass equal each point evaluated alone, bit for
+    bit. Its warnings: each ``evaluate`` call of the pass (one per block of
+    points, see ``sweep._analytic_report``) issues one warning of each kind
+    that a point of its block issues alone, which names how many of the
+    block's points warn alone and the min and max of their values. Returns
+    the sweep result and the pass's (category, text) warnings."""
     result, warned = _recorded(lambda: sweep(base, spec))
-    want, want_warned = _recorded(lambda: _one_by_one(base, spec))
-    assert len(result.rows) == len(want)
-    for row, rep in zip(result.rows, want):
+    alone = _one_by_one(base, spec)
+    assert len(result.rows) == len(alone)
+    for row, (rep, _) in zip(result.rows, alone):
         _assert_same(row, rep)
-    assert warned == want_warned
+    points = [_crossings(point_warned) for _, point_warned in alone]
+    assert all((w[3], w[4]) == (1, 1) and w[1] == w[2] for point in points for w in point)
+    step = max(1, sweep_module._CHUNK // base.Ng) if "wz" in (spec.axis, spec.overlay) else len(points)
+    want = []
+    for i in range(0, len(points), step):
+        block = points[i : i + step]
+        for cat in (CaptureOverflowWarning, LinearizationWarning):
+            hits = [w for point in block for w in point if w[0] is cat]
+            if hits:
+                lo, hi = min(w[1] for w in hits), max(w[2] for w in hits)
+                want.append((cat, lo, hi, len(hits), len(block), hits[0][5]))
+    assert _crossings(warned) == want
     return result, warned
 
 
@@ -231,21 +263,23 @@ class TestArrayPass:
         base = make_config(Ng=2, ra=1.5, sigma_theta_e=7.5e-4)
         spec = SweepSpec("wz", (0.005, 0.05, 0.5, 1.2, 3.0), "sigma_aoa", (30e-6, 80e-6))
         _, warned = _assert_array_pass_matches(base, spec)
-        overflow = [text for cat, text in warned if cat is CaptureOverflowWarning]
-        assert len(overflow) >= 4
+        [overflow] = [w for w in _crossings(warned) if w[0] is CaptureOverflowWarning]
+        assert overflow[3] >= 4 and overflow[4] == 10
         # the spikes regime with one grid shared by every point
         _, warned = _assert_array_pass_matches(base, SweepSpec("sigma_aoa", (30e-6, 50e-6, 80e-6)))
-        assert [cat for cat, _ in warned].count(CaptureOverflowWarning) == 3
+        [overflow] = [w for w in _crossings(warned) if w[0] is CaptureOverflowWarning]
+        assert overflow[3:5] == (3, 3)
 
-    def test_warnings_once_per_point_in_order(self):
-        # c_pt * mu_p(0) > 0.1 at small wz only: one LinearizationWarning per
-        # such point, interleaved with the overflow warnings of dx/wz = 0.92
+    def test_warnings_once_per_pass(self):
+        # c_pt * mu_p(0) > 0.1 at small wz only: one overflow warning for the
+        # points of dx/wz = 0.92, then one LinearizationWarning for the points
+        # past the linearization limit, each naming its share of the 8 points
         base = make_config(Ng=5, ra=0.15, mu_t=1.0)
         spec = SweepSpec("wz", (0.065, 0.1, 0.4, 1.0), "sigma_aoa", (30e-6, 80e-6))
         _, warned = _assert_array_pass_matches(base, spec)
-        cats = [cat for cat, _ in warned]
-        assert cats.count(CaptureOverflowWarning) == 2
-        assert LinearizationWarning in cats and len(cats) < 8
+        (over, *_, n_over, of_over, _), (lin, *_, n_lin, of_lin, _) = _crossings(warned)
+        assert (over, n_over, of_over) == (CaptureOverflowWarning, 2, 8)
+        assert lin is LinearizationWarning and 0 < n_lin < 8 and of_lin == 8
 
     def test_engine_both_analytic_rows(self, baseline_cfg):
         cfg = replace(baseline_cfg, n_slots=5_000)
@@ -254,7 +288,7 @@ class TestArrayPass:
         want = _one_by_one(cfg, spec)
         analytic = [row for row in result.rows if row["method"] == "analytic"]
         assert len(analytic) == 4 and len(result.rows) == 8
-        for got, rep in zip(analytic, want):
+        for got, (rep, _) in zip(analytic, want):
             _assert_same(got, rep)
 
     def test_engine_both_validates_once(self, baseline_cfg, monkeypatch):
@@ -279,6 +313,9 @@ class TestArrayPass:
             (SweepSpec("wz", (0.05, 0.1, 1e6)), r"sweep point wz=1000000.0, overlay=None: wz: value 1000000.0 outside"),
             (SweepSpec("wz", (0.05, 0.1), "sigma_aoa", (50e-6, 1.0)), r"sweep point wz=0.05, overlay=1.0: sigma_aoa"),
             (SweepSpec("theta_fov", (1e-4, 1.0), "B_lambda", (-1.0, 1e-6)), r"sweep point theta_fov=0.0001, overlay=-1.0"),
+            # a later axis value and a later overlay value: the axis value at the first overlay value comes first
+            (SweepSpec("wz", (0.05, 1e6), "sigma_aoa", (50e-6, 1.0)), r"sweep point wz=1000000.0, overlay=5e-05: wz:"),
+            (SweepSpec("wz", (0.05, 0.1), "sigma_aoa", (1.0, 50e-6)), r"sweep point wz=0.05, overlay=1.0: sigma_aoa:"),
         ],
     )
     def test_invalid_value_raises_before_any_point_is_evaluated(self, baseline_cfg, monkeypatch, spec, message):
@@ -299,7 +336,7 @@ class TestArrayPass:
     def test_derived_quantity_error_names_the_first_point(self, engine):
         # alpha_a = 0.75 /m over 1 km: eta_atm = exp(-750) underflows to 0
         base = LinkConfig(eta_atm=None, alpha_a=0.75, n_slots=100)
-        with pytest.raises(ValueError, match=r"^sweep point wz=0.05, overlay=None: eta_atm and mu_d must be in"):
+        with pytest.raises(ValueError, match=r"^sweep point wz=0.05, overlay=None: eta_atm derived from alpha_a, Lz: 0.0 "):
             sweep(base, SweepSpec("wz", (0.05, 0.1), engine=engine))
 
     def test_array_context_returns_arrays(self, baseline_cfg):
