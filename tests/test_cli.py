@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import uavqkd
-from uavqkd import analytics, cli, config, montecarlo, output, sweep
+from uavqkd import analytics, cli, config, montecarlo, output
 from uavqkd.beam import capture_exact
+from uavqkd.sweep import optimize
 
 
 def run_cli(capsys, *argv):
@@ -287,16 +288,15 @@ class TestWarningsLogged:
         assert hits[0].startswith("WARNING ")
         assert err.startswith("INFO resolved parameters:")
 
-
     def test_optimize_logs_at_most_two_warnings_per_pass(self, monkeypatch):
-        # one CaptureOverflowWarning and one LinearizationWarning at most per
-        # array pass; a warning per point that crossed logged 22 lines here
+        # at most one CaptureOverflowWarning and one LinearizationWarning per
+        # array pass, however many of its points cross a limit
         passes = []
         evaluate = analytics.evaluate
         monkeypatch.setattr(analytics, "evaluate", lambda ctx: passes.append(ctx) or evaluate(ctx))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sweep.optimize(config.LinkConfig(), "wz", 1e-3, (0.05, 1.0))
+            optimize(config.LinkConfig(), "wz", 1e-3, (0.05, 1.0))
         code, out, err = run_process("optimize", "--var", "wz", "--qber-max", "1e-3", "--bounds", "5cm:1m")
         assert code == cli.EXIT_OK and "key_rate_bps" in out
         logged = [line for line in err.splitlines() if line.startswith("WARNING ")]

@@ -321,8 +321,8 @@ class TestBuildContext:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            # each used to build a context: wz = 49.3 m past its 10 m bound, eta_atm = exp(-750)
-            # = 0, which the context rejected without naming alpha_a, and theta_fov = 3.33 mrad
+            # wz = 49.3 m past its 10 m bound, eta_atm = exp(-750) = 0 below its 1e-3 bound,
+            # theta_fov = 3.33 mrad past its 2 mrad bound
             ({"wz": None, "w0": 1e-3, "wavelength": 1.55e-5, "Lz": 1e4}, r"^wz derived from w0, wavelength, Lz: 49\.3"),
             ({"eta_atm": None, "alpha_a": 0.75}, r"^eta_atm derived from alpha_a, Lz: 0\.0 outside allowed range"),
             ({"r_f": 50e-6, "L_f": 0.015}, r"^theta_fov derived from r_f, L_f: 0\.00333"),
