@@ -58,12 +58,11 @@ def fov_accept_prob(theta_fov, sigma_aoa):
     return p if p.ndim else float(p)
 
 
-def fov_geometry(r_f: float, L_f: float) -> tuple[float, float]:
-    """Half-angle FoV and solid angle from fiber core radius and focal length."""
+def fov_geometry(r_f: float, L_f: float) -> float:
+    """Half-angle FoV atan(r_f / L_f) from fiber core radius and focal length."""
     if not (r_f >= 0 and L_f > 0):
         raise ValueError("fov_geometry requires r_f >= 0 and L_f > 0")
-    theta = math.atan2(r_f, L_f)
-    return theta, solid_angle(theta)
+    return math.atan2(r_f, L_f)
 
 
 def solid_angle(theta_fov):

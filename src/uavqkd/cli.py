@@ -9,9 +9,9 @@ Subcommands:
 * ``validate`` capture-model comparison table (exact vs grid vs classical)
 
 Global flags: --config, --out, --format {table,csv,json} (--plot-data is an
-alias for --format csv), --quiet. Warnings are logged as ``WARNING ...``
-lines on stderr; --quiet silences them and the resolved-parameter log.
-The UAVQKD_CONFIG environment variable
+alias for --format csv), --quiet. Stderr logs the resolved parameters, each
+derived value marked ``# derived``, then one ``WARNING <Category>: <message>``
+line per warning; --quiet silences both. The UAVQKD_CONFIG environment variable
 supplies the config path when --config is not given; it is read at each
 call of ``main``. Exit codes: 0 success, 1 usage error, 2 validation error.
 """
@@ -51,26 +51,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _qty(text: str, kind: str) -> float:
-    """CLI quantity: unit suffix honored, bare numbers read as SI."""
+def _qty(text: str, kind: str, flag: str) -> float:
+    """A quantity given to ``flag``: unit suffix honored, bare numbers read as SI."""
     try:
         return config.parse_quantity(text, kind)
     except ConfigError:
         try:
             return float(text)
         except ValueError:
-            raise ConfigError(f"cannot parse {text!r} as {kind}") from None
+            raise ConfigError(f"{flag}: cannot parse {text!r} as {kind}") from None
 
 
-def _qty_list(text: str, kind: str) -> tuple[float, ...]:
-    return tuple(_qty(part, kind) for part in text.split(","))
+def _qty_list(text: str, kind: str, flag: str) -> tuple[float, ...]:
+    return tuple(_qty(part, kind, flag) for part in text.split(","))
 
 
 def _parse_range(text: str, kind: str) -> tuple[float, ...]:
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) != 3 or not parts[2].strip().isdecimal():
         raise ConfigError("--range expects start:stop:count")
-    lo, hi, n = _qty(parts[0], kind), _qty(parts[1], kind), int(parts[2])
+    lo, hi, n = _qty(parts[0], kind, "--range"), _qty(parts[1], kind, "--range"), int(parts[2])
     if n < 2 or not lo < hi:
         raise ConfigError("--range needs start < stop and count >= 2")
     return tuple(np.linspace(lo, hi, n).tolist())
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--plot-data", action="store_true", help="alias for --format csv")
-    p.add_argument("--quiet", action="store_true", help="suppress the resolved-parameter log")
+    p.add_argument("--quiet", action="store_true", help="suppress the resolved-parameter log and warnings")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("eval", help="analytic point evaluation")
@@ -123,7 +123,11 @@ def _load_config(args) -> config.LinkConfig:
     path = os.environ.get("UAVQKD_CONFIG") if args.config is None else args.config
     cfg = config.load_config(path) if path else config.LinkConfig()
     if not args.quiet:
-        log.info("resolved parameters:\n%s", config.dumps(cfg).rstrip())
+        ctx = config._derive(cfg)  # each unset given-or-derived field at the value the run derives
+        derived = {name: getattr(ctx, name) for name in (*config._DERIVED, "mu_b") if getattr(cfg, name) is None}
+        lines = config.dumps(replace(cfg, **derived)).splitlines()
+        marked = [line + "  # derived" if line.partition(" = ")[0] in derived else line for line in lines]
+        log.info("resolved parameters:\n%s", "\n".join(marked))
     return cfg
 
 
@@ -133,7 +137,7 @@ def _write(args, text: str) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+            raise ConfigError(f"--out: cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -162,7 +166,7 @@ def _cmd_mc(args, cfg) -> str:
 
 def _cmd_sweep(args, cfg) -> str:
     kind = config._FIELDS[args.axis][0]
-    values = _qty_list(args.values, kind) if args.values else _parse_range(args.value_range, kind)
+    values = _qty_list(args.values, kind, "--values") if args.values else _parse_range(args.value_range, kind)
     overlay = overlay_values = None
     if args.overlay:
         name, _, vals = args.overlay.partition("=")
@@ -170,8 +174,8 @@ def _cmd_sweep(args, cfg) -> str:
             raise ConfigError("--overlay expects name=v1,v2,...")
         overlay = name.strip()
         if overlay not in SWEEPABLE:
-            raise ConfigError(f"unknown overlay axis {overlay!r}")
-        overlay_values = _qty_list(vals, config._FIELDS[overlay][0])
+            raise ConfigError(f"--overlay: unknown axis {overlay!r}")
+        overlay_values = _qty_list(vals, config._FIELDS[overlay][0], "--overlay")
     spec = SweepSpec(
         axis=args.axis,
         values=values,
@@ -187,9 +191,7 @@ def _cmd_optimize(args, cfg) -> str:
     if len(parts) != 2:
         raise ConfigError("--bounds expects lo:hi")
     kind = config._FIELDS[args.var][0]
-    result = optimize(
-        cfg, args.var, args.qber_max, (_qty(parts[0], kind), _qty(parts[1], kind))
-    )
+    result = optimize(cfg, args.var, args.qber_max, tuple(_qty(part, kind, "--bounds") for part in parts))
     rows = output.perf_rows(result.report, result.variable, [result.value], "feasible", [int(result.feasible)])
     if not result.feasible:
         log.warning(
@@ -207,10 +209,10 @@ def _check_flag(flag: str, key: str, value) -> None:
 
 
 def _cmd_validate(args, cfg) -> str:
-    wz_values = _qty_list(args.wz, "length")
+    wz_values = _qty_list(args.wz, "length", "--wz")
     for wz in wz_values:
         _check_flag("--wz", "wz", wz)
-    rd_max = _qty(args.rd_max, "length")
+    rd_max = _qty(args.rd_max, "length", "--rd-max")
     if not math.isfinite(rd_max) or rd_max < 0:
         raise ConfigError(f"--rd-max: {rd_max} is not a finite length >= 0")
     ng = args.ng if args.ng is not None else cfg.Ng
@@ -238,6 +240,12 @@ _COMMANDS = {
 }
 
 
+def _log_warning(quiet: bool, message, category, *_) -> None:
+    """``warnings.showwarning`` for a run: one log line, none under --quiet."""
+    if not quiet:
+        log.warning("%s: %s", category.__name__, message)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -248,26 +256,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.plot_data:
         args.format = "csv"
-    # Package warnings go to the log, where --quiet silences them. A caller
-    # that installed its own warnings.showwarning keeps getting them.
-    capture = getattr(warnings.showwarning, "__module__", None) == "warnings"
-    py_warnings = logging.getLogger("py.warnings")
-    level = py_warnings.level
-    if capture:
-        logging.captureWarnings(True)
-        if args.quiet:
-            py_warnings.setLevel(logging.ERROR)
-    try:
-        cfg = _load_config(args)
-        text = _COMMANDS[args.command](args, cfg)
-        _write(args, text)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    finally:
-        if capture:
-            logging.captureWarnings(False)
-            py_warnings.setLevel(level)
+    # Package warnings go to the log as one line each, where --quiet drops
+    # them. A caller that installed its own warnings.showwarning keeps it.
+    with warnings.catch_warnings():
+        if getattr(warnings.showwarning, "__module__", None) == "warnings":
+            warnings.showwarning = functools.partial(_log_warning, args.quiet)
+        try:
+            cfg = _load_config(args)
+            _write(args, _COMMANDS[args.command](args, cfg))
+        except (ConfigError, ValueError) as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -93,7 +93,7 @@ class LinkConfig:
     ra: float = _field(0.15, "length", 0.015, 1.5)
     mu_t: float = _field(0.5, "float", 0.05, 5.0)
     eta_atm: float | None = _field(0.4, "float", 1e-3, 1.0)
-    alpha_a: float | None = _field(None, "attenuation", 0.0, 1.0)
+    alpha_a: float | None = _field(None, "attenuation", 0.0, 0.069)  # ln(1000) / 100 m: eta_atm >= 1e-3 at some Lz
     mu_d: float = _field(0.6, "float", 0.06, 1.0)
     T_qs: float = _field(1e-8, "time", 1e-9, 1e-7)
     r_f: float = _field(5e-6, "length", 5e-7, 5e-5)
@@ -125,7 +125,7 @@ _OPTIONAL = {"eta_atm", "alpha_a", "wz", "w0", "theta_fov", "mu_b"}
 _DERIVED = {
     "eta_atm": (("alpha_a", "Lz"), atm_transmittance),
     "wz": (("w0", "wavelength", "Lz"), beam_radius),
-    "theta_fov": (("r_f", "L_f"), lambda r_f, L_f: fov_geometry(r_f, L_f)[0]),
+    "theta_fov": (("r_f", "L_f"), fov_geometry),
 }
 
 

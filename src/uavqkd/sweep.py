@@ -36,6 +36,7 @@ from . import analytics, montecarlo
 from .analytics import PerformanceReport
 from .beam import _CHUNK
 from .config import LinkConfig, _check_range, _derive, validate
+from .errors import ConfigError
 from .output import perf_rows
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepResult", "OptimizeResult", "sweep", "optimize"]
@@ -136,7 +137,7 @@ def _checked_first_point(base: LinkConfig, spec: SweepSpec) -> LinkConfig:
             point = (v0, ov)
             _check_range(spec.overlay, ov)
     except ValueError as exc:
-        raise ValueError(f"sweep point {spec.axis}={point[0]}, overlay={point[1]}: {exc}") from exc
+        raise ConfigError(f"sweep point {spec.axis}={point[0]}, overlay={point[1]}: {exc}") from exc
     return cfg
 
 

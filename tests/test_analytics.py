@@ -84,6 +84,11 @@ class TestContext:
                 with pytest.raises(ValueError, match=field):
                     replace(baseline_ctx, **{field: bad})
 
+    @pytest.mark.parametrize("field", ["sigma_rd", "mu_b"])
+    def test_rejects_a_two_dimensional_per_point_field(self, baseline_ctx, field):
+        with pytest.raises(ValueError, match=r"floats or arrays of shape \(P,\)"):
+            replace(baseline_ctx, **{field: np.full((2, 2), 0.05)})
+
     def test_rejects_nan_slot_time_and_nonpositive_fading_shapes(self, baseline_ctx):
         # a NaN T_qs gave a NaN key rate, alpha or beta <= 0 a NaN averaged p_detect
         with pytest.raises(ValueError, match="T_qs"):

@@ -16,6 +16,7 @@ import pytest
 import uavqkd
 from uavqkd import analytics, cli, config, montecarlo, output
 from uavqkd.beam import capture_exact
+from uavqkd.errors import LinearizationWarning
 from uavqkd.sweep import optimize
 
 
@@ -81,6 +82,28 @@ class TestExitCodes:
     def test_validation_error_bad_sweep_values(self, capsys):
         code = cli.main(["--quiet", "sweep", "--axis", "wz", "--values", "10cm,5cm"])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sweep", "--axis", "wz", "--values", "5cm,abc"], "--values"),
+            (["sweep", "--axis", "wz", "--range", "5cm:10cm"], "--range"),
+            (["sweep", "--axis", "wz", "--range", "5cm:10cm:x"], "--range"),
+            (["sweep", "--axis", "wz", "--range", "10cm:5cm:4"], "--range"),
+            (["sweep", "--axis", "wz", "--range", "5cm:10cm:1"], "--range"),
+            (["--out", "{missing}/out.csv", "eval"], "--out"),
+            (["sweep", "--axis", "wz", "--values", "5cm", "--overlay", "B_lambda"], "--overlay"),
+            (["sweep", "--axis", "wz", "--values", "5cm", "--overlay", "nope=1"], "--overlay"),
+            (["optimize", "--var", "wz", "--qber-max", "1e-3", "--bounds", "5cm"], "--bounds"),
+            (["optimize", "--var", "wz", "--qber-max", "1e-3", "--bounds", "5cm:abc"], "--bounds"),
+        ],
+    )
+    def test_bad_flag_value_names_its_flag(self, capsys, tmp_path, argv, flag):
+        code = cli.main(["--quiet", *(a.format(missing=tmp_path / "missing") for a in argv)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith(f"validation error: {flag}")
 
 
 class TestMc:
@@ -261,6 +284,30 @@ class TestParserReuse:
         assert any(r.getMessage().startswith("resolved parameters") for r in caplog.records)
 
 
+class TestResolvedLog:
+    def test_states_each_derived_value(self, caplog, capsys, tmp_path):
+        path = tmp_path / "derived.cfg"
+        path.write_text("w0 = 1 cm\nalpha_a = 0.5 1/km\n")  # theta_fov and mu_b unset
+        with caplog.at_level(logging.INFO, logger="uavqkd"):
+            assert cli.main(["--config", str(path), "eval"]) == cli.EXIT_OK
+        text = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("resolved parameters:"))
+        body = text.partition("\n")[2]
+        derived = {}
+        for line in body.splitlines():
+            if line.endswith("  # derived"):
+                name, _, value = line.removesuffix("  # derived").partition(" = ")
+                derived[name] = float(value.split()[0])
+        assert list(derived) == ["eta_atm", "wz", "theta_fov", "mu_b"]
+        assert derived["wz"] == pytest.approx(5.034e-2, rel=1e-3)
+        assert derived["eta_atm"] == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert derived["theta_fov"] == pytest.approx(math.atan(5e-6 / 0.15), rel=1e-15)
+        ctx = config.build_context(config.load_config(str(path)))
+        assert derived["mu_b"] == ctx.mu_b
+        # the log is a config file that gives the run's context
+        logged = config.build_context(config.loads(body))
+        assert [getattr(logged, name) for name in derived] == [getattr(ctx, name) for name in derived]
+
+
 def run_process(*argv):
     """``python -m uavqkd.cli argv`` in a fresh process, with default
     warning filters: (exit code, stdout, stderr)."""
@@ -287,6 +334,24 @@ class TestWarningsLogged:
         assert len(hits) == 1
         assert hits[0].startswith("WARNING ")
         assert err.startswith("INFO resolved parameters:")
+
+    def test_warning_is_one_plain_line(self):
+        code, out, err = run_process("eval")
+        assert code == cli.EXIT_OK
+        line = "WARNING LinearizationWarning: c_pt * mu_p(0) = 0.119 > 0.1 at 1 of 1 points: "
+        assert err.count(line) == 1
+        # no path into the package, and no source line after the warning
+        assert ".py:" not in err
+        assert err.splitlines()[-1].startswith(line)
+
+    def test_caller_hook_keeps_the_warnings(self, capsys):
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, category, *_: seen.append(category)
+            assert cli.main(["--quiet", "eval"]) == cli.EXIT_OK
+        assert seen == [LinearizationWarning]
+        assert capsys.readouterr().err == ""
 
     def test_optimize_logs_at_most_two_warnings_per_pass(self, monkeypatch):
         # at most one CaptureOverflowWarning and one LinearizationWarning per

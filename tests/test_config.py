@@ -59,7 +59,7 @@ class TestParseQuantity:
     def test_every_bound_exact_in_every_unit(self, key):
         # a factor of 1e-6 read 5 urad as 4.9999999999999996e-06, below its own bound
         # a set partner keeps loads from deriving wz or eta_atm, which fall outside
-        # their own ranges at w0 = 10 m (wz = 10.0000000001 m) and alpha_a = 1 /m
+        # their own ranges at w0 = 10 m (wz = 10.0000000001 m) and alpha_a = 0.069 /m (eta_atm = e^-69)
         partner = {"w0": "\nwz = 10 cm", "alpha_a": "\neta_atm = 0.4"}.get(key, "")
         kind, lo, hi = config._FIELDS[key]
         for bound in (lo, hi):
@@ -321,10 +321,10 @@ class TestBuildContext:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            # wz = 49.3 m past its 10 m bound, eta_atm = exp(-750) = 0 below its 1e-3 bound,
+            # wz = 49.3 m past its 10 m bound, eta_atm = exp(-50) = 1.9e-22 below its 1e-3 bound,
             # theta_fov = 3.33 mrad past its 2 mrad bound
             ({"wz": None, "w0": 1e-3, "wavelength": 1.55e-5, "Lz": 1e4}, r"^wz derived from w0, wavelength, Lz: 49\.3"),
-            ({"eta_atm": None, "alpha_a": 0.75}, r"^eta_atm derived from alpha_a, Lz: 0\.0 outside allowed range"),
+            ({"eta_atm": None, "alpha_a": 0.05}, r"^eta_atm derived from alpha_a, Lz: 1\.9287\d*e-22 outside allowed range"),
             ({"r_f": 50e-6, "L_f": 0.015}, r"^theta_fov derived from r_f, L_f: 0\.00333"),
         ],
     )
@@ -340,6 +340,10 @@ class TestBuildContext:
         cfg = replace(LinkConfig(), eta_atm=None)
         with pytest.raises(ConfigError):
             build_context(cfg)
+
+    def test_required_field_rejected_when_none(self):
+        with pytest.raises(ConfigError, match=r"^r_f is required$"):
+            validate(replace(LinkConfig(), r_f=None))
 
 
 _NUMERIC = [f.name for f in fields(LinkConfig) if isinstance(getattr(LinkConfig(), f.name), float)]

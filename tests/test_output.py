@@ -75,6 +75,10 @@ class TestRender:
         with pytest.raises(ValueError):
             output.emit(report, "xml")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_no_rows_render_as_empty_text(self, fmt):
+        assert output.render([], fmt, output.PERF_COLUMNS) == ""
+
     def test_raw_rows(self):
         rows = [{"a": 1.5, "b": None}, {"a": 2.0, "b": "x"}]
         text = output.render(rows, "csv", ["a", "b"])

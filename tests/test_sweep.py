@@ -12,7 +12,7 @@ from conftest import make_config
 from uavqkd import analytics, config, montecarlo, output
 from uavqkd import sweep as sweep_module
 from uavqkd.config import LinkConfig, build_context
-from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
+from uavqkd.errors import CaptureOverflowWarning, ConfigError, LinearizationWarning
 from uavqkd.analytics import PerformanceReport
 from uavqkd.sweep import OptimizeResult, SweepSpec, optimize, sweep
 
@@ -332,11 +332,18 @@ class TestArrayPass:
         # the swept field of the base is replaced, so its own value is not checked
         assert len(sweep(replace(make_config(), wz=100.0), SweepSpec("wz", (0.05, 0.1))).rows) == 2
 
+    def test_out_of_range_value_is_a_config_error(self):
+        # the same bound raises the same error type from sweep and optimize
+        with pytest.raises(ConfigError, match=r"^sweep point wz=100.0, overlay=None: wz: value 100.0 outside"):
+            sweep(LinkConfig(), SweepSpec("wz", (0.05, 100.0)))
+        with pytest.raises(ConfigError, match=r"^wz: value 100.0 outside"):
+            optimize(LinkConfig(), "wz", 1e-3, (0.05, 100.0))
+
     @pytest.mark.parametrize("engine", ["analytic", "monte_carlo"])
     def test_derived_quantity_error_names_the_first_point(self, engine):
-        # alpha_a = 0.75 /m over 1 km: eta_atm = exp(-750) underflows to 0
-        base = LinkConfig(eta_atm=None, alpha_a=0.75, n_slots=100)
-        with pytest.raises(ValueError, match=r"^sweep point wz=0.05, overlay=None: eta_atm derived from alpha_a, Lz: 0.0 "):
+        # alpha_a = 0.05 /m over 1 km: eta_atm = exp(-50) = 1.9e-22, below its 1e-3 bound
+        base = LinkConfig(eta_atm=None, alpha_a=0.05, n_slots=100)
+        with pytest.raises(ValueError, match=r"^sweep point wz=0.05, overlay=None: eta_atm derived from alpha_a, Lz: 1\.9287\d*e-22 "):
             sweep(base, SweepSpec("wz", (0.05, 0.1), engine=engine))
 
     def test_array_context_returns_arrays(self, baseline_cfg):
