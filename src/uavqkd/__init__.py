@@ -6,7 +6,7 @@ from .analytics import AnalyticContext, PerformanceReport, detect_prob, evaluate
 from .beam import CaptureGrid, beam_radius, build_grid, capture_classical, capture_exact, capture_grid
 from .channel import atm_transmittance, background_mean, fov_accept_prob, fov_geometry, gg_sample
 from .config import LinkConfig, build_context, load_config
-from .errors import ConfigError, LinearizationWarning, NumericError
+from .errors import CaptureOverflowWarning, ConfigError, LinearizationWarning, NumericError
 from .montecarlo import McReport, run
 from .sweep import OptimizeResult, SweepResult, SweepSpec, optimize
 

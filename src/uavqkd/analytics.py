@@ -27,16 +27,16 @@ the larger by an exp-substituted trapezoid, so no mode of the analytics
 calls a quadrature routine.
 
 A context holds one point or P points. Sweeps put P points in one
-context: the per-point fields are arrays of shape (P,), and the linearized
-``detect_prob`` and ``evaluate`` return arrays of shape (P,), row k equal to
-the same point evaluated alone, bit for bit. One point is the case of
-shape (): it is a column of one entry through the same numpy arithmetic,
-and returns floats.
+context: the per-point fields are floats or arrays of shape (P,), and the
+linearized ``detect_prob`` and ``evaluate`` return arrays of shape (P,), row
+k equal to the same point evaluated alone, bit for bit. The context
+broadcasts its per-point fields once, into flat float columns of P entries
+(of one entry for one point), and both functions compute on those columns
+by the same numpy arithmetic; one point returns floats.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -65,8 +65,8 @@ class AnalyticContext:
     For P points, ``sigma_rd``, ``theta_fov``, ``sigma_aoa`` and ``mu_b`` are
     arrays of shape (P,), and so are the grid's ``wz``, ``mu_p0`` and
     ``peak`` when the points differ in wz (its ``weights`` are then
-    P x N_g); the other fields are shared. ``shape`` is () for one point
-    and (P,) for P points.
+    P x N_g); the other fields are shared. A float among arrays stands for
+    every point. ``shape`` is () for one point and (P,) for P points.
     """
 
     mu_t: float
@@ -82,6 +82,8 @@ class AnalyticContext:
     beta: float
     mu_p_mode: str = "grid"  # segment-grid capture model, or "exact" for error attribution
     p_fov: float = field(init=False, compare=False)  # P(photon inside the acceptance cone), per point
+    shape: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _cols: dict[str, np.ndarray] = field(init=False, compare=False, repr=False)  # per-point field -> flat column
 
     def __post_init__(self):
         if not 0.0 < self.mu_t:
@@ -92,26 +94,28 @@ class AnalyticContext:
             raise ValueError("T_qs must be > 0")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be > 0")
-        if not _all(self.sigma_rd > 0.0):
+        # the one broadcast of the per-point fields: a flat float column each, of one entry per point
+        g = self.grid
+        per_point = {"sigma_rd": self.sigma_rd, "theta_fov": self.theta_fov, "sigma_aoa": self.sigma_aoa,
+                     "mu_b": self.mu_b, "wz": g.wz, "mu_p0": g.mu_p0, "peak": g.peak}
+        cols = {name: np.asarray(v, dtype=float) for name, v in per_point.items()}
+        if not (cols["sigma_rd"] > 0.0).all():
             raise ValueError("sigma_rd must be > 0")
+        shapes = {a.shape for a in cols.values()} - {()}
+        if len(shapes) > 1:
+            raise ValueError(f"per-point fields of different shapes {sorted(shapes)}")
+        shape = shapes.pop() if shapes else ()
+        if len(shape) > 1:
+            raise ValueError("per-point fields must be floats or arrays of shape (P,)")
+        cols = {name: a.reshape(-1) if a.shape == shape else np.full(shape, a) for name, a in cols.items()}
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_cols", cols)
         # fov_accept_prob is the one check that theta_fov and sigma_aoa are > 0
-        p_fov = fov_accept_prob(_col(self, self.theta_fov), _col(self, self.sigma_aoa))
-        object.__setattr__(self, "p_fov", _out(self, p_fov))
-        if not _all(self.mu_b >= 0.0):
+        object.__setattr__(self, "p_fov", _out(self, fov_accept_prob(cols["theta_fov"], cols["sigma_aoa"])))
+        if not (cols["mu_b"] >= 0.0).all():
             raise ValueError("mu_b must be >= 0")
         if self.mu_p_mode not in ("grid", "exact"):
             raise ValueError("mu_p_mode must be 'grid' or 'exact'")
-        if len(self.shape) > 1:
-            raise ValueError("per-point fields must be floats or arrays of shape (P,)")
-
-    @functools.cached_property
-    def shape(self) -> tuple[int, ...]:
-        """() for one point, (P,) for P points."""
-        per_point = (self.sigma_rd, self.theta_fov, self.sigma_aoa, self.mu_b, self.grid.wz, self.grid.mu_p0)
-        shapes = {getattr(v, "shape", ()) for v in per_point} - {()}
-        if len(shapes) > 1:
-            raise ValueError(f"per-point fields of different shapes {sorted(shapes)}")
-        return shapes.pop() if shapes else ()
 
     @property
     def c_pt(self) -> float:
@@ -155,17 +159,6 @@ class PerformanceReport:
     qber: float
     method: str  # "analytic" | "monte_carlo"
     se: dict[str, float] | None = None
-
-
-def _all(test) -> bool:
-    """A comparison's verdict for one point (a bool) or every point (an array)."""
-    return test if type(test) is bool else bool(test.all())
-
-
-def _col(ctx: AnalyticContext, value) -> np.ndarray:
-    """A per-point field of ``ctx`` as a flat float array, one entry per point."""
-    a = np.asarray(value, dtype=float)
-    return a.reshape(-1) if a.shape == ctx.shape else np.full(ctx.shape, a)
 
 
 def _out(ctx: AnalyticContext, values: np.ndarray):
@@ -291,13 +284,14 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
         b = ctx.c_pt * ctx.mu_p(r)
         return ctx.p_fov * float(w @ _fading_mean(b, ctx.alpha, ctx.beta))
 
-    sigma, wz = _col(ctx, ctx.sigma_rd), _col(ctx, ctx.wz)
+    cols = ctx._cols
+    sigma, wz = cols["sigma_rd"], cols["wz"]
     if ctx.mu_p_mode == "exact":
         # the closed form at sigma_rd = 0 is mu_p(0); exact capture never exceeds 1 + 1e-6
         mu_p0 = peak = -np.expm1(-2.0 * ctx.ra**2 / wz**2)
         mean_mu_p = -np.expm1(-2.0 * ctx.ra**2 / (wz**2 + 4.0 * sigma**2))
     else:
-        mu_p0, peak = _col(ctx, ctx.grid.mu_p0), _col(ctx, ctx.grid.peak)
+        mu_p0, peak = cols["mu_p0"], cols["peak"]
         mean_mu_p = _rayleigh_average_grid(ctx.grid, sigma, wz)
     n, over = sigma.size, [v - 1.0 for v in peak.tolist() if v > _OVERFLOW]
     lin = [v for v in (ctx.c_pt * mu_p0).tolist() if v > 0.1]
@@ -322,8 +316,7 @@ def evaluate(ctx: AnalyticContext) -> PerformanceReport:
     half the State-2 share of accepted bits (NaN when none are accepted).
     A context of P points gives a report of arrays of shape (P,).
     """
-    i = detect_prob(ctx)
-    i, mu_b = _col(ctx, i), _col(ctx, ctx.mu_b)
+    i, mu_b = np.reshape(detect_prob(ctx), -1), ctx._cols["mu_b"]
     eb = np.exp(-mu_b)
     s1, s2, s3 = eb * i, mu_b * eb * (1.0 - i), 0.5 * mu_b * eb * i
     peff = s1 + s2 + s3

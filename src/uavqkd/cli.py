@@ -119,14 +119,25 @@ def build_parser() -> _Parser:
     return p
 
 
+# a subcommand flag's dest -> the config field it overrides for the run
+_FLAG_FIELDS = {"slots": "n_slots", "seed": "seed", "ng": "Ng"}
+
+
 def _load_config(args) -> config.LinkConfig:
     path = os.environ.get("UAVQKD_CONFIG") if args.config is None else args.config
     cfg = config.load_config(path) if path else config.LinkConfig()
+    for dest, key in _FLAG_FIELDS.items():
+        if (value := getattr(args, dest, None)) is not None:
+            _check_flag(f"--{dest}", key, value)
+            cfg = replace(cfg, **{key: value})
     if not args.quiet:
         ctx = config._derive(cfg)  # each unset given-or-derived field at the value the run derives
         derived = {name: getattr(ctx, name) for name in (*config._DERIVED, "mu_b") if getattr(cfg, name) is None}
         lines = config.dumps(replace(cfg, **derived)).splitlines()
-        marked = [line + "  # derived" if line.partition(" = ")[0] in derived else line for line in lines]
+        # a derived value that no config could give (outside its field's range) is a comment, so the log loads back
+        out = {k for k, v in derived.items() if not config._FIELDS[k][1] <= v <= config._FIELDS[k][2]}
+        marked = [("# " if k in out else "") + line + "  # derived" if (k := line.partition(" = ")[0]) in derived
+                  else line for line in lines]
         log.info("resolved parameters:\n%s", "\n".join(marked))
     return cfg
 
@@ -148,10 +159,6 @@ def _cmd_eval(args, cfg) -> str:
 
 
 def _cmd_mc(args, cfg) -> str:
-    if args.slots is not None:
-        cfg = replace(cfg, n_slots=args.slots)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     ctx = config.build_context(cfg)
     start = time.perf_counter()
     mc = montecarlo.run(ctx, cfg.n_slots, cfg.seed)
@@ -215,8 +222,6 @@ def _cmd_validate(args, cfg) -> str:
     rd_max = _qty(args.rd_max, "length", "--rd-max")
     if not math.isfinite(rd_max) or rd_max < 0:
         raise ConfigError(f"--rd-max: {rd_max} is not a finite length >= 0")
-    ng = args.ng if args.ng is not None else cfg.Ng
-    _check_flag("--ng", "Ng", ng)
     if args.points < 1:
         raise ConfigError(f"--points: {args.points} is not >= 1")
     rd_grid = np.linspace(0.0, rd_max, args.points)
@@ -224,7 +229,7 @@ def _cmd_validate(args, cfg) -> str:
     rows = []
     for wz in wz_values:
         exact = capture_exact(rd_grid, wz, cfg.ra)
-        approx = capture_grid(build_grid(cfg.ra, wz, ng), rd_grid)
+        approx = capture_grid(build_grid(cfg.ra, wz, cfg.Ng), rd_grid)
         classical = capture_classical(rd_grid, wz, cfg.ra)
         for values in zip(rd_grid.tolist(), exact.tolist(), approx.tolist(), classical.value.tolist()):
             rows.append(dict(zip(cols, (wz, *values, classical.valid))))

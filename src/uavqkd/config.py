@@ -267,31 +267,24 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     """The derivation chain of ``build_context`` on a validated ``cfg``.
 
     ``points`` maps sweepable field names (wz, sigma_theta_e, sigma_aoa,
-    theta_fov, B_lambda) to arrays of one range-checked value per point,
-    all of one length P; they replace the config's values and the context
-    holds P points. Each point's quantities are derived from its own
-    values by the same numpy arithmetic as for a single config: a grid row
-    per wz, a background mean per (theta_fov, B_lambda).
+    theta_fov, B_lambda) to float arrays of one range-checked value per
+    point, all of one length P; they replace the config's values and the
+    context holds P points. Each point's quantities are derived from its
+    own values by the same numpy arithmetic as for a single config: a grid
+    row per wz, a background mean per (theta_fov, B_lambda). An unswept
+    field stays one value, which the context broadcasts to every point.
     """
     points = points or {}
-    n = len(next(iter(points.values()))) if points else 0
-
-    def per_point(name: str, value):
-        """``value`` for one config; for P points, the array of ``name``'s values."""
-        if not points:
-            return value
-        return np.asarray(points[name] if name in points else np.full(n, value), dtype=float)
-
     if "wz" in points:
-        grid = _grid_rows(cfg.ra, per_point("wz", None), cfg.Ng)
+        grid = _grid_rows(cfg.ra, points["wz"], cfg.Ng)
     else:
         grid = build_grid(cfg.ra, _resolved(cfg, "wz"), cfg.Ng)
-    theta_fov = per_point("theta_fov", _resolved(cfg, "theta_fov"))
+    theta_fov = points.get("theta_fov", _resolved(cfg, "theta_fov"))
     if cfg.mu_b is not None:
-        mu_b = per_point("mu_b", cfg.mu_b)
+        mu_b = cfg.mu_b
     else:
         mu_b = background_mean(
-            per_point("B_lambda", cfg.B_lambda), math.pi * cfg.ra**2, solid_angle(theta_fov),
+            points.get("B_lambda", cfg.B_lambda), math.pi * cfg.ra**2, solid_angle(theta_fov),
             cfg.delta_lambda, cfg.T_qs, cfg.wavelength, cfg.energy_convention,
         )
     return AnalyticContext(
@@ -300,9 +293,9 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
         mu_d=cfg.mu_d,
         T_qs=cfg.T_qs,
         grid=grid,
-        sigma_rd=per_point("sigma_theta_e", cfg.sigma_theta_e) * cfg.Lz,
+        sigma_rd=points.get("sigma_theta_e", cfg.sigma_theta_e) * cfg.Lz,
         theta_fov=theta_fov,
-        sigma_aoa=per_point("sigma_aoa", cfg.sigma_aoa),
+        sigma_aoa=points.get("sigma_aoa", cfg.sigma_aoa),
         mu_b=mu_b,
         alpha=cfg.alpha,
         beta=cfg.beta,

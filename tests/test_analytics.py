@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from scipy import special
 
 import oracles
+import uavqkd
 from conftest import log_uniform_field, make_context
 from uavqkd import analytics, config
 from uavqkd.analytics import detect_prob, evaluate
 from uavqkd.beam import build_grid, capture_exact, capture_grid
+from uavqkd.channel import background_mean, solid_angle
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
 
@@ -63,6 +65,10 @@ def _assert_matches_oracle(ctx) -> None:
     )
 
 
+def test_package_exports_its_warnings():
+    assert (uavqkd.CaptureOverflowWarning, uavqkd.LinearizationWarning) == (CaptureOverflowWarning, LinearizationWarning)
+
+
 class TestContext:
     def test_composite_transmissivity(self, baseline_ctx):
         assert baseline_ctx.c_pt == pytest.approx(0.5 * 0.4 * 0.6, rel=1e-12)
@@ -84,10 +90,31 @@ class TestContext:
                 with pytest.raises(ValueError, match=field):
                     replace(baseline_ctx, **{field: bad})
 
-    @pytest.mark.parametrize("field", ["sigma_rd", "mu_b"])
+    @pytest.mark.parametrize("field", ["sigma_rd", "theta_fov", "sigma_aoa", "mu_b"])
     def test_rejects_a_two_dimensional_per_point_field(self, baseline_ctx, field):
         with pytest.raises(ValueError, match=r"floats or arrays of shape \(P,\)"):
             replace(baseline_ctx, **{field: np.full((2, 2), 0.05)})
+
+    @pytest.mark.parametrize("odd", [2, 1, None], ids=["(2,) beside (3,)", "(1,) beside (3,)", "floats beside (3,)"])
+    def test_per_point_field_shapes(self, baseline_cfg, odd):
+        """Per-point fields are floats or arrays of one shape (P,): an array
+        of another shape, (1,) included, raises, and a float stands for every
+        point, bit for bit as the np.full copies of ``_derive``'s former form."""
+        ctx = config._derive(baseline_cfg, {"sigma_theta_e": np.array([20e-6, 50e-6, 90e-6])})
+        assert ctx.shape == (3,) and np.ndim(ctx.theta_fov) == np.ndim(ctx.sigma_aoa) == np.ndim(ctx.mu_b) == 0
+        if odd is not None:
+            with pytest.raises(ValueError, match=rf"per-point fields of different shapes \[\({odd},\), \(3,\)\]"):
+                replace(ctx, theta_fov=np.full(odd, ctx.theta_fov))
+        else:
+            cfg, theta = baseline_cfg, np.full(3, ctx.theta_fov)
+            mu_b = background_mean(np.full(3, cfg.B_lambda), math.pi * cfg.ra**2, solid_angle(theta),
+                                   cfg.delta_lambda, cfg.T_qs, cfg.wavelength, cfg.energy_convention)
+            copies = replace(ctx, theta_fov=theta, sigma_aoa=np.full(3, ctx.sigma_aoa), mu_b=mu_b)
+            got, want = vars(evaluate(ctx)), vars(evaluate(copies))
+            assert ctx.p_fov.tobytes() == copies.p_fov.tobytes()
+            assert {k: np.asarray(v).tobytes() for k, v in got.items()} == {
+                k: np.asarray(v).tobytes() for k, v in want.items()
+            }
 
     def test_rejects_nan_slot_time_and_nonpositive_fading_shapes(self, baseline_ctx):
         # a NaN T_qs gave a NaN key rate, alpha or beta <= 0 a NaN averaged p_detect

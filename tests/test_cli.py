@@ -96,6 +96,8 @@ class TestExitCodes:
             (["sweep", "--axis", "wz", "--values", "5cm", "--overlay", "nope=1"], "--overlay"),
             (["optimize", "--var", "wz", "--qber-max", "1e-3", "--bounds", "5cm"], "--bounds"),
             (["optimize", "--var", "wz", "--qber-max", "1e-3", "--bounds", "5cm:abc"], "--bounds"),
+            (["mc", "--slots", "0"], "--slots: n_slots: value 0 outside allowed range [1, 1000000000]"),
+            (["mc", "--seed", "-1"], "--seed: seed: value -1"),
         ],
     )
     def test_bad_flag_value_names_its_flag(self, capsys, tmp_path, argv, flag):
@@ -284,28 +286,63 @@ class TestParserReuse:
         assert any(r.getMessage().startswith("resolved parameters") for r in caplog.records)
 
 
+def logged_parameters(caplog) -> str:
+    """The body of the one "resolved parameters" log record."""
+    text = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("resolved parameters:"))
+    return text.partition("\n")[2]
+
+
+# config text -> each derived value the log states (None: checked against the context only),
+# and the log's comment lines
+DERIVED_CASES = [
+    # theta_fov and mu_b unset
+    ("w0 = 1 cm\nalpha_a = 0.5 1/km\n",
+     {"eta_atm": math.exp(-0.5), "wz": 5.034124985543331e-2, "theta_fov": math.atan(5e-6 / 0.15), "mu_b": None},
+     []),
+    # a radiometric mu_b past mu_b's range [0, 100], which no config gives: a comment line
+    ("B_lambda = 1e-3 W/m2/sr/nm\ntheta_fov = 2 mrad\nra = 1.5 m\ndelta_lambda = 10 nm\nT_qs = 100 ns\n"
+     "wavelength = 15.5 um\n",
+     {"mu_b": 6931018.784552786},
+     ["# mu_b = 6931018.784552786  # derived"]),
+]
+
+
 class TestResolvedLog:
     def test_states_each_derived_value(self, caplog, capsys, tmp_path):
         path = tmp_path / "derived.cfg"
-        path.write_text("w0 = 1 cm\nalpha_a = 0.5 1/km\n")  # theta_fov and mu_b unset
+        for text, expected, comments in DERIVED_CASES:
+            path.write_text(text)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="uavqkd"):
+                assert cli.main(["--config", str(path), "eval"]) == cli.EXIT_OK
+            body = logged_parameters(caplog)
+            derived = {}
+            for line in body.splitlines():
+                if line.endswith("  # derived"):
+                    name, _, value = line.removesuffix("  # derived").removeprefix("# ").partition(" = ")
+                    derived[name] = float(value.split()[0])
+            assert list(derived) == list(expected)
+            for name, want in expected.items():
+                assert want is None or derived[name] == pytest.approx(want, rel=1e-15)
+            assert [line for line in body.splitlines() if line.startswith("#")] == comments
+            ctx = config.build_context(config.load_config(str(path)))
+            assert derived["mu_b"] == ctx.mu_b
+            # the log is a config file that gives the run's context
+            logged = config.build_context(config.loads(body))
+            assert [getattr(logged, name) for name in derived] == [getattr(ctx, name) for name in derived]
+
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [
+            (["mc", "--slots", "20000", "--seed", "3"], ["n_slots = 20000", "seed = 3"]),
+            (["validate", "--ng", "12"], ["Ng = 12"]),
+        ],
+    )
+    def test_states_the_flag_values(self, caplog, capsys, argv, lines):
         with caplog.at_level(logging.INFO, logger="uavqkd"):
-            assert cli.main(["--config", str(path), "eval"]) == cli.EXIT_OK
-        text = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("resolved parameters:"))
-        body = text.partition("\n")[2]
-        derived = {}
-        for line in body.splitlines():
-            if line.endswith("  # derived"):
-                name, _, value = line.removesuffix("  # derived").partition(" = ")
-                derived[name] = float(value.split()[0])
-        assert list(derived) == ["eta_atm", "wz", "theta_fov", "mu_b"]
-        assert derived["wz"] == pytest.approx(5.034e-2, rel=1e-3)
-        assert derived["eta_atm"] == pytest.approx(math.exp(-0.5), rel=1e-15)
-        assert derived["theta_fov"] == pytest.approx(math.atan(5e-6 / 0.15), rel=1e-15)
-        ctx = config.build_context(config.load_config(str(path)))
-        assert derived["mu_b"] == ctx.mu_b
-        # the log is a config file that gives the run's context
-        logged = config.build_context(config.loads(body))
-        assert [getattr(logged, name) for name in derived] == [getattr(ctx, name) for name in derived]
+            assert cli.main(argv) == cli.EXIT_OK
+        logged = logged_parameters(caplog).splitlines()
+        assert [line for line in logged if line in lines] == lines
 
 
 def run_process(*argv):
