@@ -206,8 +206,10 @@ def _fading_mean(b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 def _rayleigh_nodes(sigma: float, top: float, width: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes r and weights w with sum(w f(r)) = E[f(rd); rd < top], rd ~ Rayleigh(sigma).
 
-    Composite 16-point Gauss-Legendre panels no wider than ``width``; the
-    weights carry the Rayleigh pdf.
+    Composite 16-point Gauss-Legendre panels no wider than ``width``, as
+    few as cover [0, top]; the weights carry the Rayleigh pdf. The caller
+    sizes ``width`` to f: ``detect_prob`` passes min(sigma, wz), or twice
+    that where its integrand allows (see there).
     """
     panels = math.ceil(top / width)
     half = 0.5 * top / panels
@@ -258,8 +260,11 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     distribution, P_fov * E[1 - exp(-c_pt mu_p(rd) eta)], for error
     attribution. It is one fixed-node product: ``ctx.mu_p`` on Rayleigh
     nodes in panels no wider than min(sigma_rd, wz), then the Gamma-Gamma
-    average of ``_fading_mean`` on those capture values. Neither mode
-    makes a quadrature call.
+    average of ``_fading_mean`` on those capture values. The panels are
+    twice that wide, half the nodes, where the capture model is smooth on
+    the scale of wz (exact capture, or a grid with 3 dx <= wz) and the
+    signal is small (c_pt mu_p(0) <= 0.1). Neither mode makes a quadrature
+    call.
 
     The linearized mode takes a context of P points and returns an array
     of P probabilities; the averaged mode takes one point. A call issues at
@@ -271,16 +276,25 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     if turbulence == "averaged":
         if ctx.shape:
             raise ValueError("the averaged expectation takes a context of one point")
-        sigma = ctx.sigma_rd
+        sigma, dx, grid = ctx.sigma_rd, ctx.grid.dx, ctx.mu_p_mode == "grid"
         # segments wider than the beam: the grid sum is a row of spikes peaking
         # at the segment centres, so it rises with rd towards each of them
-        spikes = ctx.mu_p_mode == "grid" and ctx.grid.dx > ctx.wz
+        spikes = grid and dx > ctx.wz
+        # Panels twice as wide where mu_p is smooth on the scale of wz (exact
+        # capture, or segments no wider than wz / 3: wider ones ripple the grid
+        # sum between their centres) and the fading mean nearly linear in it
+        # (c_pt mu_p(0) <= 0.1, the linearization's own limit): GL-16 on the beam
+        # Gaussian over a 2 wz panel is off by 6e-16. The fading mean's branch
+        # cut at negative c_pt mu_p nears the rd axis as c_pt mu_p(0) grows, and
+        # at c_pt mu_p(0) ~ 0.4 such panels miss by up to 4.6e-11.
+        mu_p0 = ctx.grid.mu_p0 if grid else -math.expm1(-2.0 * ctx.ra**2 / ctx.wz**2)
+        wide = (not grid or 3.0 * dx <= ctx.wz) and ctx.c_pt * mu_p0 <= 0.1
         # Past ra + 9 wz no capture model holds more than e^-162 of the beam.
         # Past 8 sigma_rd lies e^-32 of the Rayleigh mass, under 4e-14 of the
         # result wherever mu_p falls with rd; with spikes the nodes reach
         # 38 sigma_rd, past which that mass is below 1e-313.
         top = min((38.0 if spikes else 8.0) * sigma, ctx.ra + 9.0 * ctx.wz)
-        r, w = _rayleigh_nodes(sigma, top, min(sigma, ctx.wz))
+        r, w = _rayleigh_nodes(sigma, top, (2.0 if wide else 1.0) * min(sigma, ctx.wz))
         b = ctx.c_pt * ctx.mu_p(r)
         return ctx.p_fov * float(w @ _fading_mean(b, ctx.alpha, ctx.beta))
 

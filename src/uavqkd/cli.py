@@ -131,8 +131,10 @@ def _load_config(args) -> config.LinkConfig:
             _check_flag(f"--{dest}", key, value)
             cfg = replace(cfg, **{key: value})
     if not args.quiet:
-        ctx = config._derive(cfg)  # each unset given-or-derived field at the value the run derives
-        derived = {name: getattr(ctx, name) for name in (*config._DERIVED, "mu_b") if getattr(cfg, name) is None}
+        # each unset given-or-derived field at the value the run derives, with no capture grid built
+        derived = {name: config._resolved(cfg, name) for name in config._DERIVED if getattr(cfg, name) is None}
+        if cfg.mu_b is None:
+            derived["mu_b"] = config._mu_b(cfg, config._resolved(cfg, "theta_fov"), cfg.B_lambda)
         lines = config.dumps(replace(cfg, **derived)).splitlines()
         # a derived value that no config could give (outside its field's range) is a comment, so the log loads back
         out = {k for k, v in derived.items() if not config._FIELDS[k][1] <= v <= config._FIELDS[k][2]}

@@ -135,6 +135,17 @@ def _resolved(cfg: LinkConfig, name: str) -> float:
     return derive(*(getattr(cfg, s) for s in sources)) if getattr(cfg, name) is None else getattr(cfg, name)
 
 
+def _mu_b(cfg: LinkConfig, theta_fov, B_lambda):
+    """``cfg``'s mu_b, else the mean background count at ``theta_fov`` and
+    ``B_lambda`` (floats or arrays of one value per point)."""
+    if cfg.mu_b is not None:
+        return cfg.mu_b
+    return background_mean(
+        B_lambda, math.pi * cfg.ra**2, solid_angle(theta_fov), cfg.delta_lambda, cfg.T_qs, cfg.wavelength,
+        cfg.energy_convention,
+    )
+
+
 def _check_range(key: str, value) -> None:
     kind, lo, hi = _FIELDS[key]
     if kind.startswith("enum:"):
@@ -280,13 +291,7 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     else:
         grid = build_grid(cfg.ra, _resolved(cfg, "wz"), cfg.Ng)
     theta_fov = points.get("theta_fov", _resolved(cfg, "theta_fov"))
-    if cfg.mu_b is not None:
-        mu_b = cfg.mu_b
-    else:
-        mu_b = background_mean(
-            points.get("B_lambda", cfg.B_lambda), math.pi * cfg.ra**2, solid_angle(theta_fov),
-            cfg.delta_lambda, cfg.T_qs, cfg.wavelength, cfg.energy_convention,
-        )
+    mu_b = _mu_b(cfg, theta_fov, points.get("B_lambda", cfg.B_lambda))
     return AnalyticContext(
         mu_t=cfg.mu_t,
         eta_atm=_resolved(cfg, "eta_atm"),

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -394,17 +394,72 @@ def test_closed_form_matches_quadrature_oracle(ng, sigma_rd, wz, ra):
     sigma_theta_e=log_uniform_field("sigma_theta_e"),
     lz=log_uniform_field("Lz"),
     mu_t=log_uniform_field("mu_t"),
+    eta_atm=log_uniform_field("eta_atm"),
+    mu_d=log_uniform_field("mu_d"),
     alpha=log_uniform_field("alpha"),
     beta=log_uniform_field("beta"),
 )
-def test_averaged_engine_matches_nested_quadrature_oracle(ng, wz, ra, sigma_theta_e, lz, mu_t, alpha, beta):
+# N_g = 10 over ra = 15 cm: dx / wz = 0.3, the widest segments of wide panels,
+# at c_pt mu_p(0) = 0.099, then 0.34 and 0.75, where the grid sum ripples, at c_pt = 5
+@example(ng=10, wz=0.1, ra=0.15, sigma_theta_e=1e-4, lz=1e3, mu_t=0.5, eta_atm=0.4, mu_d=0.5, alpha=0.2, beta=25.0)
+@example(ng=10, wz=0.0882, ra=0.15, sigma_theta_e=1e-4, lz=1e3, mu_t=5.0, eta_atm=1.0, mu_d=1.0, alpha=0.2, beta=25.0)
+@example(ng=10, wz=0.04, ra=0.15, sigma_theta_e=1e-4, lz=1e3, mu_t=5.0, eta_atm=1.0, mu_d=1.0, alpha=0.2, beta=25.0)
+# sigma_rd = 20 wz at c_pt = 5 and c_pt mu_p(0) = 0.072: wide panels miss by 3.5e-13 here
+@example(ng=100, wz=0.176, ra=0.015, sigma_theta_e=3.5e-3, lz=1e3, mu_t=5.0, eta_atm=1.0, mu_d=1.0, alpha=0.41, beta=0.26)
+def test_averaged_engine_matches_nested_quadrature_oracle(ng, wz, ra, sigma_theta_e, lz, mu_t, eta_atm, mu_d, alpha, beta):
     ctx = make_context(
-        Ng=ng, wz=wz, ra=ra, sigma_theta_e=sigma_theta_e, Lz=lz, mu_t=mu_t, alpha=alpha, beta=beta
+        Ng=ng, wz=wz, ra=ra, sigma_theta_e=sigma_theta_e, Lz=lz, mu_t=mu_t, eta_atm=eta_atm, mu_d=mu_d, alpha=alpha,
+        beta=beta,
     )
     for mode in ("grid", "exact"):
         c = replace(ctx, mu_p_mode=mode)
         got, want = detect_prob(c, turbulence="averaged"), oracles.detect_prob_averaged(c)
         assert abs(got - want) <= 1e-9 * want, f"{mode}: engine {got:.15g} vs oracle {want:.15g}"
+
+
+@pytest.mark.parametrize(
+    "ra,sigma_theta_e,alpha", [(0.03, 1.5e-4, 24.6), (0.06, 2.5e-3, 24.5)], ids=["sigma_rd=wz", "sigma_rd=17wz"]
+)
+def test_averaged_engine_keeps_narrow_panels_for_a_strong_signal(ra, sigma_theta_e, alpha):
+    # c_pt = 5 and c_pt mu_p(0) = 0.38 and 1.4 on a smooth grid: the fading
+    # mean's branch cut at negative c_pt mu_p lies close enough to the rd axis
+    # that panels of 2 min(sigma_rd, wz) missed the oracle by 4.6e-11 and
+    # 2.7e-11; those of min(sigma_rd, wz) by 3e-15
+    ctx = make_context(Ng=1000, wz=0.15, ra=ra, sigma_theta_e=sigma_theta_e, mu_t=5.0, eta_atm=1.0, mu_d=1.0,
+                       alpha=alpha, beta=0.23)
+    for mode in ("grid", "exact"):
+        c = replace(ctx, mu_p_mode=mode)
+        got, want = detect_prob(c, turbulence="averaged"), oracles.detect_prob_averaged(c)
+        assert abs(got - want) <= 1e-11 * want, f"{mode}: engine {got:.15g} vs oracle {want:.15g}"
+
+
+@pytest.mark.parametrize(
+    "overrides,grid_nodes,exact_nodes",
+    [
+        (dict(mu_t=0.25), 64, 64),  # dx / wz = 0.3 and c_pt mu_p(0) = 0.059: half the nodes of narrow panels
+        (dict(mu_t=0.25, Ng=4), 128, 64),  # dx / wz = 0.75: the grid sum ripples, exact capture does not
+        (dict(), 128, 128),  # c_pt mu_p(0) = 0.119, past the linearization's limit
+    ],
+    ids=["smooth", "ripple", "strong"],
+)
+def test_averaged_engine_node_count(monkeypatch, overrides, grid_nodes, exact_nodes):
+    # sigma_rd = 5 cm and wz = 10 cm: nodes over [0, 8 sigma_rd] in panels of
+    # min(sigma_rd, wz) hold 8 x 16 = 128, in panels twice as wide 64
+    sizes = []
+
+    def counting_nodes(*args):
+        r, w = rayleigh_nodes(*args)
+        sizes.append(r.size)
+        return r, w
+
+    rayleigh_nodes = analytics._rayleigh_nodes
+    monkeypatch.setattr(analytics, "_rayleigh_nodes", counting_nodes)
+    ctx = make_context(**overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CaptureOverflowWarning)
+        for mode in ("grid", "exact"):
+            detect_prob(replace(ctx, mu_p_mode=mode), turbulence="averaged")
+    assert sizes == [grid_nodes, exact_nodes]
 
 
 def test_averaged_engine_matches_oracle_at_grid_corner():

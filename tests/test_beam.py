@@ -118,6 +118,31 @@ class TestCaptureExact:
     def test_old_name_is_an_alias(self):
         assert capture_exact_many is capture_exact
 
+    @settings(max_examples=200, deadline=None)
+    @given(_capture_box())
+    @example((0.189, 0.073, 0.182))  # a squared 2 rd / wz by C pow, as numpy's float64 scalars square, was an ulp off
+    @example((0.829, 0.073, 0.745))
+    @example((2.004504958609584e-161, 1.0, 1.0))  # a subnormal noncentrality, set to 0 on both paths
+    @example((0.0, 0.005, 1.5))
+    def test_float_path_matches_array_path(self, point):
+        rd, wz, ra = point
+        got = capture_exact(rd, wz, ra)
+        assert type(got) is float and got == capture_exact(np.array([rd]), wz, ra)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_capture_box(), st.sampled_from(("rd", "wz", "ra")), st.booleans(), st.floats(1e-300, 1e3))
+    @example((0.1, 0.1, RA), "wz", False, 0.0)
+    @example((0.1, 0.1, RA), "ra", False, 0.0)
+    def test_float_path_raises_the_array_path_error(self, point, which, nan, size):
+        # a NaN or negative rd, or a NaN, zero or negative wz or ra
+        args = dict(zip(("rd", "wz", "ra"), point))
+        args[which] = math.nan if nan else -size
+        with pytest.raises(ValueError) as want:
+            capture_exact(np.array([args["rd"]]), args["wz"], args["ra"])
+        with pytest.raises(ValueError) as got:
+            capture_exact(args["rd"], args["wz"], args["ra"])
+        assert str(got.value) == str(want.value)
+
     @settings(max_examples=40, deadline=None)
     @given(_capture_box())
     @example((1.49, 0.005, 1.5))  # near chndtr's worst error: 2.0e-14 here

@@ -15,7 +15,7 @@ import pytest
 
 import uavqkd
 from uavqkd import analytics, cli, config, montecarlo, output
-from uavqkd.beam import capture_exact
+from uavqkd.beam import build_grid, capture_exact
 from uavqkd.errors import LinearizationWarning
 from uavqkd.sweep import optimize
 
@@ -343,6 +343,15 @@ class TestResolvedLog:
             assert cli.main(argv) == cli.EXIT_OK
         logged = logged_parameters(caplog).splitlines()
         assert [line for line in logged if line in lines] == lines
+
+    def test_builds_no_capture_grid(self, caplog, capsys):
+        # the log derives its values without the config's grid (wz = 10 cm,
+        # N_g = 100,000), so validate builds only the grid of its --wz
+        build_grid.cache_clear()
+        with caplog.at_level(logging.INFO, logger="uavqkd"):
+            assert cli.main(["validate", "--ng", "100000", "--wz", "5cm", "--points", "5"]) == cli.EXIT_OK
+        assert "Ng = 100000" in logged_parameters(caplog).splitlines()
+        assert build_grid.cache_info().currsize == 1
 
 
 def run_process(*argv):
