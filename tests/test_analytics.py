@@ -399,8 +399,8 @@ def test_closed_form_matches_quadrature_oracle(ng, sigma_rd, wz, ra):
     alpha=log_uniform_field("alpha"),
     beta=log_uniform_field("beta"),
 )
-# N_g = 10 over ra = 15 cm: dx / wz = 0.3, the widest segments of wide panels,
-# at c_pt mu_p(0) = 0.099, then 0.34 and 0.75, where the grid sum ripples, at c_pt = 5
+# N_g = 10 over ra = 15 cm: dx / wz = 0.3, the widest segments that take wide panels
+# (at c_pt mu_p(0) = 0.099), then 0.34 and 0.75, where the grid sum ripples (at c_pt = 5)
 @example(ng=10, wz=0.1, ra=0.15, sigma_theta_e=1e-4, lz=1e3, mu_t=0.5, eta_atm=0.4, mu_d=0.5, alpha=0.2, beta=25.0)
 @example(ng=10, wz=0.0882, ra=0.15, sigma_theta_e=1e-4, lz=1e3, mu_t=5.0, eta_atm=1.0, mu_d=1.0, alpha=0.2, beta=25.0)
 @example(ng=10, wz=0.04, ra=0.15, sigma_theta_e=1e-4, lz=1e3, mu_t=5.0, eta_atm=1.0, mu_d=1.0, alpha=0.2, beta=25.0)

@@ -120,7 +120,7 @@ class TestCaptureExact:
 
     @settings(max_examples=200, deadline=None)
     @given(_capture_box())
-    @example((0.189, 0.073, 0.182))  # a squared 2 rd / wz by C pow, as numpy's float64 scalars square, was an ulp off
+    @example((0.189, 0.073, 0.182))  # 2 rd / wz squared by C pow (a numpy float64's ** 2), not t * t, is an ulp off
     @example((0.829, 0.073, 0.745))
     @example((2.004504958609584e-161, 1.0, 1.0))  # a subnormal noncentrality, set to 0 on both paths
     @example((0.0, 0.005, 1.5))
