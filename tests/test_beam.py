@@ -124,24 +124,29 @@ class TestCaptureExact:
     @example((0.829, 0.073, 0.745))
     @example((2.004504958609584e-161, 1.0, 1.0))  # a subnormal noncentrality, set to 0 on both paths
     @example((0.0, 0.005, 1.5))
-    def test_float_path_matches_array_path(self, point):
+    @example((1.0, 0.5, 0.3))  # an integral rd, also passed as an int
+    def test_scalar_path_matches_array_path(self, point):
+        # a float, a numpy float64, a 0-d array and an int all take the scalar path
         rd, wz, ra = point
-        got = capture_exact(rd, wz, ra)
-        assert type(got) is float and got == capture_exact(np.array([rd]), wz, ra)[0]
+        want = capture_exact(np.array([rd]), wz, ra)[0]
+        scalars = [rd, np.float64(rd), np.array(rd)] + ([int(rd)] if rd.is_integer() else [])
+        for got in (capture_exact(x, wz, ra) for x in scalars):
+            assert type(got) is float and got == want
 
     @settings(max_examples=60, deadline=None)
     @given(_capture_box(), st.sampled_from(("rd", "wz", "ra")), st.booleans(), st.floats(1e-300, 1e3))
     @example((0.1, 0.1, RA), "wz", False, 0.0)
     @example((0.1, 0.1, RA), "ra", False, 0.0)
-    def test_float_path_raises_the_array_path_error(self, point, which, nan, size):
+    def test_scalar_path_raises_the_array_path_error(self, point, which, nan, size):
         # a NaN or negative rd, or a NaN, zero or negative wz or ra
         args = dict(zip(("rd", "wz", "ra"), point))
         args[which] = math.nan if nan else -size
         with pytest.raises(ValueError) as want:
             capture_exact(np.array([args["rd"]]), args["wz"], args["ra"])
-        with pytest.raises(ValueError) as got:
-            capture_exact(args["rd"], args["wz"], args["ra"])
-        assert str(got.value) == str(want.value)
+        for rd in (args["rd"], np.float64(args["rd"]), np.array(args["rd"])):
+            with pytest.raises(ValueError) as got:
+                capture_exact(rd, args["wz"], args["ra"])
+            assert str(got.value) == str(want.value)
 
     @settings(max_examples=40, deadline=None)
     @given(_capture_box())
