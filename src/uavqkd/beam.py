@@ -20,7 +20,9 @@ two evaluators and one approximation:
 ``capture_grid`` sums the segments by blocks whose size the grid sets: one
 segment each or, on a grid much finer than the beam, about wz / (36 dx)
 segments (at least 32), each summed by one exp and 16 Taylor moments in
-place of one exp a segment, to the same accuracy (see ``capture_grid``).
+place of one exp a segment, to the same accuracy (see ``capture_grid``);
+away from the aperture edge a block's moments come from 20 samples of the
+chord weight, not from one erf a segment (see ``_block_moments``).
 At N_g = 100,000, ra = 0.906 m and wz = 0.64 m, 104 blocks take the place
 of 100,000 segments.
 
@@ -48,6 +50,10 @@ _OVERFLOW = 1.0 + 1e-6  # a grid capture value above this is reported
 _TERMS = 16  # Taylor terms per block of the blocked grid sum
 _FACTORIALS = np.array([math.factorial(k) for k in range(_TERMS)], dtype=float)
 _TINY = np.finfo(float).tiny
+_CHEB = 20  # Chebyshev samples of the chord weight per interior block
+_CHEB_THETA = (np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)
+_CHEB_NODES = np.cos(_CHEB_THETA)  # Chebyshev points of the first kind
+_CHEB_WEIGHTS = np.where(np.arange(_CHEB) % 2, -1.0, 1.0) * np.sin(_CHEB_THETA)  # their barycentric weights
 
 __all__ = [
     "CaptureGrid",
@@ -142,14 +148,17 @@ def capture_classical(rd, wz: float, ra: float) -> ClassicalCapture:
 
 @dataclass(frozen=True, eq=False)
 class CaptureGrid:
-    """Precomputed segment centers x_i and weights c_i for the grid model.
+    """Segment centers x_i and weights c_i of the grid model.
 
     dx = 2 ra / Ng, x_i are segment midpoints of [-ra, ra], and
     c_i = (2 dx / (sqrt(2 pi) wz)) erf(sqrt(2 / wz^2) sqrt(ra^2 - x_i^2)).
     ``centers`` and ``weights`` are read-only float arrays, so the grid is
-    immutable after construction and safe to share between threads. The
-    arrays make field-wise equality and hashing meaningless, so grids
-    compare by identity (``build_grid`` caches one per (ra, wz, Ng)).
+    immutable and safe to share between threads. ``weights`` are computed
+    on first access and kept: a grid of wider blocks sums without them (see
+    ``_block_moments``), so it pays for its N_g erfs only if the linearized
+    engine reads them. The arrays make field-wise equality and hashing
+    meaningless, so grids compare by identity (``build_grid`` caches one
+    per (ra, wz, Ng)).
     ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
     returns it, kept with the grid for the linearization check, and
     ``peak`` the largest grid sum at rd = 0 and, where 2 dx > wz (segments
@@ -175,7 +184,6 @@ class CaptureGrid:
     ng: int
     dx: float
     centers: np.ndarray
-    weights: np.ndarray
     mu_p0: float = field(init=False)
     peak: float = field(init=False)
 
@@ -189,7 +197,7 @@ class CaptureGrid:
         pay for it: every other row is summed by ``_grid_sum`` alone."""
         one = np.ndim(self.wz) == 0
         x, dx, ng = self.centers, self.dx, self.ng
-        wz, weights = np.atleast_1d(self.wz), np.atleast_2d(self.weights)
+        wz = np.atleast_1d(self.wz)
         # windowed, probed or maybe of wider blocks (_half_block)
         summed = (np.ceil(18.0 * wz / dx) + 2 < ng) | (2.0 * dx > wz) | (wz / (73.0 * dx) >= _TERMS)
         mu_p0, peak = np.empty(wz.size), np.empty(wz.size)
@@ -200,21 +208,29 @@ class CaptureGrid:
             dense = ~summed
             d = x * x * -2.0 / np.float_power(wz[dense, None], 2)
             np.exp(d, out=d)
-            mu_p0[dense] = peak[dense] = np.matmul(d[:, None, :], weights[dense, :, None])[:, 0, 0]
+            weights = np.atleast_2d(self.weights)[dense, :, None]
+            mu_p0[dense] = peak[dense] = np.matmul(d[:, None, :], weights)[:, 0, 0]
         for i in np.flatnonzero(summed):
             w = float(wz[i])
             probe = np.concatenate(([0.0], x[x > 0.0])) if 2.0 * dx > w else np.zeros(1)
-            blocks = self._blocks if one else _block_moments(x, weights[i], w, dx)
-            vals = _grid_sum(*blocks, w, probe)
+            vals = _grid_sum(*(self._blocks if one else _block_moments(self, i)), w, probe)
             mu_p0[i], peak[i] = vals[0], vals.max()
         object.__setattr__(self, "mu_p0", float(mu_p0[0]) if one else mu_p0)
         object.__setattr__(self, "peak", float(peak[0]) if one else peak)
 
     @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """c_i of every segment, (N_g,) or (P, N_g), computed on first use and kept."""
+        wz = self.wz if np.ndim(self.wz) == 0 else self.wz[:, None]
+        c = _chord_weights(self.ra, wz, self.dx, self.centers)
+        c.setflags(write=False)
+        return c
+
+    @functools.cached_property
     def _blocks(self):
         """``_block_moments`` of this one-point grid, built on first use and
         kept."""
-        return _block_moments(self.centers, self.weights, self.wz, self.dx)
+        return _block_moments(self)
 
 
 @functools.lru_cache(maxsize=256)
@@ -242,11 +258,15 @@ def _grid_rows(ra: float, wz, ng: int) -> CaptureGrid:
     centers *= dx
     centers -= ra
     centers.setflags(write=False)
-    chord = np.sqrt(np.maximum(ra * ra - centers * centers, 0.0))
-    col = np.atleast_1d(wz)[:, None]
-    weights = (2.0 * dx / (math.sqrt(2.0 * math.pi) * col)) * special.erf(np.sqrt(2.0 / (col * col)) * chord)
-    weights.setflags(write=False)
-    return CaptureGrid(ra, wz, ng, dx, centers, weights if np.ndim(wz) else weights[0])
+    return CaptureGrid(ra, wz, ng, dx, centers)
+
+
+def _chord_weights(ra: float, wz, dx: float, x: np.ndarray) -> np.ndarray:
+    """(2 dx / (sqrt(2 pi) wz)) erf(sqrt(2 / wz^2) sqrt(ra^2 - x^2)): the grid
+    weight of a segment centred on x, 0 for |x| >= ra. ``wz`` is a float,
+    or a column of P radii for P rows."""
+    chord = np.sqrt(np.maximum(ra * ra - x * x, 0.0))
+    return (2.0 * dx / (math.sqrt(2.0 * math.pi) * wz)) * special.erf(np.sqrt(2.0 / (wz * wz)) * chord)
 
 
 def _half_block(wz: float, dx: float, ng: int) -> int:
@@ -258,41 +278,95 @@ def _half_block(wz: float, dx: float, ng: int) -> int:
     return h if h >= _TERMS else 0
 
 
-def _block_moments(x: np.ndarray, c: np.ndarray, wz: float, dx: float):
+def _block_moments(grid: CaptureGrid, row: int | None = None):
     """Block centres X_b, Taylor moments M_bk (shape (moments, blocks)),
-    block half-width s and centre spacing of the grid sum of the segments
-    ``x``, ``c``: ``_grid_sum``'s first four arguments.
+    block half-width s and centre spacing of the grid sum of a one-point
+    ``grid``, or of its row ``row``: ``_grid_sum``'s first four arguments.
 
     Where ``_half_block`` gives 0 each block is one segment:
-    (x, c[None, :], 0.0, dx). Else blocks are runs of 2h + 1 segments
-    centred on their middle segment's centre X_b (the last run padded past
-    the grid with segments of weight 0), and with tau_i = (x_i - X_b) / s,
-    s = h dx, M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k!
-    for k < _TERMS.
+    (x, c[None, :], 0.0, dx), with the grid's ``weights``. Else blocks are
+    runs of 2h + 1 segments centred on their middle segment's centre X_b
+    (the last run padded past the grid with segments of weight 0), and with
+    tau_i = (x_i - X_b) / s, s = h dx,
+    M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k! for k < _TERMS.
+
+    An interior block, |X_b| + 5 s < ra, takes its moments from the chord
+    weight c(X_b + s tau) at _CHEB Chebyshev points of tau in [-1, 1]: the
+    weight is analytic in tau beyond 5 (the square root's branch points
+    are at +-ra), so the interpolant through those samples holds every
+    c_i of the block to rounding (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013), and one table, the same for every
+    such block, maps the samples to the moments. It places the segments at
+    their nominal offsets (j - h) dx, off the stored centres by about an
+    ulp of ra. The edge blocks and the padded last block keep one weight
+    per segment, at the offsets from the stored centres.
     """
+    wz = grid.wz if row is None else float(grid.wz[row])
+    x, dx, ra = grid.centers, grid.dx, grid.ra
     h = _half_block(wz, dx, x.size)
     if not h:
-        return x, c[None, :], 0.0, dx
+        return x, (grid.weights if row is None else grid.weights[row])[None, :], 0.0, dx
     size = 2 * h + 1
     pad = -x.size % size
     xb = np.concatenate((x, x[-1] + dx * np.arange(1.0, pad + 1.0))).reshape(-1, size)
     centre = xb[:, h].copy()
+    s = h * dx
     # from the stored centres, each to half an ulp of itself (exact for most):
     # (j - h) dx would be off by an ulp of ra, 1e-11 of t at N_g = 100,000
     t = xb - centre[:, None]
-    w = t * t
+    inner = np.abs(centre) + 5.0 * s < ra
+    inner[-1] &= not pad
+    edge = np.flatnonzero(~inner)
+    if row is None:  # the weights of the edge blocks alone, 0 on the padding (past ra)
+        c = _chord_weights(ra, wz, dx, xb[edge])
+    else:  # every row's weights: the linearized engine reads them all anyway
+        c = np.concatenate((grid.weights[row], np.zeros(pad))).reshape(-1, size)[edge]
+    te = t[edge]
+    w = te * te
     w /= -0.5 * wz**2
     np.exp(w, out=w)
-    w *= np.concatenate((c, np.zeros(pad))).reshape(-1, size)
-    s = h * dx
-    t /= s
+    w *= c
+    te /= s
     m = np.empty((_TERMS, centre.size))
-    np.sum(w, axis=1, out=m[0])
+    me = np.empty((_TERMS, edge.size))
+    np.sum(w, axis=1, out=me[0])
     for k in range(1, _TERMS):
-        w *= t
-        np.sum(w, axis=1, out=m[k])
-    m /= _FACTORIALS[:, None]
+        w *= te
+        np.sum(w, axis=1, out=me[k])
+    m[:, edge] = me / _FACTORIALS[:, None]
+    if edge.size < centre.size:
+        tau = np.arange(-h, h + 1.0) / h
+        f = _chord_weights(ra, wz, dx, centre[inner, None] + s * _CHEB_NODES)
+        mi = _chebyshev_table(tau, s, wz) @ f.T
+        # the stored centres sit off X_b + s tau_j by about an ulp of ra, most of
+        # it X_b's own rounding, shared by its block: shift each block by its mean
+        # offset d, M_k += (d / s) M_(k-1) (first order; the Gaussian factor's
+        # share is 4 s^2 / wz^2 < 8e-4 of that)
+        t -= s * tau
+        mi[1:] += t.mean(axis=1)[inner] / s * mi[:-1]
+        m[:, inner] = mi
     return centre, m, s, centre[1] - centre[0] if centre.size > 1 else math.inf
+
+
+def _chebyshev_table(tau: np.ndarray, s: float, wz: float) -> np.ndarray:
+    """(_TERMS, _CHEB) table T with M_bk = sum_l T_kl c(X_b + s tau_l) for a
+    block of segments at the nominal offsets s tau_j, tau_j = (j - h) / h:
+    the moments exp(-2 (s tau_j)^2 / wz^2) tau_j^k / k! against the
+    Lagrange basis of the Chebyshev points tau_l at every tau_j, in
+    barycentric form (the basis sums to 1, so a constant weight is held
+    exactly)."""
+    basis = tau - _CHEB_NODES[:, None]
+    # no (j - h) / h is a node for h <= 50,000 (N_g <= 100,000); past that, a
+    # segment on a node takes that node's basis 1 and the others 0
+    basis[basis == 0.0] = 1e-300
+    np.divide(_CHEB_WEIGHTS[:, None], basis, out=basis)
+    basis /= basis.sum(axis=0)
+    moments = np.empty((_TERMS, tau.size))
+    moments[0] = np.exp(-2.0 * (s * tau) ** 2 / wz**2)
+    for k in range(1, _TERMS):
+        np.multiply(moments[k - 1], tau, out=moments[k])
+    moments /= _FACTORIALS[:, None]
+    return moments @ basis.T
 
 
 def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: float, rd: np.ndarray) -> np.ndarray:
@@ -381,9 +455,9 @@ def capture_grid(grid: CaptureGrid, rd):
 
     Either block size is within 8 eps (1 + |ln v|) relative of the sum over
     every segment in long double, eps being the double epsilon and v the
-    value: the conditioning of exp. Over 40 random grids of wider blocks
-    and 25 of one-segment blocks with rd up to ra + 12 wz the worst was 1.4
-    and 1.7 of those units.
+    value: the conditioning of exp. With rd up to ra + 12 wz the worst was
+    2.2 of those units over 300 random grids of wider blocks, and 1.7 over
+    25 of one-segment blocks.
     """
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()

@@ -10,15 +10,18 @@ Subcommands:
 
 Global flags: --config, --out, --format {table,csv,json} (--plot-data is an
 alias for --format csv), --quiet. Stderr logs the resolved parameters, each
-derived value marked ``# derived``, then one ``WARNING <Category>: <message>``
-line per warning; --quiet silences both. The UAVQKD_CONFIG environment variable
-supplies the config path when --config is not given; it is read at each
-call of ``main``. Exit codes: 0 success, 1 usage error, 2 validation error.
+derived value marked ``# derived``, then, at the end of the run, one
+``WARNING <Category>: <message>`` line per distinct warning, ending in
+``(raised <n> times)`` where it was raised more than once; --quiet silences
+both. The UAVQKD_CONFIG environment variable supplies the config path when
+--config is not given; it is read at each call of ``main``. Exit codes: 0
+success, 1 usage error, 2 validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import logging
 import math
@@ -247,12 +250,6 @@ _COMMANDS = {
 }
 
 
-def _log_warning(quiet: bool, message, category, *_) -> None:
-    """``warnings.showwarning`` for a run: one log line, none under --quiet."""
-    if not quiet:
-        log.warning("%s: %s", category.__name__, message)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -263,17 +260,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.plot_data:
         args.format = "csv"
-    # Package warnings go to the log as one line each, where --quiet drops
-    # them. A caller that installed its own warnings.showwarning keeps it.
+    # Warnings go to the log at the end of the run, one line per distinct
+    # message with the times it was raised, where --quiet drops them. A caller
+    # that installed its own warnings.showwarning keeps it, and its filters.
+    raised = collections.Counter()  # (category name, message) -> times, in the order first raised
     with warnings.catch_warnings():
         if getattr(warnings.showwarning, "__module__", None) == "warnings":
-            warnings.showwarning = functools.partial(_log_warning, args.quiet)
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, category, *_: raised.update([(category.__name__, str(message))])
         try:
             cfg = _load_config(args)
             _write(args, _COMMANDS[args.command](args, cfg))
         except (ConfigError, ValueError) as exc:
             print(f"validation error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+        finally:
+            for (name, message), times in raised.items() if not args.quiet else ():
+                log.warning("%s: %s%s", name, message, f" (raised {times} times)" if times > 1 else "")
     return EXIT_OK
 
 

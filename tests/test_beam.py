@@ -6,13 +6,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import log_uniform_field
 from uavqkd.beam import (
     _grid_rows,
+    _half_block,
     beam_radius,
     build_grid,
     capture_classical,
@@ -55,6 +56,18 @@ def _capture_box(draw):
     wz = draw(log_uniform_field("wz"))
     ra = draw(log_uniform_field("ra"))
     return draw(st.floats(0.0, ra + 10.0 * wz)), wz, ra
+
+
+@st.composite
+def _blocked_grid(draw):
+    """(ra, wz, N_g) over the validator box whose grid sums by wider blocks."""
+    ra = draw(log_uniform_field("ra"))
+    wz = draw(log_uniform_field("wz"))
+    lo = 16 * 73 * 2.0 * ra / wz  # wz >= 16 * 73 dx, dx = 2 ra / N_g
+    assume(lo < 100_000)
+    ng = draw(st.integers(max(math.ceil(lo), 32), 100_000))
+    assume(_half_block(wz, 2.0 * ra / ng, ng))
+    return ra, wz, ng
 
 
 class TestBeamRadius:
@@ -295,6 +308,25 @@ class TestCaptureGrid:
         bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(truth)))
         assert np.all(np.abs(vals[::31] - truth) <= bound * truth)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_blocked_grid(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @example((0.9055136353362503, 0.6401209080546303, 100_000), [0.0, 0.5, 1.0])  # attribution, ra / wz = 1.41
+    @example((0.033246923835565545, 0.007896699905734874, 100_000), [0.0, 0.3, 1.0])  # attribution, ra / wz = 4.21
+    @example((1.5, 0.0375, 100_000), [0.0, 0.1, 0.5])  # ra / wz = 40: 2,858 blocks of 35 segments
+    @example((0.25651473265499575, 6.522242884064645, 21_317), [0.0, 0.01, 1.0])  # ra / wz = 0.039: edge blocks only
+    @example((1.0, 0.2, 99_986), [0.0, 0.3, 0.9])  # the last block holds 68 of its 273 segments
+    def test_blocked_sum_matches_long_double_oracle(self, grid_args, fractions):
+        # grids of wider blocks, whose interior blocks take their moments from
+        # Chebyshev samples of the chord weight, against the long-double sum
+        # over every segment, to exp's conditioning, at rd = 0, ra and draws
+        # up to ra + 12 wz
+        ra, wz, ng = grid_args
+        grid = build_grid(ra, wz, ng)
+        rd = np.array([0.0, ra] + [f * (ra + 12.0 * wz) for f in fractions])
+        truth = oracles.grid_sum(grid, rd)
+        bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(truth)))
+        assert np.all(np.abs(capture_grid(grid, rd) - truth) <= bound * truth)
+
     @pytest.mark.parametrize("ng", [10, 1000, 100_000])
     def test_value_does_not_depend_on_the_batch(self, ng):
         # a row's grid sum must not depend on its place in the batch: 2,000
@@ -415,9 +447,11 @@ class TestCaptureGrid:
 
 
 # sha256 of the bytes of capture_grid values (signs of zero included) and of
-# mu_p0, recorded while one-segment and wider blocks had kernels of their
-# own: any change to the arithmetic of the grid sum changes it
-GRID_SUM_DIGEST = "cd018a27db28a539"
+# mu_p0: any change to the arithmetic of the grid sum changes it. Re-pinned
+# when the interior blocks of wider-block grids began to take their moments
+# from Chebyshev samples of the chord weight (was cd018a27db28a539); the
+# cases of one-segment blocks kept their bytes
+GRID_SUM_DIGEST = "ac95cb25584fecec"
 GRID_SUM_CASES = [
     (0.15, 0.10, 10), (1.5, 2.0, 1000),  # one-segment blocks, whole grid
     (1.5, 0.005, 1000), (1.5, 0.005, 100_000),  # one-segment blocks, windowed

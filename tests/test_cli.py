@@ -399,6 +399,21 @@ class TestWarningsLogged:
         assert seen == [LinearizationWarning]
         assert capsys.readouterr().err == ""
 
+    def test_repeated_warning_logged_once_with_its_count(self, caplog, monkeypatch):
+        # every one of optimize's 8 array passes crosses c_pt * mu_p(0) > 0.1:
+        # the coarse pass of 64 points, then 7 passes of 8 points that raise
+        # the same message
+        monkeypatch.delenv("UAVQKD_CONFIG", raising=False)
+        with caplog.at_level(logging.WARNING, logger="uavqkd"):
+            argv = ["optimize", "--var", "theta_fov", "--qber-max", "1e-3", "--bounds", "5urad:200urad"]
+            assert cli.main(argv) == cli.EXIT_OK
+        logged = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(logged) == 2
+        assert logged[0].startswith("LinearizationWarning: c_pt * mu_p(0) = 0.119 > 0.1 at 64 of 64 points: ")
+        assert not logged[0].endswith("times)")
+        assert logged[1].startswith("LinearizationWarning: c_pt * mu_p(0) = 0.119 > 0.1 at 8 of 8 points: ")
+        assert logged[1].endswith(" (raised 7 times)")
+
     def test_optimize_logs_at_most_two_warnings_per_pass(self, monkeypatch):
         # at most one CaptureOverflowWarning and one LinearizationWarning per
         # array pass, however many of its points cross a limit
