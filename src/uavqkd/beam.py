@@ -290,16 +290,18 @@ def _block_moments(grid: CaptureGrid, row: int | None = None):
     tau_i = (x_i - X_b) / s, s = h dx,
     M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k! for k < _TERMS.
 
-    An interior block, |X_b| + 5 s < ra, takes its moments from the chord
-    weight c(X_b + s tau) at _CHEB Chebyshev points of tau in [-1, 1]: the
-    weight is analytic in tau beyond 5 (the square root's branch points
-    are at +-ra), so the interpolant through those samples holds every
-    c_i of the block to rounding (Trefethen, Approximation Theory and
-    Approximation Practice, SIAM 2013), and one table, the same for every
-    such block, maps the samples to the moments. It places the segments at
-    their nominal offsets (j - h) dx, off the stored centres by about an
-    ulp of ra. The edge blocks and the padded last block keep one weight
-    per segment, at the offsets from the stored centres.
+    On a grid of at least 8 interior blocks, |X_b| + 5 s < ra, each takes
+    its moments from the chord weight c(X_b + s tau) at _CHEB Chebyshev
+    points of tau in [-1, 1]: the weight is analytic in tau beyond 5 (the
+    square root's branch points are at +-ra), so the interpolant through
+    those samples holds every c_i of the block to rounding (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013), and one
+    table, the same for every such block, maps the samples to the moments.
+    It places the segments at their nominal offsets (j - h) dx, off the
+    stored centres by about an ulp of ra. The other blocks (the edge
+    blocks, the padded last block, and all blocks of a grid of fewer
+    interior ones) keep one weight per segment, at the offsets from the
+    stored centres.
     """
     wz = grid.wz if row is None else float(grid.wz[row])
     x, dx, ra = grid.centers, grid.dx, grid.ra
@@ -316,6 +318,10 @@ def _block_moments(grid: CaptureGrid, row: int | None = None):
     t = xb - centre[:, None]
     inner = np.abs(centre) + 5.0 * s < ra
     inner[-1] &= not pad
+    # the table costs about the per-segment weights of 5 to 14 interior blocks
+    # (break-even measured at N_g = 969 to 100,000): with fewer, every block
+    # keeps one weight a segment
+    inner &= np.count_nonzero(inner) >= 8
     edge = np.flatnonzero(~inner)
     if row is None:  # the weights of the edge blocks alone, 0 on the padding (past ra)
         c = _chord_weights(ra, wz, dx, xb[edge])

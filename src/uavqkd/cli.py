@@ -275,8 +275,9 @@ def main(argv=None) -> int:
             print(f"validation error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         finally:
-            for (name, message), times in raised.items() if not args.quiet else ():
-                log.warning("%s: %s%s", name, message, f" (raised {times} times)" if times > 1 else "")
+            if not args.quiet:
+                for (name, message), times in raised.items():
+                    log.warning("%s: %s%s", name, message, f" (raised {times} times)" if times > 1 else "")
     return EXIT_OK
 
 

@@ -314,6 +314,7 @@ class TestCaptureGrid:
     @example((0.033246923835565545, 0.007896699905734874, 100_000), [0.0, 0.3, 1.0])  # attribution, ra / wz = 4.21
     @example((1.5, 0.0375, 100_000), [0.0, 0.1, 0.5])  # ra / wz = 40: 2,858 blocks of 35 segments
     @example((0.25651473265499575, 6.522242884064645, 21_317), [0.0, 0.01, 1.0])  # ra / wz = 0.039: edge blocks only
+    @example((0.094, 1.0, 4544), [0.0, 0.05, 0.5])  # 2 interior blocks of 7: one weight a segment throughout
     @example((1.0, 0.2, 99_986), [0.0, 0.3, 0.9])  # the last block holds 68 of its 273 segments
     def test_blocked_sum_matches_long_double_oracle(self, grid_args, fractions):
         # grids of wider blocks, whose interior blocks take their moments from
