@@ -261,12 +261,13 @@ def main(argv=None) -> int:
     if args.plot_data:
         args.format = "csv"
     # Warnings go to the log at the end of the run, one line per distinct
-    # message with the times it was raised, where --quiet drops them. A caller
-    # that installed its own warnings.showwarning keeps it, and its filters.
+    # message with the times it was raised, where --quiet drops them. A
+    # warning that no filter matches is counted each time, not once per call
+    # site. A caller that installed its own warnings.showwarning keeps it.
     raised = collections.Counter()  # (category name, message) -> times, in the order first raised
     with warnings.catch_warnings():
         if getattr(warnings.showwarning, "__module__", None) == "warnings":
-            warnings.simplefilter("always")
+            warnings.simplefilter("always", append=True)
             warnings.showwarning = lambda message, category, *_: raised.update([(category.__name__, str(message))])
         try:
             cfg = _load_config(args)

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -395,6 +397,20 @@ class TestCaptureGrid:
         # the cached grid is shared, so its arrays must be read-only
         with pytest.raises(ValueError):
             grid.weights[0] = 0.0
+
+    def test_blocked_grid_computes_its_weights_on_first_use(self):
+        # a one-point grid of wider blocks sums without its N_g weights; read
+        # at once from 8 threads they come out equal and read-only
+        grid = _grid_rows(0.906, 0.64, 100_000)
+        assert "weights" not in vars(grid)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                seen = list(pool.map(lambda _: grid.weights, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(w, seen[0]) and not w.flags.writeable for w in seen)
 
     @pytest.mark.parametrize("ng", [2, 3, 10, 101, 1000, 10_000, 100_000])
     @pytest.mark.parametrize("ra,wz", [(RA, 0.10), (1.5, 0.005), (0.015, 10.0)])

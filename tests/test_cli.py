@@ -404,7 +404,8 @@ class TestWarningsLogged:
         # the coarse pass of 64 points, then 7 passes of 8 points that raise
         # the same message
         monkeypatch.delenv("UAVQKD_CONFIG", raising=False)
-        with caplog.at_level(logging.WARNING, logger="uavqkd"):
+        with caplog.at_level(logging.WARNING, logger="uavqkd"), warnings.catch_warnings():
+            warnings.resetwarnings()  # no filter of the test run's own
             argv = ["optimize", "--var", "theta_fov", "--qber-max", "1e-3", "--bounds", "5urad:200urad"]
             assert cli.main(argv) == cli.EXIT_OK
         logged = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
