@@ -64,9 +64,9 @@ class AnalyticContext:
 
     For P points, ``sigma_rd``, ``theta_fov``, ``sigma_aoa`` and ``mu_b`` are
     arrays of shape (P,), and so are the grid's ``wz``, ``mu_p0`` and
-    ``peak`` when the points differ in wz (its ``weights`` are then
-    P x N_g); the other fields are shared. A float among arrays stands for
-    every point. ``shape`` is () for one point and (P,) for P points.
+    ``peak`` when the points differ in wz (a grid of P rows); the other
+    fields are shared. A float among arrays stands for every point.
+    ``shape`` is () for one point and (P,) for P points.
     """
 
     mu_t: float
@@ -183,15 +183,17 @@ def _fading_mean(b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     (Al-Habash, Andrews & Phillips, Opt. Eng. 40(8), 2001). Below the v
     range the integrand is under b e^((a + 1) v) <= b e^-45, above it
     under e^-60; expm1/log1p keep the result relative-accurate for a
-    vanishing b.
+    vanishing b. Below b = 1e-280 the result is b itself, exact in double
+    (the next term, b^2 E[eta^2] / 2, is at most 18 b relative), and no
+    b u is subnormal.
     """
     a, c = max(alpha, beta), min(alpha, beta)
     v = np.arange(-45.0 / (a + 1.0), math.log(a + 12.0 * math.sqrt(a) + 60.0), 0.1)
     u = np.exp(v)
     w = 0.1 * np.exp(a * v - u - math.lgamma(a))
     u /= a * c
-    out = np.zeros(b.shape)
-    pos = np.flatnonzero(b > 0.0)  # E[1 - exp(0)] = 0: no row to build
+    out = b.copy()  # b below 1e-280, 0 included: no row to build
+    pos = np.flatnonzero(b >= 1e-280)
     step = max(1, _CHUNK // u.size)
     for i in range(0, pos.size, step):
         rows = pos[i : i + step]
@@ -223,11 +225,11 @@ def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray)
     """sum_i c_i E[exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma), per point.
 
     ``sigma`` and ``wz`` hold one entry per point. Points are taken in row
-    chunks of about _CHUNK (point, segment) terms; each point's sum is its
-    own dot product (a stack of 1 x N_g by N_g x 1 products), so it does
-    not depend on the other points.
+    chunks of about _CHUNK (point, segment) terms, with the weights of those
+    rows alone; each point's sum is its own dot product (a stack of
+    1 x N_g by N_g x 1 products), so it does not depend on the other points.
     """
-    x, c = grid.centers, grid.weights
+    x = grid.centers
     s2 = wz * wz + 4.0 * sigma * sigma
     scale = 2.0 * math.sqrt(2.0) * sigma / (wz * np.sqrt(s2))
     x2 = -2.0 * x * x
@@ -237,7 +239,7 @@ def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray)
         rows = slice(i, i + step)
         z = scale[rows, None] * x
         j = np.exp(x2 / s2[rows, None]) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
-        out[rows] = np.matmul(j[:, None, :], (c if c.ndim == 1 else c[rows])[..., None])[:, 0, 0]
+        out[rows] = np.matmul(j[:, None, :], grid._weights_of(wz[rows, None])[..., None])[:, 0, 0]
     return out * (wz * wz / s2)
 
 
@@ -295,6 +297,13 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
         # 38 sigma_rd, past which that mass is below 1e-313.
         top = min((38.0 if spikes else 8.0) * sigma, ctx.ra + 9.0 * ctx.wz)
         r, w = _rayleigh_nodes(sigma, top, (2.0 if wide else 1.0) * min(sigma, ctx.wz))
+        if spikes:
+            # past 19 wz from every segment centre each term's exp argument is
+            # below -722, so the grid sum is exactly 0 (see _grid_sum): no node there
+            x = ctx.grid.centers
+            j = np.clip(np.searchsorted(x, r), 1, x.size - 1)
+            near = np.minimum(np.abs(r - x[j - 1]), np.abs(x[j] - r)) <= 19.0 * ctx.wz
+            r, w = r[near], w[near]
         b = ctx.c_pt * ctx.mu_p(r)
         return ctx.p_fov * float(w @ _fading_mean(b, ctx.alpha, ctx.beta))
 

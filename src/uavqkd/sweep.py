@@ -3,15 +3,15 @@
 An analytic sweep is one array pass. The first point's config is
 validated once and every axis and overlay value is range-checked once;
 together that is the validation of every point. One context then holds
-all P points (points that differ in wz each hold a row of N_g grid
-weights, so they go in blocks of at most max(1, _CHUNK // N_g) points):
-the swept fields are arrays with one entry per point, and every quantity
-derived from them (capture grid, FoV, background mean) is derived for
-each point from that point's own values, in the same pass and by the
-same functions as ``build_context``. A point therefore cannot see a value
-derived for another point or an earlier sweep; the only state kept
-between points is ``build_grid``'s cache of immutable grids, keyed by
-(ra, wz, N_g). One ``evaluate`` call per context gives (P,) columns, row
+all P points, whatever the axis (the capture layer bounds the memory of
+the grid rows of a wz axis): the swept fields are arrays with one entry
+per point, and every quantity derived from them (capture grid, FoV,
+background mean) is derived for each point from that point's own
+values, in the same pass and by the same functions as
+``build_context``. A point therefore cannot see a value derived for
+another point or an earlier sweep; the only state kept between points
+is ``build_grid``'s cache of immutable grids, keyed by (ra, wz, N_g).
+One ``evaluate`` call per pass gives (P,) columns, row
 k equal to the same point evaluated alone, and ``sweep(...).rows`` are the
 output-schema rows built from them once (``output.perf_rows``: keys = the
 CSV columns, so the key rate is ``key_rate_bps``). Monte Carlo points keep
@@ -34,7 +34,6 @@ import numpy as np
 
 from . import analytics, montecarlo
 from .analytics import PerformanceReport
-from .beam import _CHUNK
 from .config import LinkConfig, _check_range, _derive, validate
 from .errors import ConfigError
 from .output import perf_rows
@@ -91,31 +90,9 @@ def _point_config(base: LinkConfig, spec: SweepSpec, v: float, ov: float | None)
     return replace(base, **updates)
 
 
-def _columns(report: PerformanceReport) -> dict[str, np.ndarray]:
-    """The (P,) columns of an analytic report, by field name."""
-    return {name: value for name, value in vars(report).items() if isinstance(value, np.ndarray)}
-
-
-def _analytic_report(cfg: LinkConfig, points: dict[str, np.ndarray]) -> PerformanceReport:
-    """The analytic report, of (P,) columns, of the points of ``cfg`` with
-    ``points``' fields replaced (see ``config._derive``): one context and
-    one ``evaluate`` call for all points, except that points differing in
-    wz each hold a row of N_g grid weights, so they go in blocks of at most
-    max(1, _CHUNK // N_g) points, one context each, joined column by column.
-    """
-    n = len(next(iter(points.values())))
-    step = max(1, _CHUNK // cfg.Ng) if "wz" in points else n
-    blocks = [
-        _columns(analytics.evaluate(_derive(cfg, {name: v[i : i + step] for name, v in points.items()})))
-        for i in range(0, n, step)
-    ]
-    joined = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
-    return PerformanceReport(**joined, method="analytic")
-
-
 def _point(report: PerformanceReport, i: int) -> PerformanceReport:
     """Point i of a report of (P,) columns, its fields Python floats."""
-    point = {name: column[i].item() for name, column in _columns(report).items()}
+    point = {name: column[i].item() for name, column in vars(report).items() if isinstance(column, np.ndarray)}
     return PerformanceReport(**point, method="analytic")
 
 
@@ -158,7 +135,7 @@ def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
         swept = {axis: np.array(axis_values, dtype=float)}
         if spec.overlay:
             swept[overlay] = np.array(overlay_values, dtype=float)
-        analytic = perf_rows(_analytic_report(cfg, swept), axis, axis_values, overlay, overlay_values)
+        analytic = perf_rows(analytics.evaluate(_derive(cfg, swept)), axis, axis_values, overlay, overlay_values)
     if spec.engine == "analytic":
         return SweepResult(spec=spec, rows=tuple(analytic))
 
@@ -211,7 +188,7 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
     cfg = replace(base, **{variable: float(xs[0])})
     validate(cfg)
     _check_range(variable, hi)
-    r = _analytic_report(cfg, {variable: xs})
+    r = analytics.evaluate(_derive(cfg, {variable: xs}))
     feasible = r.qber <= qber_max  # False where the QBER is NaN
 
     if not feasible.any():
@@ -226,7 +203,7 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
         a, b = max(best_x - step, lo), min(best_x + step, hi)
         xs = np.linspace(a, b, _REFINE + 2)[1:-1]
         step = (b - a) / (_REFINE + 1)
-        r = _analytic_report(cfg, {variable: xs})
+        r = analytics.evaluate(_derive(cfg, {variable: xs}))
         i = int(np.argmax(np.where(r.qber <= qber_max, r.key_rate, -np.inf)))
         if r.qber[i] <= qber_max and r.key_rate[i] > best_r.key_rate:
             best_x, best_r = float(xs[i]), _point(r, i)

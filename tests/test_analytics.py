@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -115,6 +116,27 @@ class TestContext:
             assert {k: np.asarray(v).tobytes() for k, v in got.items()} == {
                 k: np.asarray(v).tobytes() for k, v in want.items()
             }
+
+    def test_wz_rows_evaluate_in_bounded_memory(self, baseline_cfg):
+        # 512 radii at N_g = 2,000: a P x N_g weight matrix would take 8.2 MB;
+        # the grid and the Rayleigh average read the weights of 32 rows at a
+        # time, and every row equals its point evaluated alone
+        cfg = replace(baseline_cfg, Ng=2000)
+        wz = np.geomspace(0.005, 2.0, 512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                report = evaluate(config._derive(cfg, {"wz": wz}))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            for k, w in enumerate(wz.tolist()):
+                alone = evaluate(build_context(replace(cfg, wz=w)))
+                for name, column in vars(report).items():
+                    if isinstance(column, np.ndarray):
+                        assert column[k].tobytes() == np.float64(getattr(alone, name)).tobytes(), (w, name)
+        assert peak < 6 * 2**20
 
     def test_rejects_nan_slot_time_and_nonpositive_fading_shapes(self, baseline_ctx):
         # a NaN T_qs gave a NaN key rate, alpha or beta <= 0 a NaN averaged p_detect

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import log_uniform_field
+from uavqkd import beam
 from uavqkd.beam import (
     _grid_rows,
     _half_block,
@@ -452,6 +453,32 @@ class TestCaptureGrid:
             assert np.array_equal(rows.weights[k], one.weights)
             assert (rows.mu_p0[k], rows.peak[k]) == (one.mu_p0, one.peak)
             assert np.array_equal(rows.centers, one.centers) and rows.dx == one.dx
+
+    @pytest.mark.parametrize(
+        "ra,wz,ng",
+        [(1.5, 0.005, 2), (0.1368702680575047, 0.01974931768544306, 4544)],
+        ids=["corner", "ra/wz=6.93"],
+    )
+    def test_grid_sum_passes_exp_no_subnormal_result(self, monkeypatch, ra, wz, ng):
+        # exp of an argument below ln(tiny) = -708.40 is subnormal, ~100x
+        # slower than a normal result: the kernel passes -inf for such terms
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                seen.append(np.array(x))
+                return np.exp(x, *args, **kwargs)
+
+        seen = []
+        grid = build_grid(ra, wz, ng)
+        blocks = grid._blocks
+        monkeypatch.setattr(beam, "np", RecordingNumpy())
+        beam._grid_sum(*blocks, wz, np.linspace(0.0, ra + 9.0 * wz, 128))
+        args = np.concatenate([a.ravel() for a in seen])
+        assert args.size >= 128 * ng
+        assert not ((args < math.log(np.finfo(float).tiny)) & (args > -np.inf)).any()
 
     def test_grid_sums_match_pinned_digest(self):
         assert grid_sum_digest() == GRID_SUM_DIGEST

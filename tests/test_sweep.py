@@ -73,11 +73,10 @@ def _assert_same(got, want):
 
 def _assert_array_pass_matches(base, spec):
     """The rows of the array pass equal each point evaluated alone, bit for
-    bit. Its warnings: each ``evaluate`` call of the pass (one per block of
-    points, see ``sweep._analytic_report``) issues one warning of each kind
-    that a point of its block issues alone, which names how many of the
-    block's points warn alone and the min and max of their values. Returns
-    the sweep result and the pass's (category, text) warnings."""
+    bit. Its warnings: the pass's one ``evaluate`` call issues one warning
+    of each kind that a point issues alone, which names how many of the
+    points warn alone and the min and max of their values. Returns the
+    sweep result and the pass's (category, text) warnings."""
     result, warned = _recorded(lambda: sweep(base, spec))
     alone = _one_by_one(base, spec)
     assert len(result.rows) == len(alone)
@@ -85,15 +84,12 @@ def _assert_array_pass_matches(base, spec):
         _assert_same(row, rep)
     points = [_crossings(point_warned) for _, point_warned in alone]
     assert all((w[3], w[4]) == (1, 1) and w[1] == w[2] for point in points for w in point)
-    step = max(1, sweep_module._CHUNK // base.Ng) if "wz" in (spec.axis, spec.overlay) else len(points)
     want = []
-    for i in range(0, len(points), step):
-        block = points[i : i + step]
-        for cat in (CaptureOverflowWarning, LinearizationWarning):
-            hits = [w for point in block for w in point if w[0] is cat]
-            if hits:
-                lo, hi = min(w[1] for w in hits), max(w[2] for w in hits)
-                want.append((cat, lo, hi, len(hits), len(block), hits[0][5]))
+    for cat in (CaptureOverflowWarning, LinearizationWarning):
+        hits = [w for point in points for w in point if w[0] is cat]
+        if hits:
+            lo, hi = min(w[1] for w in hits), max(w[2] for w in hits)
+            want.append((cat, lo, hi, len(hits), len(points), hits[0][5]))
     assert _crossings(warned) == want
     return result, warned
 
@@ -236,16 +232,15 @@ class TestArrayPass:
         _assert_array_pass_matches(base, spec)
 
     def test_wz_on_the_windowed_grid_sum(self):
-        # wz << 2 ra with N_g = 20,000: mu_p(0) sums a window of the segments,
-        # and the sweep takes the points in blocks of 3, one context each
+        # wz << 2 ra with N_g = 20,000: mu_p(0) sums a window of the segments
         base = make_config(Ng=20_000, ra=1.5, sigma_theta_e=2e-3)
         spec = SweepSpec("wz", (0.005, 0.008, 0.012, 0.02, 0.03), "sigma_aoa", (30e-6, 80e-6))
         _assert_array_pass_matches(base, spec)
 
     def test_wz_blocks_bound_the_grid_weights(self):
-        # 48 points of 100,000 weights would be 38 MB; blocks of one point
-        # (max(1, _CHUNK // N_g)) keep one grid row at a time, overlay
-        # duplicates included
+        # 48 points of 100,000 weights would be 38 MB; one pass reads the
+        # grid rows' weights max(1, _CHUNK // N_g) rows at a time, here one,
+        # overlay duplicates included
         base = make_config(Ng=100_000)
         spec = SweepSpec("wz", tuple(0.05 * k for k in range(1, 13)), "sigma_aoa", (30e-6, 50e-6, 80e-6, 1e-4))
         tracemalloc.start()
@@ -365,14 +360,14 @@ class TestArrayPass:
 def _loop_optimize(base, variable, qber_max, bounds):
     """``optimize``'s selection as the Python loops over one report per point
     that its numpy masks replaced: the oracle of the masked selection. It
-    evaluates through the same ``_analytic_report``, so a test can swap in
+    evaluates through the same ``analytics.evaluate``, so a test can swap in
     synthetic columns for both."""
     lo, hi = bounds
     xs = np.linspace(lo, hi, sweep_module._COARSE)
     cfg = replace(base, **{variable: float(xs[0])})
 
     def reports(xs):
-        r = sweep_module._analytic_report(cfg, {variable: xs})
+        r = analytics.evaluate(config._derive(cfg, {variable: xs}))
         return [sweep_module._point(r, i) for i in range(len(xs))]
 
     rs = reports(xs)
@@ -400,11 +395,11 @@ def _assert_same_optimum(got, want):
 
 
 def _synthetic(key_rate, qber):
-    """An ``_analytic_report`` stand-in whose columns are functions of the
-    one swept variable."""
+    """An ``analytics.evaluate`` stand-in whose columns are functions of
+    the one swept variable, wz."""
 
-    def report(cfg, points):
-        (x,) = points.values()
+    def report(ctx):
+        x = ctx.wz
         k, q = key_rate(x), qber(x)
         return PerformanceReport(k, k, 0.0 * x, 0.0 * x, k, k, q, method="analytic")
 
@@ -438,7 +433,7 @@ class TestOptimizeSelection:
         # key rate 2 on the plateau [0.5, 0.75), feasible up to 0.6: seven
         # coarse points tie, the first of them wins, and no refinement point
         # beats it strictly, so it stays
-        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(lambda x: np.floor(4.0 * x), lambda x: 0.1 * x))
+        monkeypatch.setattr(analytics, "evaluate", _synthetic(lambda x: np.floor(4.0 * x), lambda x: 0.1 * x))
         got = optimize(baseline_cfg, "wz", 0.06, (0.05, 1.0))
         tied = np.flatnonzero((np.floor(4.0 * self.COARSE) == 2.0) & (0.1 * self.COARSE <= 0.06))
         assert len(tied) > 1
@@ -450,7 +445,7 @@ class TestOptimizeSelection:
         # points above 0.9 have the highest key rate but are infeasible
         key = lambda x: np.where(x > 0.9, 10.0, 1.0 - (x - 0.3337) ** 2)
         qber = lambda x: np.where(x > 0.9, np.nan, 0.01 + 0.0 * x)
-        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(key, qber))
+        monkeypatch.setattr(analytics, "evaluate", _synthetic(key, qber))
         got = optimize(baseline_cfg, "wz", 0.02, (0.05, 1.0))
         assert got.feasible and got.value not in self.COARSE.tolist()
         assert got.value == pytest.approx(0.3337, abs=1e-5)
@@ -461,7 +456,7 @@ class TestOptimizeSelection:
         # higher key rate but exceeds the ceiling
         on_grid = lambda x: np.isin(x, self.COARSE)
         key, qber = lambda x: np.where(on_grid(x), 0.5, 1.0), lambda x: np.where(on_grid(x), 0.0, 0.4)
-        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(key, qber))
+        monkeypatch.setattr(analytics, "evaluate", _synthetic(key, qber))
         got = optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0))
         assert got.feasible and got.value == 0.05 and got.report.key_rate == 0.5
         _assert_same_optimum(got, _loop_optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0)))
@@ -469,7 +464,7 @@ class TestOptimizeSelection:
     def test_all_infeasible_takes_the_argmin_nan_included(self, baseline_cfg, monkeypatch):
         # np.argmin stops at the first NaN, as it did over the loop's list
         qber = lambda x: np.where(x < 0.4, 0.45 - 0.1 * x, np.nan)
-        monkeypatch.setattr(sweep_module, "_analytic_report", _synthetic(lambda x: 1.0 + 0.0 * x, qber))
+        monkeypatch.setattr(analytics, "evaluate", _synthetic(lambda x: 1.0 + 0.0 * x, qber))
         got = optimize(baseline_cfg, "wz", 0.01, (0.05, 1.0))
         first_nan = int(np.flatnonzero(self.COARSE >= 0.4)[0])
         assert not got.feasible and got.value == float(self.COARSE[first_nan])
