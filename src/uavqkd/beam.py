@@ -402,9 +402,10 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
     it is taken as an exact 0 instead, in the chunks whose windows reach
     past 18.8 wz of their rd (a whole grid, a window clamped at a grid end,
     or a window of segments several wz wide). Other chunks make no extra
-    pass. Against the sum with those terms, over 160,000 sums on 400 random
-    grids (half of them of segments wider than the beam), no sum of at
-    least 2^-969 moved a bit; a sum of such terms alone is 0."""
+    pass. That moves only sums in the deep tail: over 800,000 sums on 2,000
+    random grids (half of them of spikes) the largest that moved was
+    5.6e-292 (2^-967.5), in its last bits, and a sum of such terms alone is
+    0."""
     nb = centre.size
     wz2 = wz**2
     lim = 9.0 * wz + s
