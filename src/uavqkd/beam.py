@@ -20,11 +20,14 @@ two evaluators and one approximation:
 ``capture_grid`` sums the segments by blocks whose size the grid sets: one
 segment each or, on a grid much finer than the beam, about wz / (36 dx)
 segments (at least 32), each summed by one exp and 16 Taylor moments in
-place of one exp a segment, to the same accuracy (see ``capture_grid``);
-away from the aperture edge a block's moments come from 20 samples of the
-chord weight, not from one erf a segment (see ``_block_moments``).
-At N_g = 100,000, ra = 0.906 m and wz = 0.64 m, 104 blocks take the place
-of 100,000 segments.
+place of one exp a segment, to the same accuracy (see ``capture_grid``).
+Every block's moments come from one table of the segments' nominal
+offsets from the block centre, applied to chord weights taken one a
+segment at the aperture edge and from 20 Chebyshev samples away from it,
+then shifted by the block's mean rounding (see ``_block_moments``). At
+N_g = 100,000, ra = 0.906 m and wz = 0.64 m, 104 blocks take the place of
+100,000 segments, and the grid holds their 15 KB of moments and no
+per-segment array unless the linearized engine reads one.
 
 By rotational symmetry the displacement enters only through its norm, so
 all capture functions take rd >= 0, a norm, or an array of norms, and give
@@ -150,15 +153,19 @@ def capture_classical(rd, wz: float, ra: float) -> ClassicalCapture:
 
 @dataclass(frozen=True, eq=False)
 class CaptureGrid:
-    """Segment centers x_i and weights c_i of the grid model.
-
-    dx = 2 ra / Ng, x_i are segment midpoints of [-ra, ra], and
+    """The grid model of an (ra, wz, N_g) triple: N_g segments of width
+    dx = 2 ra / N_g, centred on x_i = (i + 0.5) dx - ra, of weights
     c_i = (2 dx / (sqrt(2 pi) wz)) erf(sqrt(2 / wz^2) sqrt(ra^2 - x_i^2)).
-    ``centers`` and ``weights`` are read-only float arrays, so the grid is
-    immutable and safe to share between threads. ``weights`` are computed
-    on first access and kept: a grid of wider blocks sums without them (see
-    ``_block_moments``), so it pays for its N_g erfs only if the linearized
-    engine reads them. The arrays make field-wise equality and hashing
+
+    The grid holds nothing per segment until a sum reads it: ``centers``
+    and ``weights`` are read-only float arrays computed on first access and
+    kept, so the grid is immutable and safe to share between threads. A
+    grid of one-segment blocks reads both as it derives ``mu_p0``; a grid
+    of wider blocks sums without them (see ``_block_moments``), so it pays
+    for its N_g centres and erfs only if the linearized engine reads them,
+    and holds its moments alone, 136 bytes a block (at N_g = 100,000, 15 KB
+    at ra = 0.906 m, wz = 0.64 m and at most 0.42 MB, 3,031 blocks, where
+    the centres took 0.8 MB). The arrays make field-wise equality and hashing
     meaningless, so grids compare by identity (``build_grid`` caches one
     per (ra, wz, Ng)).
     ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
@@ -174,37 +181,34 @@ class CaptureGrid:
     wz / (36 dx) of them). A one-point grid builds its blocks once, as it
     derives ``mu_p0``, and keeps them in a private cached attribute.
 
-    A context of P points that differ in wz holds one grid of P rows
-    (``_grid_rows``):
-    ``wz``, ``mu_p0`` and ``peak`` of shape (P,), ``weights`` of shape (P, N_g),
-    ``ra``, ``ng``, ``dx`` and ``centers`` shared. ``capture_grid`` takes a
-    grid of one point. The package reads row weights through
-    ``_weights_of``, at most max(1, _CHUNK // N_g) rows at a time, so it
-    never builds the P x N_g ``weights``.
+    An array ``wz`` of P radii gives one grid of P rows (a context of P
+    points that differ in wz): ``wz``, ``mu_p0`` and ``peak`` of shape (P,),
+    ``weights`` of shape (P, N_g), ``ra``, ``ng``, ``dx`` and ``centers``
+    shared. ``capture_grid`` takes a grid of one point. The package reads
+    row weights through ``_weights_of``, at most max(1, _CHUNK // N_g) rows
+    at a time, so it never builds the P x N_g ``weights``.
     """
 
     ra: float
     wz: float
     ng: int
-    dx: float
-    centers: np.ndarray
+    dx: float = field(init=False)
     mu_p0: float = field(init=False)
     peak: float = field(init=False)
 
     def __post_init__(self):
-        """``mu_p0`` and ``peak`` of each row: ``_grid_sum`` at rd = 0 and its
-        largest value at the probe (rd = 0 and, where 2 dx > wz, every
-        positive segment centre). Where the 9 wz window covers every
-        segment, 2 dx <= wz and the blocks are single segments, that is the
-        same dense arithmetic for all such rows, one dot product per row, so
-        a row does not depend on the others, in chunks of at most
+        """``dx``, and ``mu_p0`` and ``peak`` of each row: ``_grid_sum`` at
+        rd = 0 and its largest value at the probe (rd = 0 and, where
+        2 dx > wz, every positive segment centre). Where the window covers
+        every segment, 2 dx <= wz and the blocks are single segments, that is
+        the same dense arithmetic for all such rows, one dot product per row,
+        so a row does not depend on the others, in chunks of at most
         max(1, _CHUNK // N_g) rows. Only those rows pay for it: every other
         row is summed by ``_grid_sum`` alone."""
-        one = np.ndim(self.wz) == 0
-        x, dx, ng = self.centers, self.dx, self.ng
+        object.__setattr__(self, "dx", 2.0 * self.ra / self.ng)
+        one, dx, ng = np.ndim(self.wz) == 0, self.dx, self.ng
         wz = np.atleast_1d(self.wz)
-        # windowed, probed or maybe of wider blocks (_half_block)
-        summed = (np.ceil(18.0 * wz / dx) + 2 < ng) | (2.0 * dx > wz) | (wz / (73.0 * dx) >= _TERMS)
+        summed = (_window(wz, 0.0, dx) < ng) | (2.0 * dx > wz) | (_half_block(wz, dx, ng) > 0)
         mu_p0, peak = np.empty(wz.size), np.empty(wz.size)
         dense = np.flatnonzero(~summed)
         step = max(1, _CHUNK // ng)
@@ -213,17 +217,24 @@ class CaptureGrid:
             # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
             # col**2 is col*col, an ulp off on ~0.1% of radii)
             rows = dense[i : i + step]
-            d = x * x * -2.0 / np.float_power(wz[rows, None], 2)
+            d = self.centers * self.centers * -2.0 / np.float_power(wz[rows, None], 2)
             np.exp(d, out=d)
             weights = np.atleast_2d(self._weights_of(wz[rows, None]))[:, :, None]
             mu_p0[rows] = peak[rows] = np.matmul(d[:, None, :], weights)[:, 0, 0]
         for i in np.flatnonzero(summed):
             w = float(wz[i])
-            probe = np.concatenate(([0.0], x[x > 0.0])) if 2.0 * dx > w else np.zeros(1)
+            probe = np.concatenate(([0.0], self.centers[self.centers > 0.0])) if 2.0 * dx > w else np.zeros(1)
             vals = _grid_sum(*(self._blocks if one else _block_moments(self, w)), w, probe)
             mu_p0[i], peak[i] = vals[0], vals.max()
         object.__setattr__(self, "mu_p0", float(mu_p0[0]) if one else mu_p0)
         object.__setattr__(self, "peak", float(peak[0]) if one else peak)
+
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        """x_i of every segment, (N_g,), computed on first use and kept."""
+        x = np.arange(0.5, self.ng) * self.dx - self.ra  # i + 0.5 exactly, without np.arange(ng) + 0.5's int-to-float pass
+        x.setflags(write=False)
+        return x
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -257,21 +268,7 @@ def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
         raise ValueError("grid needs at least 2 segments")
     if not ra > 0 or not wz > 0:
         raise ValueError("build_grid requires ra > 0 and wz > 0")
-    return _grid_rows(ra, wz, ng)
-
-
-def _grid_rows(ra: float, wz, ng: int) -> CaptureGrid:
-    """The capture grid of the beam radius ``wz`` (> 0): a grid of one point
-    for a float, and for an array one grid of len(wz) rows sharing ra, N_g
-    and the segment centres, whose memory is bounded at any len(wz) (see
-    ``CaptureGrid``).
-    """
-    dx = 2.0 * ra / ng
-    centers = np.arange(0.5, ng)  # i + 0.5 exactly, without np.arange(ng) + 0.5's int-to-float pass
-    centers *= dx
-    centers -= ra
-    centers.setflags(write=False)
-    return CaptureGrid(ra, wz, ng, dx, centers)
+    return CaptureGrid(ra, wz, ng)
 
 
 def _chord_weights(ra: float, wz, dx: float, x: np.ndarray) -> np.ndarray:
@@ -282,13 +279,42 @@ def _chord_weights(ra: float, wz, dx: float, x: np.ndarray) -> np.ndarray:
     return (2.0 * dx / (math.sqrt(2.0 * math.pi) * wz)) * special.erf(np.sqrt(2.0 / (wz * wz)) * chord)
 
 
-def _half_block(wz: float, dx: float, ng: int) -> int:
+def _half_block(wz, dx: float, ng: int):
     """Half-width h, in segments, of the 2h + 1 segment blocks of the grid
     sum, or 0 (blocks of one segment) where a block would hold fewer than
     2 _TERMS segments. A block spans at most wz / 73 either side of its
-    centre, and at most the whole grid."""
-    h = min(math.floor(wz / (73.0 * dx)), ng // 2)
-    return h if h >= _TERMS else 0
+    centre, and at most the whole grid. An array ``wz`` gives one h a row."""
+    h = np.minimum(np.floor(wz / (73.0 * dx)), ng // 2).astype(int)
+    return h * (h >= _TERMS)
+
+
+def _window(wz, s: float, spacing: float):
+    """The number of blocks, centres ``spacing`` apart, that ``_grid_sum``
+    sums for one rd: enough to hold every block centre within 9 wz + s of
+    it (before the cap at the grid's own block count)."""
+    return np.ceil(2.0 * (9.0 * wz + s) / spacing) + 2
+
+
+def _block_offsets(middle: np.ndarray, h: int, dx: float, ra: float):
+    """Centres X_b = (i_b + 0.5) dx - ra of the blocks of 2h + 1 segments
+    whose middle segments sit at ``middle`` (i_b + 0.5), in the operations
+    of ``CaptureGrid.centers``, and each block's mean offset d_b of its
+    segments' centres, as ``centers`` holds them, from their nominal places
+    X_b + s tau_j (s = h dx, tau_j = (j - h) / h). d_b is X_b's own
+    rounding plus the mean of its segments' roundings, which run together
+    over neighbouring segments (up to 0.62 ulp of ra in a block, over 400
+    seeded grids; X_b's alone left sums at up to 1.04 of the oracle bound of
+    ``capture_grid``), so it takes a pass over the segments, in column
+    chunks of at most _CHUNK / 2 elements, never an N_g-long array."""
+    centre = middle * dx - ra
+    d = np.zeros(centre.size)
+    step = max(1, _CHUNK // 2 // centre.size)  # half chunks ran fastest: 0.4-0.5 ms at N_g = 100,000
+    for j in range(-h, h + 1, step):
+        offset = np.arange(j, min(j + step, h + 1), dtype=float)
+        x = (middle[:, None] + offset) * dx - ra  # the segments' centres, as ``centers`` holds them
+        x -= centre[:, None]
+        d += (x - h * dx * (offset / h)).sum(axis=1)
+    return centre, d / (2 * h + 1)
 
 
 def _block_moments(grid: CaptureGrid, wz: float):
@@ -299,89 +325,79 @@ def _block_moments(grid: CaptureGrid, wz: float):
     Where ``_half_block`` gives 0 each block is one segment:
     (x, c[None, :], 0.0, dx), with the row's weights. Else blocks are
     runs of 2h + 1 segments centred on their middle segment's centre X_b
-    (the last run padded past the grid with segments of weight 0), and with
-    tau_i = (x_i - X_b) / s, s = h dx,
-    M_bk = sum_i c_i exp(-2 (x_i - X_b)^2 / wz^2) tau_i^k / k! for k < _TERMS.
+    (the last run padded past the grid with segments of weight 0). With the
+    nominal offsets s tau_j, tau_j = (j - h) / h, s = h dx, of the segments
+    from X_b, every block's moments come from one table,
+    M_bk = sum_j c_bj exp(-2 (s tau_j)^2 / wz^2) tau_j^k / k! for k < _TERMS,
+    applied to its chord weights c_bj in column chunks of at most
+    _CHUNK // _CHEB segments, so no temporary holds more than _CHUNK
+    elements and the grid never builds an N_g-long array.
 
     On a grid of at least 8 interior blocks, |X_b| + 5 s < ra, each takes
-    its moments from the chord weight c(X_b + s tau) at _CHEB Chebyshev
+    its c_bj from the chord weight c(X_b + s tau) at _CHEB Chebyshev
     points of tau in [-1, 1]: the weight is analytic in tau beyond 5 (the
     square root's branch points are at +-ra), so the interpolant through
-    those samples holds every c_i of the block to rounding (Trefethen,
-    Approximation Theory and Approximation Practice, SIAM 2013), and one
-    table, the same for every such block, maps the samples to the moments.
-    It places the segments at their nominal offsets (j - h) dx, off the
-    stored centres by about an ulp of ra. The other blocks (the edge
-    blocks, the padded last block, and all blocks of a grid of fewer
-    interior ones) keep one weight per segment, at the offsets from the
-    stored centres.
+    those samples holds every c_bj of the block to rounding (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013), and the
+    table times the interpolation basis, the same for every such block,
+    maps the samples to the moments. The other blocks (the edge blocks, the
+    padded last block, and all blocks of a grid of fewer interior ones)
+    take one weight per segment, at the segment's centre.
+
+    A block's segments sit at X_b + s tau_j + d_b on average
+    (``_block_offsets``), up to 2 ulps of ra off their nominal places, so
+    every block gets one first-order shift, M_k += (d_b / s) M_(k-1) (the
+    Gaussian factor's share is 4 s^2 / wz^2 < 8e-4 of that).
     """
-    x, dx, ra = grid.centers, grid.dx, grid.ra
-    h = _half_block(wz, dx, x.size)
+    ra, dx, ng = grid.ra, grid.dx, grid.ng
+    h = _half_block(wz, dx, ng)
     if not h:
-        return x, grid._weights_of(wz)[None, :], 0.0, dx
+        return grid.centers, grid._weights_of(wz)[None, :], 0.0, dx
     size = 2 * h + 1
-    pad = -x.size % size
-    xb = np.concatenate((x, x[-1] + dx * np.arange(1.0, pad + 1.0))).reshape(-1, size)
-    centre = xb[:, h].copy()
+    middle = np.arange(h, ng + h, size) + 0.5  # i_b + 0.5 of each block's middle segment
+    centre, d = _block_offsets(middle, h, dx, ra)
     s = h * dx
-    # from the stored centres, each to half an ulp of itself (exact for most):
-    # (j - h) dx would be off by an ulp of ra, 1e-11 of t at N_g = 100,000
-    t = xb - centre[:, None]
     inner = np.abs(centre) + 5.0 * s < ra
-    inner[-1] &= not pad
-    # the table costs about the per-segment weights of 5 to 14 interior blocks
-    # (break-even measured at N_g = 969 to 100,000): with fewer, every block
-    # keeps one weight a segment
+    inner[-1] &= ng % size == 0  # the padded last block
+    # the Chebyshev table costs about the per-segment weights of 5 to 14
+    # interior blocks (break-even measured at N_g = 969 to 100,000): with
+    # fewer, every block keeps one weight a segment
     inner &= np.count_nonzero(inner) >= 8
     edge = np.flatnonzero(~inner)
-    c = _chord_weights(ra, wz, dx, xb[edge])  # the weights of the edge blocks alone, 0 on the padding (past ra)
-    te = t[edge]
-    w = te * te
-    w /= -0.5 * wz**2
-    np.exp(w, out=w)
-    w *= c
-    te /= s
-    m = np.empty((_TERMS, centre.size))
-    me = np.empty((_TERMS, edge.size))
-    np.sum(w, axis=1, out=me[0])
-    for k in range(1, _TERMS):
-        w *= te
-        np.sum(w, axis=1, out=me[k])
-    m[:, edge] = me / _FACTORIALS[:, None]
+    m, cheb = np.zeros((_TERMS, centre.size)), np.zeros((_TERMS, _CHEB))
+    step = _CHUNK // max(_CHEB, edge.size)
+    for j in range(-h, h + 1, step):
+        offset = np.arange(j, min(j + step, h + 1), dtype=float)
+        tau = offset / h
+        # the moment table, k! M_k of a segment of weight 1 at each offset
+        table = np.empty((_TERMS, tau.size))
+        table[0] = np.exp(-2.0 * (s * tau) ** 2 / wz**2)
+        for k in range(1, _TERMS):
+            np.multiply(table[k - 1], tau, out=table[k])
+        # the edge blocks' segment centres, past ra (weight 0) on the padding
+        m[:, edge] += table @ _chord_weights(ra, wz, dx, (middle[edge, None] + offset) * dx - ra).T
+        if edge.size < centre.size:
+            cheb += _chebyshev_table(table, tau)
     if edge.size < centre.size:
-        tau = np.arange(-h, h + 1.0) / h
-        f = _chord_weights(ra, wz, dx, centre[inner, None] + s * _CHEB_NODES)
-        mi = _chebyshev_table(tau, s, wz) @ f.T
-        # the stored centres sit off X_b + s tau_j by about an ulp of ra, most of
-        # it X_b's own rounding, shared by its block: shift each block by its mean
-        # offset d, M_k += (d / s) M_(k-1) (first order; the Gaussian factor's
-        # share is 4 s^2 / wz^2 < 8e-4 of that)
-        t -= s * tau
-        mi[1:] += t.mean(axis=1)[inner] / s * mi[:-1]
-        m[:, inner] = mi
+        m[:, inner] = cheb @ _chord_weights(ra, wz, dx, centre[inner, None] + s * _CHEB_NODES).T
+    m /= _FACTORIALS[:, None]
+    m[1:] += d / s * m[:-1]
     return centre, m, s, centre[1] - centre[0] if centre.size > 1 else math.inf
 
 
-def _chebyshev_table(tau: np.ndarray, s: float, wz: float) -> np.ndarray:
-    """(_TERMS, _CHEB) table T with M_bk = sum_l T_kl c(X_b + s tau_l) for a
-    block of segments at the nominal offsets s tau_j, tau_j = (j - h) / h:
-    the moments exp(-2 (s tau_j)^2 / wz^2) tau_j^k / k! against the
-    Lagrange basis of the Chebyshev points tau_l at every tau_j, in
-    barycentric form (the basis sums to 1, so a constant weight is held
-    exactly)."""
+def _chebyshev_table(table: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """(_TERMS, _CHEB) table T with k! M_bk = sum_l T_kl c(X_b + s tau_l),
+    the share of the segments at the offsets ``tau``: their moment table
+    exp(-2 (s tau_j)^2 / wz^2) tau_j^k (``table``) against the Lagrange
+    basis of the Chebyshev points tau_l at every tau_j, in barycentric form
+    (the basis sums to 1, so a constant weight is held exactly)."""
     basis = tau - _CHEB_NODES[:, None]
     # no (j - h) / h is a node for h <= 50,000 (N_g <= 100,000); past that, a
     # segment on a node takes that node's basis 1 and the others 0
     basis[basis == 0.0] = 1e-300
     np.divide(_CHEB_WEIGHTS[:, None], basis, out=basis)
     basis /= basis.sum(axis=0)
-    moments = np.empty((_TERMS, tau.size))
-    moments[0] = np.exp(-2.0 * (s * tau) ** 2 / wz**2)
-    for k in range(1, _TERMS):
-        np.multiply(moments[k - 1], tau, out=moments[k])
-    moments /= _FACTORIALS[:, None]
-    return moments @ basis.T
+    return table @ basis.T
 
 
 def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: float, rd: np.ndarray) -> np.ndarray:
@@ -409,7 +425,7 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
     nb = centre.size
     wz2 = wz**2
     lim = 9.0 * wz + s
-    k = min(nb, math.ceil(2.0 * lim / spacing) + 2)  # blocks within lim
+    k = min(nb, int(_window(wz, s, spacing)))  # blocks within lim
     step = max(1, _CHUNK // k)
     rd = np.minimum(rd, centre[-1] + 20.0 * wz)
     vals = np.empty(rd.size)

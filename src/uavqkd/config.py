@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .analytics import AnalyticContext
-from .beam import _grid_rows, beam_radius, build_grid
+from .beam import CaptureGrid, beam_radius, build_grid
 from .channel import atm_transmittance, background_mean, fov_geometry, solid_angle
 from .errors import ConfigError
 
@@ -287,7 +287,7 @@ def _derive(cfg: LinkConfig, points: dict[str, np.ndarray] | None = None) -> Ana
     """
     points = points or {}
     if "wz" in points:
-        grid = _grid_rows(cfg.ra, points["wz"], cfg.Ng)
+        grid = CaptureGrid(cfg.ra, points["wz"], cfg.Ng)
     else:
         grid = build_grid(cfg.ra, _resolved(cfg, "wz"), cfg.Ng)
     theta_fov = points.get("theta_fov", _resolved(cfg, "theta_fov"))

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ import oracles
 from conftest import log_uniform_field
 from uavqkd import beam
 from uavqkd.beam import (
-    _grid_rows,
+    CaptureGrid,
     _half_block,
     beam_radius,
     build_grid,
@@ -400,18 +401,85 @@ class TestCaptureGrid:
             grid.weights[0] = 0.0
 
     def test_blocked_grid_computes_its_weights_on_first_use(self):
-        # a one-point grid of wider blocks sums without its N_g weights; read
-        # at once from 8 threads they come out equal and read-only
-        grid = _grid_rows(0.906, 0.64, 100_000)
-        assert "weights" not in vars(grid)
+        # a one-point grid of wider blocks sums without its N_g centres and
+        # weights; read at once from 8 threads they come out equal and read-only
+        grid = CaptureGrid(0.906, 0.64, 100_000)
+        assert "centers" not in vars(grid) and "weights" not in vars(grid)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                seen = list(pool.map(lambda _: grid.weights, range(8), timeout=60))
+                seen = list(pool.map(lambda _: (grid.centers, grid.weights), range(8), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(w, seen[0]) and not w.flags.writeable for w in seen)
+        for k in range(2):
+            assert all(np.array_equal(a[k], seen[0][k]) and not a[k].flags.writeable for a in seen)
+
+    # tracemalloc peak, in bytes, of building each grid and summing it at 16
+    # rd before the blocked grids stopped building their centres (5,604,955,
+    # 2,908,802, 2,695,174 and 3,266,869 bytes), rounded down
+    PEAK_BEFORE = {
+        (0.015, 10.0, 100_000): 5_600_000,  # a single block of 100,001 segments
+        (0.906, 0.64, 100_000): 2_900_000,
+        (0.0332, 0.0079, 100_000): 2_690_000,
+        (1.5, 0.10, 100_000): 3_260_000,  # windowed
+    }
+
+    @pytest.mark.parametrize("ra,wz,ng", list(PEAK_BEFORE))
+    def test_blocked_grid_holds_nothing_per_segment(self, ra, wz, ng):
+        # a grid of wider blocks builds and sums with neither its centres nor
+        # its weights, and its build temporaries stay in column chunks
+        tracemalloc.start()
+        try:
+            grid = CaptureGrid(ra, wz, ng)
+            capture_grid(grid, np.linspace(0.0, ra + 12.0 * wz, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "centers" not in vars(grid) and "weights" not in vars(grid)
+        assert peak <= self.PEAK_BEFORE[ra, wz, ng]
+
+    def test_block_offsets_match_exact_arithmetic(self):
+        # each block's centre is the segment centre (i_b + 0.5) dx - ra bit for
+        # bit, and its offset the exact mean of x_j - X_b - s tau_j over its
+        # segments' centres x_j, to the rounding of the two differences of a
+        # term (each under an ulp of s): at the first, a random and the last
+        # (padded) block of seeded grids over the box
+        def scaled(v):  # v 2^1100 as an int, exact for every double
+            n, d = v.as_integer_ratio()
+            return n * (2**1100 // d)
+
+        rng = np.random.default_rng(32)
+        checked = 0
+        while checked < 40:
+            ra, wz = np.exp(rng.uniform(np.log([0.015, 0.005]), np.log([1.5, 10.0]))).tolist()
+            ng = int(rng.integers(32, 100_001))
+            dx = 2.0 * ra / ng
+            h = int(_half_block(wz, dx, ng))
+            if not h:
+                continue
+            checked += 1
+            size, s = 2 * h + 1, h * dx
+            middle = np.arange(h, ng + h, size) + 0.5
+            centre, d = beam._block_offsets(middle, h, dx, ra)
+            assert np.array_equal(centre, middle * dx - ra)
+            tau = sum(map(scaled, (np.arange(-h, h + 1.0) / h).tolist()))
+            for b in {0, int(rng.integers(middle.size)), middle.size - 1}:
+                x = (b * size + np.arange(size) + 0.5) * dx - ra  # the operations of CaptureGrid.centers
+                exact = (sum(map(scaled, x.tolist())) - size * scaled(centre[b])) * 2**1100 - scaled(s) * tau
+                assert abs(Fraction(d[b]) - Fraction(exact, size * 2**2200)) <= Fraction(s) * 2**-51
+
+    def test_block_shift_follows_the_stored_centres(self):
+        # the stored centres' roundings run together over neighbouring segments:
+        # here a block's mean offset is X_b's own rounding plus as much again,
+        # and a shift by X_b's rounding alone put the sum at rd = 0.2426 at
+        # 1.04 times the oracle bound (0.04 with the mean offset)
+        ra, wz, ng = 0.33967191059600993, 0.008659643233600654, 92773
+        grid = build_grid(ra, wz, ng)
+        rd = np.array([0.0, ra, 0.546875 * (ra + 12.0 * wz)])
+        truth = oracles.grid_sum(grid, rd)
+        bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(truth)))
+        assert np.all(np.abs(capture_grid(grid, rd) - truth) <= bound * truth)
 
     @pytest.mark.parametrize("ng", [2, 3, 10, 101, 1000, 10_000, 100_000])
     @pytest.mark.parametrize("ra,wz", [(RA, 0.10), (1.5, 0.005), (0.015, 10.0)])
@@ -447,7 +515,7 @@ class TestCaptureGrid:
     @pytest.mark.parametrize("ng", [2, 100, 20_000])
     def test_rows_equal_the_grids_of_one_point(self, ng):
         wz = np.array([0.005, 0.1, 0.005, 2.0, 0.03])
-        rows = _grid_rows(1.5, wz, ng)
+        rows = CaptureGrid(1.5, wz, ng)
         for k, w in enumerate(wz.tolist()):
             one = build_grid(1.5, w, ng)
             assert np.array_equal(rows.weights[k], one.weights)
@@ -481,7 +549,7 @@ class TestCaptureGrid:
         assert not ((args < math.log(np.finfo(float).tiny)) & (args > -np.inf)).any()
 
     def test_grid_sums_match_pinned_digest(self):
-        assert grid_sum_digest() == GRID_SUM_DIGEST
+        assert grid_sum_digests() == (ONE_SEGMENT_DIGEST, WIDER_BLOCK_DIGEST)
 
     def test_cached_mu_p0_covers_the_windowed_path(self):
         # the parameter grid above reaches the windowed sum: fewer segments
@@ -491,11 +559,17 @@ class TestCaptureGrid:
 
 
 # sha256 of the bytes of capture_grid values (signs of zero included) and of
-# mu_p0: any change to the arithmetic of the grid sum changes it. Re-pinned
-# when the interior blocks of wider-block grids began to take their moments
-# from Chebyshev samples of the chord weight (was cd018a27db28a539); the
-# cases of one-segment blocks kept their bytes
-GRID_SUM_DIGEST = "ac95cb25584fecec"
+# mu_p0, one digest for the grids of one-segment blocks and one for those of
+# wider blocks: any change to the arithmetic of the grid sum changes one.
+# ONE_SEGMENT_DIGEST has held since the two were split from one digest
+# (last ac95cb25584fecec, re-pinned when the interior blocks began to take
+# their moments from Chebyshev samples of the chord weight). WIDER_BLOCK_DIGEST
+# was 660a017db1b78500 until every block's moments came from one table of
+# nominal offsets, shifted by the block's mean offset: 72 of its 205 values
+# moved, and the worst of them against the long-double oracle stayed at 0.166
+# of the bound (0.166 before)
+ONE_SEGMENT_DIGEST = "9e86913306605d21"
+WIDER_BLOCK_DIGEST = "1fb2613d764213e7"
 GRID_SUM_CASES = [
     (0.15, 0.10, 10), (1.5, 2.0, 1000),  # one-segment blocks, whole grid
     (1.5, 0.005, 1000), (1.5, 0.005, 100_000),  # one-segment blocks, windowed
@@ -505,18 +579,23 @@ GRID_SUM_CASES = [
 ]
 
 
-def grid_sum_digest() -> str:
-    """Digest of the grid sums of GRID_SUM_CASES and 8 seeded grids over the
-    validator box at rd = 0, 24 seeded draws up to ra + 12 wz, 1e3, 1e200
-    and inf, and of the mu_p0 row of a grid of 5 radii."""
+def grid_sum_digests() -> tuple[str, str]:
+    """Digests of the grid sums of one-segment and of wider-block grids: of
+    GRID_SUM_CASES and 8 seeded grids over the validator box at rd = 0, 24
+    seeded draws up to ra + 12 wz, 1e3, 1e200 and inf, and of the mu_p0 row
+    of a grid of 5 radii, each value in the digest of its grid or row."""
     rng = np.random.default_rng(19)
     box = np.exp(rng.uniform(np.log([0.015, 0.005, 2.0]), np.log([1.5, 10.0, 100_000.0]), (8, 3)))
     cases = GRID_SUM_CASES + [(ra, wz, round(ng)) for ra, wz, ng in box.tolist()]
-    digest = hashlib.sha256()
+    digests = hashlib.sha256(), hashlib.sha256()
     for ra, wz, ng in cases:
         grid = build_grid(ra, wz, ng)
         rd = np.concatenate(([0.0], rng.uniform(0.0, ra + 12.0 * wz, 24), [1e3, 1e200, math.inf]))
+        digest = digests[bool(_half_block(wz, grid.dx, ng))]
         digest.update(capture_grid(grid, rd).tobytes())
         digest.update(np.float64(grid.mu_p0).tobytes())
-    digest.update(_grid_rows(1.5, np.array([0.005, 0.1, 2.0, 0.03, 5.0]), 20_000).mu_p0.tobytes())
-    return digest.hexdigest()[:16]
+    rows = CaptureGrid(1.5, np.array([0.005, 0.1, 2.0, 0.03, 5.0]), 20_000)
+    wider = _half_block(rows.wz, rows.dx, rows.ng) > 0
+    digests[0].update(rows.mu_p0[~wider].tobytes())
+    digests[1].update(rows.mu_p0[wider].tobytes())
+    return tuple(d.hexdigest()[:16] for d in digests)
