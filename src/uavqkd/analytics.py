@@ -14,8 +14,9 @@ The evaluation chain, conditioned on the lateral beam displacement rd:
 
 That average has a closed form for both capture models: the beam profile
 and the beam centre are Gaussian, so each Gaussian term of the capture
-model averages over the Rayleigh rd in erfc (grid) or in exp (exact), and
-the linearized analytics make no quadrature call.
+model averages over the Rayleigh rd in erfc (grid) or in exp (exact).
+``beam`` evaluates both (``capture_grid_mean``, ``capture_exact_mean``),
+and the linearized analytics make no quadrature call.
 
 The linearization overestimates detection when c_pt * mu_p approaches
 0.1; a LinearizationWarning is emitted in that regime, and
@@ -42,9 +43,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .beam import _CHUNK, _OVERFLOW, CaptureGrid, capture_exact, capture_grid
+from .beam import _CHUNK, _OVERFLOW, CaptureGrid, capture_exact, capture_exact_mean, capture_grid, capture_grid_mean
 from .channel import fov_accept_prob
 from .errors import CaptureOverflowWarning, LinearizationWarning
 
@@ -67,6 +67,10 @@ class AnalyticContext:
     ``peak`` when the points differ in wz (a grid of P rows); the other
     fields are shared. A float among arrays stands for every point.
     ``shape`` is () for one point and (P,) for P points.
+
+    The context's ``mu_p0`` and ``peak`` columns are those of its capture
+    model: the grid's, or under ``mu_p_mode="exact"`` the exact mu_p(0),
+    ``capture_exact_mean`` at sigma = 0, for both.
     """
 
     mu_t: float
@@ -94,6 +98,8 @@ class AnalyticContext:
             raise ValueError("T_qs must be > 0")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be > 0")
+        if self.mu_p_mode not in ("grid", "exact"):
+            raise ValueError("mu_p_mode must be 'grid' or 'exact'")
         # the one broadcast of the per-point fields: a flat float column each, of one entry per point
         g = self.grid
         per_point = {"sigma_rd": self.sigma_rd, "theta_fov": self.theta_fov, "sigma_aoa": self.sigma_aoa,
@@ -108,14 +114,15 @@ class AnalyticContext:
         if len(shape) > 1:
             raise ValueError("per-point fields must be floats or arrays of shape (P,)")
         cols = {name: a.reshape(-1) if a.shape == shape else np.full(shape, a) for name, a in cols.items()}
+        if self.mu_p_mode == "exact":
+            # exact capture peaks at rd = 0 and never exceeds 1 + 1e-6
+            cols["mu_p0"] = cols["peak"] = capture_exact_mean(0.0, cols["wz"], g.ra)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_cols", cols)
         # fov_accept_prob is the one check that theta_fov and sigma_aoa are > 0
         object.__setattr__(self, "p_fov", _out(self, fov_accept_prob(cols["theta_fov"], cols["sigma_aoa"])))
         if not (cols["mu_b"] >= 0.0).all():
             raise ValueError("mu_b must be >= 0")
-        if self.mu_p_mode not in ("grid", "exact"):
-            raise ValueError("mu_p_mode must be 'grid' or 'exact'")
 
     @property
     def c_pt(self) -> float:
@@ -135,10 +142,8 @@ class AnalyticContext:
         return self.grid.ra
 
     def mu_p(self, rd):
-        """Capture probability at displacement(s) ``rd``, for a context of one point."""
-        if self.mu_p_mode == "exact":
-            return capture_exact(rd, self.wz, self.ra)
-        return capture_grid(self.grid, rd)
+        """Capture probability at displacement(s) ``rd``, for a context of one beam radius wz."""
+        return capture_exact(rd, self.wz, self.ra) if self.mu_p_mode == "exact" else capture_grid(self.grid, rd)
 
 
 @dataclass(frozen=True)
@@ -221,42 +226,13 @@ def _rayleigh_nodes(sigma: float, top: float, width: float) -> tuple[np.ndarray,
     return r, w
 
 
-def _rayleigh_average_grid(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray) -> np.ndarray:
-    """sum_i c_i E[exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma), per point.
-
-    ``sigma`` and ``wz`` hold one entry per point. Points are taken in row
-    chunks of about _CHUNK (point, segment) terms, with the weights of those
-    rows alone; each point's sum is its own dot product (a stack of
-    1 x N_g by N_g x 1 products), so it does not depend on the other points.
-    """
-    x = grid.centers
-    s2 = wz * wz + 4.0 * sigma * sigma
-    scale = 2.0 * math.sqrt(2.0) * sigma / (wz * np.sqrt(s2))
-    x2 = -2.0 * x * x
-    out = np.empty(sigma.size)
-    step = max(1, _CHUNK // x.size)
-    for i in range(0, sigma.size, step):
-        rows = slice(i, i + step)
-        z = scale[rows, None] * x
-        j = np.exp(x2 / s2[rows, None]) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
-        out[rows] = np.matmul(j[:, None, :], grid._weights_of(wz[rows, None])[..., None])[:, 0, 0]
-    return out * (wz * wz / s2)
-
-
 def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     """Per-slot detection probability, averaged over the Rayleigh displacement.
 
     ``turbulence="linearized"`` is the paper's model (unit-mean turbulence
-    dropped via 1 - e^-x ~ x), I = c_pt * P_fov * E[mu_p(rd)], in closed
-    form. With s2 = wz^2 + 4 sigma_rd^2, completing the square in the
-    Rayleigh integral of each Gaussian term exp(-2 (x - rd)^2 / wz^2) gives
-
-        J(x) = e^(-2 x^2 / s2) [e^(-z^2) + sqrt(pi) z erfc(-z)] wz^2 / s2,
-        z = 2 sqrt(2) sigma_rd x / (wz sqrt(s2)),
-
-    so the grid model is I = c_pt * P_fov * sum_i c_i J(x_i), and exact
-    capture (the beam lands on a centred Gaussian of variance s2 / 4 per
-    axis) is I = c_pt * P_fov * (1 - exp(-2 ra^2 / s2)).
+    dropped via 1 - e^-x ~ x), I = c_pt * P_fov * E[mu_p(rd)], with the
+    Rayleigh mean of the context's capture model in closed form
+    (``capture_grid_mean`` or ``capture_exact_mean``).
 
     ``turbulence="averaged"`` keeps the exact expectation over the fading
     distribution, P_fov * E[1 - exp(-c_pt mu_p(rd) eta)], for error
@@ -289,8 +265,7 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
         # Gaussian over a 2 wz panel is off by 6e-16. The fading mean's branch
         # cut at negative c_pt mu_p nears the rd axis as c_pt mu_p(0) grows, and
         # at c_pt mu_p(0) ~ 0.4 such panels miss by up to 4.6e-11.
-        mu_p0 = ctx.grid.mu_p0 if grid else -math.expm1(-2.0 * ctx.ra**2 / ctx.wz**2)
-        wide = (not grid or 3.0 * dx <= ctx.wz) and ctx.c_pt * mu_p0 <= 0.1
+        wide = (not grid or 3.0 * dx <= ctx.wz) and ctx.c_pt * ctx._cols["mu_p0"][0] <= 0.1
         # Past ra + 9 wz no capture model holds more than e^-162 of the beam.
         # Past 8 sigma_rd lies e^-32 of the Rayleigh mass, under 4e-14 of the
         # result wherever mu_p falls with rd; with spikes the nodes reach
@@ -308,14 +283,9 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
         return ctx.p_fov * float(w @ _fading_mean(b, ctx.alpha, ctx.beta))
 
     cols = ctx._cols
-    sigma, wz = cols["sigma_rd"], cols["wz"]
-    if ctx.mu_p_mode == "exact":
-        # the closed form at sigma_rd = 0 is mu_p(0); exact capture never exceeds 1 + 1e-6
-        mu_p0 = peak = -np.expm1(-2.0 * ctx.ra**2 / wz**2)
-        mean_mu_p = -np.expm1(-2.0 * ctx.ra**2 / (wz**2 + 4.0 * sigma**2))
-    else:
-        mu_p0, peak = cols["mu_p0"], cols["peak"]
-        mean_mu_p = _rayleigh_average_grid(ctx.grid, sigma, wz)
+    sigma, wz, mu_p0, peak = cols["sigma_rd"], cols["wz"], cols["mu_p0"], cols["peak"]
+    mean_mu_p = (capture_exact_mean(sigma, wz, ctx.ra) if ctx.mu_p_mode == "exact"
+                 else capture_grid_mean(ctx.grid, sigma, wz))
     n, over = sigma.size, [v - 1.0 for v in peak.tolist() if v > _OVERFLOW]
     lin = [v for v in (ctx.c_pt * mu_p0).tolist() if v > 0.1]
     if over:

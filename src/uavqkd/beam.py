@@ -17,6 +17,10 @@ two evaluators and one approximation:
 * ``capture_classical`` -- the wide-beam FSO approximation (valid only for
                            wz >> ra, not clamped to [0, 1]).
 
+Both models also have their mean over a Rayleigh-distributed rd (the
+pointing error) in closed form, ``capture_exact_mean`` and
+``capture_grid_mean``, which the linearized analytics read.
+
 ``capture_grid`` sums the segments by blocks whose size the grid sets: one
 segment each or, on a grid much finer than the beam, about wz / (36 dx)
 segments (at least 32), each summed by one exp and 16 Taylor moments in
@@ -24,10 +28,9 @@ place of one exp a segment, to the same accuracy (see ``capture_grid``).
 Every block's moments come from one table of the segments' nominal
 offsets from the block centre, applied to chord weights taken one a
 segment at the aperture edge and from 20 Chebyshev samples away from it,
-then shifted by the block's mean rounding (see ``_block_moments``). At
-N_g = 100,000, ra = 0.906 m and wz = 0.64 m, 104 blocks take the place of
-100,000 segments, and the grid holds their 15 KB of moments and no
-per-segment array unless the linearized engine reads one.
+then shifted by the block's mean rounding (see ``_block_moments``). Such
+a grid holds its block moments and no per-segment array unless the
+linearized engine reads one.
 
 By rotational symmetry the displacement enters only through its norm, so
 all capture functions take rd >= 0, a norm, or an array of norms, and give
@@ -66,9 +69,11 @@ __all__ = [
     "beam_radius",
     "capture_exact",
     "capture_exact_many",
+    "capture_exact_mean",
     "capture_classical",
     "build_grid",
     "capture_grid",
+    "capture_grid_mean",
 ]
 
 
@@ -84,6 +89,8 @@ def beam_radius(w0: float, wavelength: float, Lz: float) -> float:
 
 
 def _check_capture_args(rd_ok: bool, wz: float, ra: float) -> None:
+    if isinstance(wz, np.ndarray) and wz.ndim:
+        raise ValueError("capture probability takes one beam radius wz: a grid or context of one point")
     if not wz > 0 or not ra > 0:
         raise ValueError("capture probability requires wz > 0 and ra > 0")
     if not rd_ok:
@@ -102,7 +109,7 @@ def capture_exact(rd, wz: float, ra: float):
     A scalar ``rd`` (a float, int, numpy scalar or 0-d array) is taken as a
     float: the same checks and arithmetic as an array, then one ``chndtr``
     call on floats, equal bit for bit to the array path on
-    ``np.array([rd])`` at about a fifth of its cost.
+    ``np.array([rd])``.
 
     Against a 30-60 digit Rician integral, over wz in [5 mm, 10 m], ra in
     [1.5 cm, 1.5 m] and rd in [0, ra + 10 wz]: the absolute error grows
@@ -112,7 +119,7 @@ def capture_exact(rd, wz: float, ra: float):
     and ~3e-7 (1e-4 at b = 3) below ~1e-65; at small b, values below
     ~1e-89 come back as exactly 0.
     """
-    scalar = isinstance(rd, float) or np.ndim(rd) == 0  # isinstance first: np.ndim of a float takes ~3 us
+    scalar = isinstance(rd, float) or np.ndim(rd) == 0  # isinstance first: np.ndim of a float is slow
     rd = float(rd) if scalar else np.asarray(rd, dtype=float)
     _check_capture_args(rd >= 0 if scalar else np.all(rd >= 0), wz, ra)
     t = 2.0 * rd / wz
@@ -126,6 +133,17 @@ def capture_exact(rd, wz: float, ra: float):
 
 # The former fixed-node evaluator's name, still called by ``bench/``.
 capture_exact_many = capture_exact
+
+
+def capture_exact_mean(sigma, wz, ra: float):
+    """E[capture_exact(rd, wz, ra)] over rd ~ Rayleigh(sigma), elementwise.
+
+    The photon lands on the beam's Gaussian about a centre that is itself
+    Gaussian of variance sigma^2 per axis, so it lands on a centred Gaussian
+    of variance (wz^2 + 4 sigma^2) / 4 per axis and the mean is
+    1 - exp(-2 ra^2 / (wz^2 + 4 sigma^2)). At sigma = 0 it is mu_p(0).
+    """
+    return -np.expm1(-2.0 * ra**2 / (wz**2 + 4.0 * sigma**2))
 
 
 @dataclass(frozen=True)
@@ -163,11 +181,9 @@ class CaptureGrid:
     grid of one-segment blocks reads both as it derives ``mu_p0``; a grid
     of wider blocks sums without them (see ``_block_moments``), so it pays
     for its N_g centres and erfs only if the linearized engine reads them,
-    and holds its moments alone, 136 bytes a block (at N_g = 100,000, 15 KB
-    at ra = 0.906 m, wz = 0.64 m and at most 0.42 MB, 3,031 blocks, where
-    the centres took 0.8 MB). The arrays make field-wise equality and hashing
-    meaningless, so grids compare by identity (``build_grid`` caches one
-    per (ra, wz, Ng)).
+    and holds its moments alone, 136 bytes a block. The arrays make
+    field-wise equality and hashing meaningless, so grids compare by
+    identity (``build_grid`` caches one per (ra, wz, Ng)).
     ``mu_p0`` is the grid sum at rd = 0, as ``capture_grid(grid, 0.0)``
     returns it, kept with the grid for the linearization check, and
     ``peak`` the largest grid sum at rd = 0 and, where 2 dx > wz (segments
@@ -184,9 +200,10 @@ class CaptureGrid:
     An array ``wz`` of P radii gives one grid of P rows (a context of P
     points that differ in wz): ``wz``, ``mu_p0`` and ``peak`` of shape (P,),
     ``weights`` of shape (P, N_g), ``ra``, ``ng``, ``dx`` and ``centers``
-    shared. ``capture_grid`` takes a grid of one point. The package reads
-    row weights through ``_weights_of``, at most max(1, _CHUNK // N_g) rows
-    at a time, so it never builds the P x N_g ``weights``.
+    shared. ``capture_grid`` takes a grid of one point. Its dense row sums
+    (``_row_sums``) read row weights through ``_weights_of``, at most
+    max(1, _CHUNK // N_g) rows at a time, so it never builds the P x N_g
+    ``weights``.
     """
 
     ra: float
@@ -201,26 +218,18 @@ class CaptureGrid:
         rd = 0 and its largest value at the probe (rd = 0 and, where
         2 dx > wz, every positive segment centre). Where the window covers
         every segment, 2 dx <= wz and the blocks are single segments, that is
-        the same dense arithmetic for all such rows, one dot product per row,
-        so a row does not depend on the others, in chunks of at most
-        max(1, _CHUNK // N_g) rows. Only those rows pay for it: every other
+        the dense row sum (``_row_sums``) for all such rows, equal bit
+        for bit to ``_grid_sum``'s. Only those rows pay for it: every other
         row is summed by ``_grid_sum`` alone."""
         object.__setattr__(self, "dx", 2.0 * self.ra / self.ng)
         one, dx, ng = np.ndim(self.wz) == 0, self.dx, self.ng
         wz = np.atleast_1d(self.wz)
         summed = (_window(wz, 0.0, dx) < ng) | (2.0 * dx > wz) | (_half_block(wz, dx, ng) > 0)
         mu_p0, peak = np.empty(wz.size), np.empty(wz.size)
-        dense = np.flatnonzero(~summed)
-        step = max(1, _CHUNK // ng)
-        for i in range(0, dense.size, step):
-            # the sum of one-segment blocks at rd = 0 is this dot product, bit for bit:
-            # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
-            # col**2 is col*col, an ulp off on ~0.1% of radii)
-            rows = dense[i : i + step]
-            d = self.centers * self.centers * -2.0 / np.float_power(wz[rows, None], 2)
-            np.exp(d, out=d)
-            weights = np.atleast_2d(self._weights_of(wz[rows, None]))[:, :, None]
-            mu_p0[rows] = peak[rows] = np.matmul(d[:, None, :], weights)[:, 0, 0]
+        # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
+        # col**2 is col*col, which can differ in the last bit)
+        dense = wz[~summed]
+        mu_p0[~summed] = peak[~summed] = _row_sums(self, dense, np.float_power(dense, 2))
         for i in np.flatnonzero(summed):
             w = float(wz[i])
             probe = np.concatenate(([0.0], self.centers[self.centers > 0.0])) if 2.0 * dx > w else np.zeros(1)
@@ -257,13 +266,18 @@ class CaptureGrid:
         return _block_moments(self, self.wz)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
     """Build (and cache) the capture grid for an (ra, wz, Ng) triple.
 
     Sweeps evaluate the same grid at thousands of displacements, hence the
-    cache keyed by the three defining values.
+    cache keyed by the three defining values and their types, so a float
+    ``ng`` is never served the grid of an equal int: ``ng`` must be an
+    integer (an int or numpy integer, not a bool), as ``config`` requires of
+    ``Ng``, on every call.
     """
+    if isinstance(ng, bool) or not isinstance(ng, (int, np.integer)):
+        raise ValueError(f"grid segment count must be an integer, not {ng!r}")
     if ng < 2:
         raise ValueError("grid needs at least 2 segments")
     if not ra > 0 or not wz > 0:
@@ -277,6 +291,31 @@ def _chord_weights(ra: float, wz, dx: float, x: np.ndarray) -> np.ndarray:
     or a column of P radii for P rows."""
     chord = np.sqrt(np.maximum(ra * ra - x * x, 0.0))
     return (2.0 * dx / (math.sqrt(2.0 * math.pi) * wz)) * special.erf(np.sqrt(2.0 / (wz * wz)) * chord)
+
+
+def _row_sums(grid: CaptureGrid, wz: np.ndarray, s2: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """sum_i c_i exp(-2 x_i^2 / s2) f(scale x_i) of each row of ``grid``, for
+    rows of radii ``wz`` and one entry of ``s2`` and ``scale`` a row: the
+    grid's one dense row sum. f(z) = e^(-z^2) + sqrt(pi) z erfc(-z)
+    (``capture_grid_mean``), or 1 without ``scale``, which with s2 = wz^2 is
+    the grid sum at rd = 0.
+
+    Rows are taken in slices of at most max(1, _CHUNK // N_g), with the
+    weights of those rows alone (``_weights_of``), and each row's sum is its
+    own product in a stack of 1 x N_g by N_g x 1 products, so a value does
+    not depend on the other rows or on its chunk.
+    """
+    out = np.empty(wz.size)
+    step = max(1, _CHUNK // grid.ng)
+    for i in range(0, wz.size, step):
+        rows = slice(i, i + step)
+        x = grid.centers  # read in the loop: a call without rows builds no centres
+        t = np.exp(x * x * -2.0 / s2[rows, None])
+        if scale is not None:
+            z = scale[rows, None] * x
+            t *= np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z)
+        out[rows] = np.matmul(t[:, None, :], grid._weights_of(wz[rows, None])[..., None])[:, 0, 0]
+    return out
 
 
 def _half_block(wz, dx: float, ng: int):
@@ -302,13 +341,13 @@ def _block_offsets(middle: np.ndarray, h: int, dx: float, ra: float):
     segments' centres, as ``centers`` holds them, from their nominal places
     X_b + s tau_j (s = h dx, tau_j = (j - h) / h). d_b is X_b's own
     rounding plus the mean of its segments' roundings, which run together
-    over neighbouring segments (up to 0.62 ulp of ra in a block, over 400
-    seeded grids; X_b's alone left sums at up to 1.04 of the oracle bound of
-    ``capture_grid``), so it takes a pass over the segments, in column
-    chunks of at most _CHUNK / 2 elements, never an N_g-long array."""
+    over neighbouring segments, so that X_b's rounding alone would not keep
+    the sums within the oracle bound of ``capture_grid``. It takes a pass
+    over the segments, in column chunks of at most _CHUNK / 2 elements,
+    never an N_g-long array."""
     centre = middle * dx - ra
     d = np.zeros(centre.size)
-    step = max(1, _CHUNK // 2 // centre.size)  # half chunks ran fastest: 0.4-0.5 ms at N_g = 100,000
+    step = max(1, _CHUNK // 2 // centre.size)
     for j in range(-h, h + 1, step):
         offset = np.arange(j, min(j + step, h + 1), dtype=float)
         x = (middle[:, None] + offset) * dx - ra  # the segments' centres, as ``centers`` holds them
@@ -359,9 +398,8 @@ def _block_moments(grid: CaptureGrid, wz: float):
     s = h * dx
     inner = np.abs(centre) + 5.0 * s < ra
     inner[-1] &= ng % size == 0  # the padded last block
-    # the Chebyshev table costs about the per-segment weights of 5 to 14
-    # interior blocks (break-even measured at N_g = 969 to 100,000): with
-    # fewer, every block keeps one weight a segment
+    # the Chebyshev table costs about the per-segment weights of a few
+    # interior blocks: with fewer than 8, every block keeps one weight a segment
     inner &= np.count_nonzero(inner) >= 8
     edge = np.flatnonzero(~inner)
     m, cheb = np.zeros((_TERMS, centre.size)), np.zeros((_TERMS, _CHEB))
@@ -414,14 +452,12 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
     infinite rd gives 0.
 
     A term whose exp argument lies below ln(tiny) = -708.40 (past 18.82 wz
-    from rd) would be subnormal, and exp takes ~100x longer to return one;
-    it is taken as an exact 0 instead, in the chunks whose windows reach
-    past 18.8 wz of their rd (a whole grid, a window clamped at a grid end,
-    or a window of segments several wz wide). Other chunks make no extra
-    pass. That moves only sums in the deep tail: over 800,000 sums on 2,000
-    random grids (half of them of spikes) the largest that moved was
-    5.6e-292 (2^-967.5), in its last bits, and a sum of such terms alone is
-    0."""
+    from rd) would be subnormal, and exp is far slower to return one; it
+    is taken as an exact 0 instead, in the chunks whose windows reach past
+    18.8 wz of their rd (a whole grid, a window clamped at a grid end, or a
+    window of segments several wz wide). Other chunks make no extra pass.
+    That moves only sums in the deep tail, in their last bits, and a sum of
+    such terms alone is 0."""
     nb = centre.size
     wz2 = wz**2
     lim = 9.0 * wz + s
@@ -513,3 +549,22 @@ def capture_grid(grid: CaptureGrid, rd):
             f"grid capture probability exceeded 1 by {vals.max() - 1.0:.2e}", CaptureOverflowWarning, stacklevel=2
         )
     return vals.reshape(rd_in.shape) if rd_in.ndim else float(vals[0])
+
+
+def capture_grid_mean(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray) -> np.ndarray:
+    """E[sum_i c_i exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma): the
+    mean of the grid model over the pointing error, per point.
+
+    ``sigma`` and ``wz`` hold one entry per point, ``wz`` the radius of the
+    point's row of ``grid``. With s2 = wz^2 + 4 sigma^2, completing the
+    square in the Rayleigh integral of each Gaussian term gives
+
+        J(x) = e^(-2 x^2 / s2) [e^(-z^2) + sqrt(pi) z erfc(-z)] wz^2 / s2,
+        z = 2 sqrt(2) sigma x / (wz sqrt(s2)),
+
+    so the mean is sum_i c_i J(x_i), a dense row sum (``_row_sums``) over
+    every segment.
+    """
+    s2 = wz * wz + 4.0 * sigma * sigma
+    scale = 2.0 * math.sqrt(2.0) * sigma / (wz * np.sqrt(s2))
+    return _row_sums(grid, wz, s2, scale) * (wz * wz / s2)

@@ -16,10 +16,8 @@ Poisson count, so the detected signal count is n_q ~ Poisson(mu_t t) on
 FoV-accepted slots. The factor t = eta_atm mu_d mu_p eta multiplies the
 unit-mean turbulence fade and can exceed 1, which binomial thinning of a
 drawn source count cannot represent; the Poisson form needs no clamp, so
-p_detect estimates the exact expectation E[P_fov (1 - e^(-mu_t t))]. (A
-clamp at 1 biased it by -1.7% at the reference point, wz = 10 cm,
-theta_fov = 100 urad, where 1.8% of slots have t > 1.) Nothing is
-clamped, so ``McReport.clamp_rate`` is 0.
+p_detect estimates the exact expectation E[P_fov (1 - e^(-mu_t t))].
+Nothing is clamped, so ``McReport.clamp_rate`` is 0.
 
 Each slot decides n_q >= 1 with one uniform against 1 - e^(-mu_t t). The
 draw stream therefore does not depend on the values of t: numpy's

@@ -91,6 +91,31 @@ class TestContext:
                 with pytest.raises(ValueError, match=field):
                     replace(baseline_ctx, **{field: bad})
 
+    @pytest.mark.parametrize("points", [{}, {"wz": np.geomspace(0.005, 2.0, 24)}], ids=["one point", "24 wz"])
+    def test_capture_columns_are_the_models_own(self, baseline_cfg, points):
+        # mu_p0 and peak: the grid's under "grid", capture_exact at rd = 0 under
+        # "exact", for one point and for a wz axis
+        ctx = config._derive(baseline_cfg, points)
+        grid, wz = ctx.grid, np.atleast_1d(ctx.grid.wz)
+        for name in ("mu_p0", "peak"):
+            assert ctx._cols[name].tobytes() == np.atleast_1d(getattr(grid, name)).astype(float).tobytes()
+        exact = replace(ctx, mu_p_mode="exact")
+        want = np.array([capture_exact(0.0, w, ctx.ra) for w in wz.tolist()])
+        for name in ("mu_p0", "peak"):
+            got = exact._cols[name]
+            assert np.all(np.abs(got - want) <= 8.0 * np.spacing(want)), f"{name}: {got} vs {want}"
+        assert np.array_equal(exact._cols["mu_p0"], exact._cols["peak"])
+
+    @pytest.mark.parametrize("mode", ["grid", "exact"])
+    def test_mu_p_takes_one_beam_radius(self, baseline_cfg, mode):
+        # a stated error, not numpy's "truth value of an array is ambiguous"
+        ctx = replace(config._derive(baseline_cfg, {"wz": np.array([0.05, 0.1])}), mu_p_mode=mode)
+        with pytest.raises(ValueError, match="one point"):
+            ctx.mu_p(0.0)
+        # P points of one radius share one capture function
+        ctx = replace(config._derive(baseline_cfg, {"sigma_theta_e": np.array([1e-5, 2e-5])}), mu_p_mode=mode)
+        assert ctx.mu_p(0.0) == replace(build_context(baseline_cfg), mu_p_mode=mode).mu_p(0.0)
+
     @pytest.mark.parametrize("field", ["sigma_rd", "theta_fov", "sigma_aoa", "mu_b"])
     def test_rejects_a_two_dimensional_per_point_field(self, baseline_ctx, field):
         with pytest.raises(ValueError, match=r"floats or arrays of shape \(P,\)"):

@@ -388,6 +388,25 @@ class TestCaptureGrid:
         with pytest.raises(ValueError):
             build_grid(RA, 0.1, 1)
 
+    @pytest.mark.parametrize("ng", [10.0, 10.5, 1e5, True, np.float64(10.0), "10"],
+                             ids=["10.0", "10.5", "1e5", "True", "float64", "str"])
+    def test_non_integer_segment_count_rejected(self, ng):
+        # no float, even an integral one, and no bool is a segment count, and
+        # an equal int's cached grid must not answer for one
+        build_grid(RA, 0.1, 10)
+        for _ in range(2):  # on a repeat call as on the first
+            with pytest.raises(ValueError, match="integer"):
+                build_grid(RA, 0.1, ng)
+        assert build_grid(RA, 0.1, np.int64(10)).ng == 10
+        assert build_grid.cache_info().currsize >= 1 and callable(build_grid.cache_clear)
+
+    def test_grid_of_rows_rejected(self):
+        # a stated error, not numpy's "truth value of an array is ambiguous"
+        with pytest.raises(ValueError, match="one point"):
+            capture_grid(CaptureGrid(RA, np.array([0.05, 0.1]), 10), 0.0)
+        with pytest.raises(ValueError, match="one point"):
+            capture_exact(0.0, np.array([0.05, 0.1]), RA)
+
     @pytest.mark.parametrize("ra,wz", [(math.nan, 0.1), (RA, math.nan), (0.0, 0.1), (RA, -0.1)])
     def test_rejects_bad_geometry(self, ra, wz):
         with pytest.raises(ValueError):
