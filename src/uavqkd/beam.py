@@ -89,7 +89,7 @@ def beam_radius(w0: float, wavelength: float, Lz: float) -> float:
 
 
 def _check_capture_args(rd_ok: bool, wz: float, ra: float) -> None:
-    if isinstance(wz, np.ndarray) and wz.ndim:
+    if isinstance(wz, np.ndarray) and wz.size > 1:
         raise ValueError("capture probability takes one beam radius wz: a grid or context of one point")
     if not wz > 0 or not ra > 0:
         raise ValueError("capture probability requires wz > 0 and ra > 0")
@@ -227,9 +227,11 @@ class CaptureGrid:
         summed = (_window(wz, 0.0, dx) < ng) | (2.0 * dx > wz) | (_half_block(wz, dx, ng) > 0)
         mu_p0, peak = np.empty(wz.size), np.empty(wz.size)
         # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
-        # col**2 is col*col, which can differ in the last bit)
+        # col**2 is col*col, which can differ in the last bit); the centres are
+        # read in the call, so a grid without dense rows builds none
         dense = wz[~summed]
-        mu_p0[~summed] = peak[~summed] = _row_sums(self, dense, np.float_power(dense, 2))
+        mu_p0[~summed] = peak[~summed] = _row_sums(
+            self, dense, lambda rows: np.exp(self.centers * self.centers * -2.0 / np.float_power(dense[rows, None], 2)))
         for i in np.flatnonzero(summed):
             w = float(wz[i])
             probe = np.concatenate(([0.0], self.centers[self.centers > 0.0])) if 2.0 * dx > w else np.zeros(1)
@@ -293,12 +295,10 @@ def _chord_weights(ra: float, wz, dx: float, x: np.ndarray) -> np.ndarray:
     return (2.0 * dx / (math.sqrt(2.0 * math.pi) * wz)) * special.erf(np.sqrt(2.0 / (wz * wz)) * chord)
 
 
-def _row_sums(grid: CaptureGrid, wz: np.ndarray, s2: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """sum_i c_i exp(-2 x_i^2 / s2) f(scale x_i) of each row of ``grid``, for
-    rows of radii ``wz`` and one entry of ``s2`` and ``scale`` a row: the
-    grid's one dense row sum. f(z) = e^(-z^2) + sqrt(pi) z erfc(-z)
-    (``capture_grid_mean``), or 1 without ``scale``, which with s2 = wz^2 is
-    the grid sum at rd = 0.
+def _row_sums(grid: CaptureGrid, wz: np.ndarray, terms) -> np.ndarray:
+    """sum_i c_i f_i of each row of ``grid``, for rows of radii ``wz``, where
+    ``terms(rows)`` gives the f_i of a slice of the rows, (rows, N_g): the
+    grid's one dense row sum.
 
     Rows are taken in slices of at most max(1, _CHUNK // N_g), with the
     weights of those rows alone (``_weights_of``), and each row's sum is its
@@ -309,12 +309,7 @@ def _row_sums(grid: CaptureGrid, wz: np.ndarray, s2: np.ndarray, scale: np.ndarr
     step = max(1, _CHUNK // grid.ng)
     for i in range(0, wz.size, step):
         rows = slice(i, i + step)
-        x = grid.centers  # read in the loop: a call without rows builds no centres
-        t = np.exp(x * x * -2.0 / s2[rows, None])
-        if scale is not None:
-            z = scale[rows, None] * x
-            t *= np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z)
-        out[rows] = np.matmul(t[:, None, :], grid._weights_of(wz[rows, None])[..., None])[:, 0, 0]
+        out[rows] = np.matmul(terms(rows)[:, None, :], grid._weights_of(wz[rows, None])[..., None])[:, 0, 0]
     return out
 
 
@@ -565,6 +560,12 @@ def capture_grid_mean(grid: CaptureGrid, sigma: np.ndarray, wz: np.ndarray) -> n
     so the mean is sum_i c_i J(x_i), a dense row sum (``_row_sums``) over
     every segment.
     """
+    x = grid.centers
     s2 = wz * wz + 4.0 * sigma * sigma
     scale = 2.0 * math.sqrt(2.0) * sigma / (wz * np.sqrt(s2))
-    return _row_sums(grid, wz, s2, scale) * (wz * wz / s2)
+
+    def terms(rows):
+        z = scale[rows, None] * x
+        return np.exp(x * x * -2.0 / s2[rows, None]) * (np.exp(-z * z) + math.sqrt(math.pi) * z * special.erfc(-z))
+
+    return _row_sums(grid, wz, terms) * (wz * wz / s2)

@@ -116,6 +116,12 @@ class TestContext:
         ctx = replace(config._derive(baseline_cfg, {"sigma_theta_e": np.array([1e-5, 2e-5])}), mu_p_mode=mode)
         assert ctx.mu_p(0.0) == replace(build_context(baseline_cfg), mu_p_mode=mode).mu_p(0.0)
 
+    def test_exact_mu_p_of_a_one_point_wz_axis(self, baseline_cfg):
+        # a one-element wz is one beam radius, as it was
+        ctx = replace(config._derive(baseline_cfg, {"wz": np.array([0.1])}), mu_p_mode="exact")
+        rd = np.array([0.0, 0.02])
+        assert ctx.mu_p(rd).tobytes() == capture_exact(rd, 0.1, ctx.ra).tobytes()
+
     @pytest.mark.parametrize("field", ["sigma_rd", "theta_fov", "sigma_aoa", "mu_b"])
     def test_rejects_a_two_dimensional_per_point_field(self, baseline_ctx, field):
         with pytest.raises(ValueError, match=r"floats or arrays of shape \(P,\)"):

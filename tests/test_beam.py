@@ -406,6 +406,10 @@ class TestCaptureGrid:
             capture_grid(CaptureGrid(RA, np.array([0.05, 0.1]), 10), 0.0)
         with pytest.raises(ValueError, match="one point"):
             capture_exact(0.0, np.array([0.05, 0.1]), RA)
+        # a one-element wz is one beam radius, as it was
+        rd = np.array([0.0, 0.02, 0.3])
+        assert capture_exact(rd, np.array([0.1]), RA).tobytes() == capture_exact(rd, 0.1, RA).tobytes()
+        assert capture_classical(rd, np.array([0.1]), RA).value.tobytes() == capture_classical(rd, 0.1, RA).value.tobytes()
 
     @pytest.mark.parametrize("ra,wz", [(math.nan, 0.1), (RA, math.nan), (0.0, 0.1), (RA, -0.1)])
     def test_rejects_bad_geometry(self, ra, wz):

@@ -20,10 +20,12 @@ def test_code_lines_counts_each_line_once(tmp_path):
     assert _code_lines().count(path) == (3, 11)
 
 
-def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
-    (tmp_path / "a.py").write_text("x = 1\n")
-    (tmp_path / "b.py").write_text("# note\ny = 2\nz = 3\n")
-    _code_lines().main([str(tmp_path)])
+def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "src" / "b.py").write_text("# note\ny = 2\nz = 3\n")
+    monkeypatch.chdir(tmp_path)
+    _code_lines().main()
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines[:2]] == [["1", "1", "a.py"], ["2", "3", "b.py"]]
     assert lines[2].endswith("total: 3 code lines of 4")

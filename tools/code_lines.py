@@ -1,4 +1,4 @@
-"""Count the code lines and total lines of each module under a directory.
+"""Count the code lines and total lines of each module under ``src/``.
 
 Code lines are the total less blank lines, comment-only lines and
 docstring lines, where docstring lines are every line of each module,
@@ -6,15 +6,13 @@ class and function docstring node found by ``ast`` (blank lines inside a
 docstring count once, as docstring lines). Run from the root of a
 checkout:
 
-    python tools/code_lines.py          # the modules of src/
-    python tools/code_lines.py bench    # any other directory
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-import sys
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -38,8 +36,8 @@ def count(path: pathlib.Path) -> tuple[int, int]:
     return code, len(lines)
 
 
-def main(argv: list[str]) -> None:
-    root = pathlib.Path(argv[0] if argv else "src")
+def main() -> None:
+    root = pathlib.Path("src")
     total_code = total_lines = 0
     for path in sorted(root.rglob("*.py")):
         code, lines = count(path)
@@ -50,4 +48,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
