@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,6 +171,20 @@ def _out(ctx: AnalyticContext, values: np.ndarray):
     return values if ctx.shape else float(values[0])
 
 
+def _one_point(ctx: AnalyticContext, error: str) -> AnalyticContext:
+    """``ctx`` as a context of shape (), for a consumer of one point: a
+    context of shape (1,) holds the same point, its arrays of one element
+    taken as floats and its grid rebuilt of one radius, so it gives the
+    same values bit for bit. More points raise ValueError(``error``)."""
+    if ctx.shape == (1,):
+        g, fields = ctx.grid, ("sigma_rd", "theta_fov", "sigma_aoa", "mu_b")
+        grid = g if np.ndim(g.wz) == 0 else CaptureGrid(g.ra, g.wz.item(), g.ng)
+        return replace(ctx, grid=grid, **{f: v.item() for f in fields if isinstance(v := getattr(ctx, f), np.ndarray)})
+    if ctx.shape:
+        raise ValueError(error)
+    return ctx
+
+
 def _span(values: list[float], spec: str) -> str:
     """The range of ``values`` in format ``spec``: one figure where both ends print alike."""
     lo, hi = format(min(values), spec), format(max(values), spec)
@@ -245,15 +259,15 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     call.
 
     The linearized mode takes a context of P points and returns an array
-    of P probabilities; the averaged mode takes one point. A call issues at
+    of P probabilities; the averaged mode takes one point, a context of
+    shape () or (1,), and returns a float. A call issues at
     most one CaptureOverflowWarning and one LinearizationWarning, each
     naming how many of the P points cross its limit and their range.
     """
     if turbulence not in ("linearized", "averaged"):
         raise ValueError("turbulence must be 'linearized' or 'averaged'")
     if turbulence == "averaged":
-        if ctx.shape:
-            raise ValueError("the averaged expectation takes a context of one point")
+        ctx = _one_point(ctx, "the averaged expectation takes a context of one point")
         sigma, dx, grid = ctx.sigma_rd, ctx.grid.dx, ctx.mu_p_mode == "grid"
         # segments wider than the beam: the grid sum is a row of spikes peaking
         # at the segment centres, so it rises with rd towards each of them

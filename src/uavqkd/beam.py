@@ -35,7 +35,9 @@ linearized engine reads one.
 By rotational symmetry the displacement enters only through its norm, so
 all capture functions take rd >= 0, a norm, or an array of norms, and give
 a value of the shape of ``rd`` (a float for a float); collapse a vector
-displacement to its norm before calling.
+displacement to its norm before calling. Each takes one beam radius wz: a
+float, or an array of one element (a one-point context of shape (1,)),
+which gives the values of that float bit for bit.
 """
 
 from __future__ import annotations
@@ -88,13 +90,16 @@ def beam_radius(w0: float, wavelength: float, Lz: float) -> float:
     return w0 * math.sqrt(1.0 + t * t)
 
 
-def _check_capture_args(rd_ok: bool, wz: float, ra: float) -> None:
+def _checked_wz(rd_ok: bool, wz, ra: float) -> float:
+    """The one beam radius of a capture call, checked with ``ra`` and ``rd``:
+    ``wz`` itself, or the float an array of one element holds."""
     if isinstance(wz, np.ndarray) and wz.size > 1:
         raise ValueError("capture probability takes one beam radius wz: a grid or context of one point")
     if not wz > 0 or not ra > 0:
         raise ValueError("capture probability requires wz > 0 and ra > 0")
     if not rd_ok:
         raise ValueError("rd is a displacement norm and must be >= 0")
+    return wz.item() if isinstance(wz, np.ndarray) else wz
 
 
 def capture_exact(rd, wz: float, ra: float):
@@ -121,7 +126,7 @@ def capture_exact(rd, wz: float, ra: float):
     """
     scalar = isinstance(rd, float) or np.ndim(rd) == 0  # isinstance first: np.ndim of a float is slow
     rd = float(rd) if scalar else np.asarray(rd, dtype=float)
-    _check_capture_args(rd >= 0 if scalar else np.all(rd >= 0), wz, ra)
+    wz = _checked_wz(rd >= 0 if scalar else np.all(rd >= 0), wz, ra)
     t = 2.0 * rd / wz
     nc = t * t  # not ** 2: on a float that is C pow, an ulp off t * t at times
     # chndtr is up to 1e-3 off for a subnormal noncentrality, where mu_p is
@@ -164,7 +169,7 @@ def capture_classical(rd, wz: float, ra: float) -> ClassicalCapture:
     result callers may want to display.
     """
     rd_arr = np.asarray(rd, dtype=float)
-    _check_capture_args(np.all(rd_arr >= 0), wz, ra)
+    wz = _checked_wz(np.all(rd_arr >= 0), wz, ra)
     value = (2.0 * ra * ra / (wz * wz)) * np.exp(-2.0 * rd_arr * rd_arr / (wz * wz))
     return ClassicalCapture(value=value if value.ndim else float(value), valid=wz >= 4.0 * ra)
 
@@ -263,9 +268,9 @@ class CaptureGrid:
 
     @functools.cached_property
     def _blocks(self):
-        """``_block_moments`` of this one-point grid, built on first use and
-        kept."""
-        return _block_moments(self, self.wz)
+        """``_block_moments`` of this one-point grid (of a float ``wz``, or
+        an array of one radius), built on first use and kept."""
+        return _block_moments(self, self.wz if np.ndim(self.wz) == 0 else self.wz.item())
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -537,8 +542,8 @@ def capture_grid(grid: CaptureGrid, rd):
     """
     rd_in = np.asarray(rd, dtype=float)
     rd_arr = rd_in.ravel()
-    _check_capture_args(np.all(rd_arr >= 0), grid.wz, grid.ra)
-    vals = _grid_sum(*grid._blocks, grid.wz, rd_arr)
+    wz = _checked_wz(np.all(rd_arr >= 0), grid.wz, grid.ra)
+    vals = _grid_sum(*grid._blocks, wz, rd_arr)
     if (vals > _OVERFLOW).any():
         warnings.warn(
             f"grid capture probability exceeded 1 by {vals.max() - 1.0:.2e}", CaptureOverflowWarning, stacklevel=2

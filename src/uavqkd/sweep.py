@@ -171,8 +171,10 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
     _COARSE points finds the best feasible point; each further pass then
     evaluates _REFINE interior points of [best - step, best + step] within
     the bounds, narrowing the step by at least (_REFINE + 1) / 2, until it
-    is at most _TOL * (hi - lo). Every pass is one array pass, and an
-    infeasible point never displaces the best feasible one. The config at
+    is at most _TOL * (hi - lo). Every pass, the coarse one included, is one
+    array pass under one rule: its first feasible maximum replaces the best
+    point only on a strictly higher key rate, so an infeasible point never
+    displaces the best feasible one. The config at
     lo is validated and hi range-checked; every point evaluated lies in
     [lo, hi], so none is checked again.
     """
@@ -184,28 +186,23 @@ def optimize(base: LinkConfig, variable: str, qber_max: float, bounds: tuple[flo
     if not lo < hi:
         raise ValueError("bounds must satisfy lo < hi")
 
-    xs = np.linspace(lo, hi, _COARSE)
+    xs, step = np.linspace(lo, hi, _COARSE), (hi - lo) / (_COARSE - 1)
     cfg = replace(base, **{variable: float(xs[0])})
     validate(cfg)
     _check_range(variable, hi)
-    r = analytics.evaluate(_derive(cfg, {variable: xs}))
-    feasible = r.qber <= qber_max  # False where the QBER is NaN
-
-    if not feasible.any():
-        i = int(np.argmin(r.qber))
-        return OptimizeResult(variable, float(xs[i]), _point(r, i), False, qber_max)
-
-    # a feasible point's key rate is finite: the first maximum is the first feasible best
-    i = int(np.argmax(np.where(feasible, r.key_rate, -np.inf)))
-    best_x, best_r = float(xs[i]), _point(r, i)
-    step = (hi - lo) / (_COARSE - 1)
-    while step > _TOL * (hi - lo):
+    best_r = None
+    while True:  # one pass: evaluate, pick, narrow
+        r = analytics.evaluate(_derive(cfg, {variable: xs}))
+        feasible = r.qber <= qber_max  # False where the QBER is NaN
+        # a feasible point's key rate is finite: the first maximum is the first feasible best
+        i = int(np.argmax(np.where(feasible, r.key_rate, -np.inf)))
+        if feasible[i] and (best_r is None or r.key_rate[i] > best_r.key_rate):
+            best_x, best_r = float(xs[i]), _point(r, i)
+        if best_r is None:  # no feasible point on the coarse grid
+            i = int(np.argmin(r.qber))
+            return OptimizeResult(variable, float(xs[i]), _point(r, i), False, qber_max)
+        if step <= _TOL * (hi - lo):
+            return OptimizeResult(variable, best_x, best_r, True, qber_max)
         a, b = max(best_x - step, lo), min(best_x + step, hi)
         xs = np.linspace(a, b, _REFINE + 2)[1:-1]
         step = (b - a) / (_REFINE + 1)
-        r = analytics.evaluate(_derive(cfg, {variable: xs}))
-        i = int(np.argmax(np.where(r.qber <= qber_max, r.key_rate, -np.inf)))
-        if r.qber[i] <= qber_max and r.key_rate[i] > best_r.key_rate:
-            best_x, best_r = float(xs[i]), _point(r, i)
-
-    return OptimizeResult(variable, best_x, best_r, True, qber_max)

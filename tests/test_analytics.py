@@ -116,6 +116,22 @@ class TestContext:
         ctx = replace(config._derive(baseline_cfg, {"sigma_theta_e": np.array([1e-5, 2e-5])}), mu_p_mode=mode)
         assert ctx.mu_p(0.0) == replace(build_context(baseline_cfg), mu_p_mode=mode).mu_p(0.0)
 
+    @pytest.mark.parametrize("mode", ["grid", "exact"])
+    @pytest.mark.parametrize("axis, value", [("wz", 0.07), ("theta_fov", 1e-4), ("sigma_theta_e", 9e-5)])
+    def test_context_of_shape_one_is_its_point(self, baseline_cfg, mode, axis, value):
+        # a one-value sweep axis builds a context of shape (1,): the one-point
+        # consumers give the values of the context of shape (), bit for bit
+        one = replace(config._derive(baseline_cfg, {axis: np.array([value])}), mu_p_mode=mode)
+        alone = replace(build_context(replace(baseline_cfg, **{axis: value})), mu_p_mode=mode)
+        assert one.shape == (1,)
+        got = detect_prob(one, turbulence="averaged")
+        assert type(got) is float and got == detect_prob(alone, turbulence="averaged")
+        got = one.mu_p(0.02)
+        assert type(got) is float and got == alone.mu_p(0.02)
+        many = replace(config._derive(baseline_cfg, {axis: np.array([value, 2.0 * value])}), mu_p_mode=mode)
+        with pytest.raises(ValueError, match="averaged expectation takes a context of one point"):
+            detect_prob(many, turbulence="averaged")
+
     def test_exact_mu_p_of_a_one_point_wz_axis(self, baseline_cfg):
         # a one-element wz is one beam radius, as it was
         ctx = replace(config._derive(baseline_cfg, {"wz": np.array([0.1])}), mu_p_mode="exact")

@@ -411,6 +411,18 @@ class TestCaptureGrid:
         assert capture_exact(rd, np.array([0.1]), RA).tobytes() == capture_exact(rd, 0.1, RA).tobytes()
         assert capture_classical(rd, np.array([0.1]), RA).value.tobytes() == capture_classical(rd, 0.1, RA).value.tobytes()
 
+    @pytest.mark.parametrize("ra, ng", [(RA, 10), (1.5, 100_000)], ids=["one-segment blocks", "wider blocks"])
+    def test_one_element_wz_with_a_float_rd(self, ra, ng):
+        # a one-element wz (a one-value wz axis) gives the float values of its
+        # radius, for a float rd too: a float, and one bool of validity
+        got = capture_classical(0.01, np.array([0.1]), ra)
+        assert type(got.value) is float and type(got.valid) is bool
+        assert got == capture_classical(0.01, 0.1, ra)
+        got = capture_exact(0.01, np.array([0.1]), ra)
+        assert type(got) is float and got == capture_exact(0.01, 0.1, ra)
+        got = capture_grid(CaptureGrid(ra, np.array([0.1]), ng), 0.01)
+        assert type(got) is float and got == capture_grid(CaptureGrid(ra, 0.1, ng), 0.01)
+
     @pytest.mark.parametrize("ra,wz", [(math.nan, 0.1), (RA, math.nan), (0.0, 0.1), (RA, -0.1)])
     def test_rejects_bad_geometry(self, ra, wz):
         with pytest.raises(ValueError):

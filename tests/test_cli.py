@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -428,6 +429,39 @@ class TestWarningsLogged:
         assert code == cli.EXIT_OK and "key_rate_bps" in out
         logged = [line for line in err.splitlines() if line.startswith("WARNING ")]
         assert 0 < len(logged) <= 2 * len(passes)
+
+
+def readme_quick_start() -> list[list[str]]:
+    """The commands of the ``sh`` block under README's "Quick start (CLI)"
+    heading, each as its arguments after ``uavqkd``, up to any ``>``
+    redirect."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "uavqkd", line
+            redirect = [i for i, w in enumerate(words) if w.startswith(">")]
+            commands.append(words[1 : redirect[0] if redirect else None])
+    return commands
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # each README command through cli.main, in an empty directory that it
+    # must leave empty: the redirects are dropped and stdout is captured
+    (tmp_path / "cfg").mkdir()
+    path = tmp_path / "cfg" / "link.cfg"
+    path.write_text("n_slots = 2000\n")
+    monkeypatch.setenv("UAVQKD_CONFIG", str(path))
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    commands = readme_quick_start()
+    assert commands
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK and out, argv
+    assert not any((tmp_path / "run").iterdir())
 
 
 class TestGoldenOutput:

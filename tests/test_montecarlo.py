@@ -8,7 +8,7 @@ from scipy import stats
 
 from conftest import make_context
 from oracles import gg_cdf_interpolator
-from uavqkd import montecarlo
+from uavqkd import config, montecarlo
 from uavqkd.analytics import detect_prob
 from uavqkd.beam import capture_exact
 from uavqkd.channel import gg_sample
@@ -96,6 +96,19 @@ class TestDeterminism:
     def test_rejects_fewer_than_one_worker(self, baseline_ctx):
         with pytest.raises(ValueError, match="workers"):
             run(baseline_ctx, 1000, seed=1, workers=0)
+
+    @pytest.mark.parametrize(
+        "axis, value", [("wz", 0.07), ("theta_fov", 1e-4), ("sigma_aoa", 2e-5), ("sigma_theta_e", 9e-5), ("B_lambda", 1e-4)]
+    )
+    def test_context_of_shape_one_is_its_point(self, baseline_cfg, axis, value):
+        # a one-value sweep axis builds a context of shape (1,): the same one
+        # point as the context of shape (), and the same report bit for bit
+        one = config._derive(baseline_cfg, {axis: np.array([value])})
+        assert one.shape == (1,)
+        n = BATCH_SIZE + 1001
+        assert run(one, n, seed=3) == run(make_context(**{axis: value}), n, seed=3)
+        with pytest.raises(ValueError, match="simulates a context of one point"):
+            run(config._derive(baseline_cfg, {axis: np.array([value, 2.0 * value])}), n, seed=3)
 
 
 class TestOutcomeOracles:
@@ -296,28 +309,6 @@ class TestThinning:
 
 
 class TestFovEdge:
-    @pytest.mark.parametrize(
-        "sigma, theta",
-        [(50e-6, 100e-6), (5e-6, 2e-3), (2e-3, 5e-7), (1.0881962243116861e-05, 7.038718597875943e-05), (3e-5, 3e-5)],
-    )
-    def test_band_decides_as_hypot(self, sigma, theta):
-        # (z0, z1) within a few ulps of the circle of radius theta/sigma: the
-        # squared-norm test alone cannot tell these apart, so each is decided
-        # by np.hypot in the band, and must be decided as the scaled normals
-        # np.hypot(sigma z0, sigma z1) <= theta would be
-        rng = np.random.default_rng(25)
-        r = theta / sigma
-        phi = rng.uniform(0.0, 2.0 * np.pi, 4000)
-        z = np.stack((r * np.cos(phi), r * np.sin(phi)))
-        z[:, :4] = [[r, 0.0, -r, 0.0], [0.0, r, 0.0, -r]]  # on the axes
-        z += rng.integers(-4, 5, z.shape) * np.spacing(z)
-        inside = np.hypot(sigma * z[0], sigma * z[1]) <= theta
-        assert np.array_equal(_fov_accepted(z, sigma, theta), np.flatnonzero(inside))
-        q, r2 = z[0] * z[0] + z[1] * z[1], r * r
-        assert np.all(np.abs(q - r2) <= 1e-12 * r2)  # every pair is in the band
-        assert 0 < np.count_nonzero(inside) < z.shape[1]  # on both sides of the edge
-        assert np.any((q <= r2) != inside)  # where the squared norm alone decides wrongly
-
     def test_matches_hypot_off_the_edge(self):
         rng = np.random.default_rng(26)
         z = rng.standard_normal((2, BATCH_SIZE))
