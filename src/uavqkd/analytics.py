@@ -33,7 +33,10 @@ linearized ``detect_prob`` and ``evaluate`` return arrays of shape (P,), row
 k equal to the same point evaluated alone, bit for bit. The context
 broadcasts its per-point fields once, into flat float columns of P entries
 (of one entry for one point), and both functions compute on those columns
-by the same numpy arithmetic; one point returns floats.
+by the same numpy arithmetic; one point returns floats. ``_point(ctx, k)``
+is point k of a context as a context of shape (), for the consumers of
+one point: the Monte Carlo, the averaged engine and a sweep's Monte Carlo
+points.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beam import _CHUNK, _OVERFLOW, CaptureGrid, capture_exact, capture_exact_mean, capture_grid, capture_grid_mean
+from .beam import (_CHUNK, _OVERFLOW, CaptureGrid, build_grid, capture_exact, capture_exact_mean, capture_grid,
+                   capture_grid_mean)
 from .channel import fov_accept_prob
 from .errors import CaptureOverflowWarning, LinearizationWarning
 
@@ -171,18 +175,19 @@ def _out(ctx: AnalyticContext, values: np.ndarray):
     return values if ctx.shape else float(values[0])
 
 
-def _one_point(ctx: AnalyticContext, error: str) -> AnalyticContext:
-    """``ctx`` as a context of shape (), for a consumer of one point: a
-    context of shape (1,) holds the same point, its arrays of one element
-    taken as floats and its grid rebuilt of one radius, so it gives the
-    same values bit for bit. More points raise ValueError(``error``)."""
-    if ctx.shape == (1,):
-        g, fields = ctx.grid, ("sigma_rd", "theta_fov", "sigma_aoa", "mu_b")
-        grid = g if np.ndim(g.wz) == 0 else CaptureGrid(g.ra, g.wz.item(), g.ng)
-        return replace(ctx, grid=grid, **{f: v.item() for f in fields if isinstance(v := getattr(ctx, f), np.ndarray)})
-    if ctx.shape:
+def _point(ctx: AnalyticContext, k: int = 0, error: str | None = None) -> AnalyticContext:
+    """Point k of ``ctx`` as a context of shape (): each per-point field its
+    entry k as a float, and the grid of its one radius from ``build_grid``,
+    so it gives the values of the point's own context bit for bit. A
+    context of shape () is returned as it is. With ``error``, ``ctx`` must
+    hold one point, and more raise ValueError(``error``)."""
+    if not ctx.shape:
+        return ctx
+    if error is not None and ctx.shape != (1,):
         raise ValueError(error)
-    return ctx
+    g, cols = ctx.grid, ctx._cols
+    grid = g if np.ndim(g.wz) == 0 else build_grid(g.ra, cols["wz"][k].item(), g.ng)
+    return replace(ctx, grid=grid, **{f: cols[f][k].item() for f in ("sigma_rd", "theta_fov", "sigma_aoa", "mu_b")})
 
 
 def _span(values: list[float], spec: str) -> str:
@@ -267,7 +272,7 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     if turbulence not in ("linearized", "averaged"):
         raise ValueError("turbulence must be 'linearized' or 'averaged'")
     if turbulence == "averaged":
-        ctx = _one_point(ctx, "the averaged expectation takes a context of one point")
+        ctx = _point(ctx, error="the averaged expectation takes a context of one point")
         sigma, dx, grid = ctx.sigma_rd, ctx.grid.dx, ctx.mu_p_mode == "grid"
         # segments wider than the beam: the grid sum is a row of spikes peaking
         # at the segment centres, so it rises with rd towards each of them

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import AnalyticContext, PerformanceReport, _one_point
+from .analytics import AnalyticContext, PerformanceReport, _point
 from .beam import capture_exact
 from .channel import gg_sample
 
@@ -170,13 +170,16 @@ def _binom_se(p: float, n: int) -> float:
 
 def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McReport:
     """Simulate ``n_slots`` quantum slots and aggregate the estimates; the
-    batches go through a pool of ``workers`` (>= 1) threads. ``ctx`` is one
+    batches go through a pool of ``workers`` threads. Both counts are
+    integers >= 1 (an int or numpy integer, not a bool). ``ctx`` is one
     point: a context of shape () or (1,)."""
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    ctx = _one_point(ctx, "the Monte Carlo simulates a context of one point")
+    for name, count in (("n_slots", n_slots), ("workers", workers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
+    n_slots, workers = int(n_slots), int(workers)
+    ctx = _point(ctx, error="the Monte Carlo simulates a context of one point")
     n_batches = (n_slots + BATCH_SIZE - 1) // BATCH_SIZE
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_SIZE] * (n_batches - 1) + [n_slots - BATCH_SIZE * (n_batches - 1)]

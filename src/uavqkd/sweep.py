@@ -1,6 +1,6 @@
 """Parameter sweeps and constrained single-variable optimization.
 
-An analytic sweep is one array pass. The first point's config is
+A sweep is one array pass, whatever its engine. The first point's config is
 validated once and every axis and overlay value is range-checked once;
 together that is the validation of every point. One context then holds
 all P points, whatever the axis (the capture layer bounds the memory of
@@ -14,9 +14,11 @@ is ``build_grid``'s cache of immutable grids, keyed by (ra, wz, N_g).
 One ``evaluate`` call per pass gives (P,) columns, row
 k equal to the same point evaluated alone, and ``sweep(...).rows`` are the
 output-schema rows built from them once (``output.perf_rows``: keys = the
-CSV columns, so the key rate is ``key_rate_bps``). Monte Carlo points keep
-a context each and run on seeds spawned from the config seed, one per
-point; a sweep that runs no Monte Carlo spawns none. The optimizer maximizes
+CSV columns, so the key rate is ``key_rate_bps``). Each point is derived
+once: Monte Carlo point k runs on point k of the same context
+(``analytics._point``), which reads the values that gave its analytic row,
+on a seed spawned from the config seed, one per point; a sweep that runs
+no Monte Carlo spawns none. The optimizer maximizes
 the analytic key rate under a QBER ceiling with array passes too, picking
 points with numpy masks on the columns: a coarse global grid, then grids of
 a few points that narrow the bracket around the best feasible point until
@@ -50,7 +52,10 @@ _TOL = 1e-6  # optimize's final grid step, relative to hi - lo
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept axis, an optional overlay axis, and the engine to run."""
+    """One swept axis, an optional overlay axis, and the engine to run.
+
+    ``values`` and ``overlay_values`` take any sequence of numbers and are
+    kept as tuples of floats, so a spec is hashable."""
 
     axis: str
     values: tuple[float, ...]
@@ -61,9 +66,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEPABLE:
             raise ValueError(f"axis must be one of {SWEEPABLE}, got {self.axis!r}")
+        for name in ("values", "overlay_values"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if not all(math.isfinite(v) for v in self.values + tuple(self.overlay_values)):
+        if not all(math.isfinite(v) for v in self.values + self.overlay_values):
             raise ValueError("sweep and overlay values must be finite")
         if any(not b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
@@ -83,13 +90,6 @@ class SweepResult:
     rows: tuple[dict, ...]
 
 
-def _point_config(base: LinkConfig, spec: SweepSpec, v: float, ov: float | None) -> LinkConfig:
-    updates: dict[str, float] = {spec.axis: v}
-    if spec.overlay is not None and ov is not None:
-        updates[spec.overlay] = ov
-    return replace(base, **updates)
-
-
 def _point(report: PerformanceReport, i: int) -> PerformanceReport:
     """Point i of a report of (P,) columns, its fields Python floats."""
     point = {name: column[i].item() for name, column in vars(report).items() if isinstance(column, np.ndarray)}
@@ -103,7 +103,7 @@ def _checked_first_point(base: LinkConfig, spec: SweepSpec) -> LinkConfig:
     value checked once. An invalid point raises the error of the first
     invalid point in sweep order, before any point is evaluated."""
     v0, ov0 = spec.values[0], (spec.overlay_values or (None,))[0]
-    cfg = _point_config(base, spec, v0, ov0)
+    cfg = replace(base, **{spec.axis: v0, **({spec.overlay: ov0} if spec.overlay else {})})
     point = (v0, ov0)
     try:
         validate(cfg)
@@ -121,30 +121,30 @@ def _checked_first_point(base: LinkConfig, spec: SweepSpec) -> LinkConfig:
 def sweep(base: LinkConfig, spec: SweepSpec) -> SweepResult:
     """Rows of the link at every (axis x overlay) combination, in order, analytic before Monte Carlo.
 
-    The analytic engine evaluates all points in one array pass. When the
-    engine runs the Monte Carlo, points draw per-point seeds from the
-    config seed via SeedSequence spawning, so the same spec and seed
-    reproduce the same SweepResult exactly; an analytic sweep spawns none.
+    Every engine derives all points in one context. The analytic engine
+    evaluates it in one array pass; the Monte Carlo runs each point k of it
+    on a per-point seed spawned from the config seed via SeedSequence, so
+    the same spec and seed reproduce the same SweepResult exactly; an
+    analytic sweep spawns none.
     """
     points = [(v, ov) for ov in spec.overlay_values or (None,) for v in spec.values]
     cfg = _checked_first_point(base, spec)
     axis_values, overlay_values = zip(*points)
     axis, overlay = spec.axis, spec.overlay or ""
-    analytic: list[dict] = []
-    if spec.engine in ("analytic", "both"):
-        swept = {axis: np.array(axis_values, dtype=float)}
-        if spec.overlay:
-            swept[overlay] = np.array(overlay_values, dtype=float)
-        analytic = perf_rows(analytics.evaluate(_derive(cfg, swept)), axis, axis_values, overlay, overlay_values)
+    swept = {axis: np.array(axis_values, dtype=float)}
+    if spec.overlay:
+        swept[overlay] = np.array(overlay_values, dtype=float)
+    ctx = _derive(cfg, swept)
+    analytic = [] if spec.engine == "monte_carlo" else perf_rows(
+        analytics.evaluate(ctx), axis, axis_values, overlay, overlay_values)
     if spec.engine == "analytic":
         return SweepResult(spec=spec, rows=tuple(analytic))
 
     rows: list[dict] = []
-    for k, ((v, ov), ss) in enumerate(zip(points, np.random.SeedSequence(base.seed).spawn(len(points)))):
+    for k, ss in enumerate(np.random.SeedSequence(base.seed).spawn(len(points))):
         rows += analytic[k : k + 1]  # none under engine "monte_carlo"
-        ctx = _derive(_point_config(base, spec, v, ov))  # validated by _checked_first_point
-        seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-        rows += perf_rows(montecarlo.run(ctx, base.n_slots, seed).estimates, axis, [v], overlay, [ov])
+        mc = montecarlo.run(analytics._point(ctx, k), base.n_slots, int(ss.generate_state(1, np.uint64)[0]))
+        rows += perf_rows(mc.estimates, axis, axis_values[k : k + 1], overlay, overlay_values[k : k + 1])
     return SweepResult(spec=spec, rows=tuple(rows))
 
 

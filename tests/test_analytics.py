@@ -13,13 +13,14 @@ from scipy import special
 
 import oracles
 import uavqkd
-from conftest import log_uniform_field, make_context
+from conftest import log_uniform_field, make_config, make_context
 from uavqkd import analytics, config
 from uavqkd.analytics import detect_prob, evaluate
 from uavqkd.beam import build_grid, capture_exact, capture_grid
 from uavqkd.channel import background_mean, solid_angle
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
+from uavqkd.sweep import SWEEPABLE
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -137,6 +138,26 @@ class TestContext:
         ctx = replace(config._derive(baseline_cfg, {"wz": np.array([0.1])}), mu_p_mode="exact")
         rd = np.array([0.0, 0.02])
         assert ctx.mu_p(rd).tobytes() == capture_exact(rd, 0.1, ctx.ra).tobytes()
+
+    POINTS = {"wz": (0.03, 0.1, 2.0), "sigma_theta_e": (1e-5, 5e-5, 2e-3), "sigma_aoa": (2e-5, 6e-5, 1.5e-4),
+              "theta_fov": (5e-6, 1e-4, 2e-3), "B_lambda": (0.0, 1e-6, 1e-4)}
+
+    @pytest.mark.parametrize("base", [make_config(), LinkConfig()], ids=["fov_set", "fov_and_mu_b_derived"])
+    @pytest.mark.parametrize("axis", list(POINTS))
+    def test_point_k_is_the_points_own_context(self, base, axis):
+        # point k of a P-point context holds the floats and the cached grid
+        # of the point's own context, and evaluates as it does, bit for bit
+        assert set(self.POINTS) == set(SWEEPABLE)
+        values = self.POINTS[axis]
+        ctx = config._derive(base, {axis: np.array(values)})
+        for k, v in enumerate(values):
+            point, alone = analytics._point(ctx, k), build_context(replace(base, **{axis: v}))
+            assert point.shape == () and point.grid is alone.grid
+            for name in ("sigma_rd", "theta_fov", "sigma_aoa", "mu_b"):
+                got = getattr(point, name)
+                assert type(got) is float and got == getattr(alone, name), name
+            assert repr(evaluate(point)) == repr(evaluate(alone))  # every field, NaN included
+        assert analytics._point(alone, 2) is alone
 
     @pytest.mark.parametrize("field", ["sigma_rd", "theta_fov", "sigma_aoa", "mu_b"])
     def test_rejects_a_two_dimensional_per_point_field(self, baseline_ctx, field):

@@ -355,15 +355,18 @@ class TestResolvedLog:
         assert build_grid.cache_info().currsize == 1
 
 
-def run_process(*argv):
-    """``python -m uavqkd.cli argv`` in a fresh process, with default
-    warning filters: (exit code, stdout, stderr)."""
+def run_python(*argv, cwd=None):
+    """``python argv`` in a fresh process that imports this package, with
+    default warning filters and no config file: (exit code, stdout, stderr)."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "UAVQKD_CONFIG")}
     env["PYTHONPATH"] = str(Path(uavqkd.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "uavqkd.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_process(*argv):
+    """``python -m uavqkd.cli argv`` in a fresh process: (exit code, stdout, stderr)."""
+    return run_python("-m", "uavqkd.cli", *argv)
 
 
 class TestWarningsLogged:
@@ -462,6 +465,23 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == cli.EXIT_OK and out, argv
     assert not any((tmp_path / "run").iterdir())
+
+
+def readme_library_blocks() -> list[str]:
+    """The ``python`` blocks under README's "Library use" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+
+
+def test_readme_library_examples_run(tmp_path):
+    # each block in a fresh process, in an empty directory that it must leave empty
+    blocks = readme_library_blocks()
+    assert blocks
+    for block in blocks:
+        code, out, err = run_python("-c", block, cwd=tmp_path)
+        assert code == 0 and out, f"{block}\n{err}"
+    assert not any(tmp_path.iterdir())
 
 
 class TestGoldenOutput:

@@ -98,6 +98,22 @@ class TestDeterminism:
             run(baseline_ctx, 1000, seed=1, workers=0)
 
     @pytest.mark.parametrize(
+        "counts", [{"n_slots": True}, {"n_slots": 1000.0}, {"workers": 1.5}, {"workers": True}],
+        ids=["n_slots_bool", "n_slots_float", "workers_float", "workers_bool"],
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, baseline_ctx, counts):
+        # True simulated one slot and 1000.0 failed inside SeedSequence.spawn
+        [name] = counts
+        args = {"n_slots": 1000, "workers": 1, **counts}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, not"):
+            run(baseline_ctx, args["n_slots"], seed=1, workers=args["workers"])
+
+    def test_takes_numpy_integer_counts(self, baseline_ctx):
+        report = run(baseline_ctx, np.int64(5000), seed=1, workers=np.int32(2))
+        assert report == run(baseline_ctx, 5000, seed=1)
+        assert type(report.n_slots) is int and type(report.estimates.p_detect) is float
+
+    @pytest.mark.parametrize(
         "axis, value", [("wz", 0.07), ("theta_fov", 1e-4), ("sigma_aoa", 2e-5), ("sigma_theta_e", 9e-5), ("B_lambda", 1e-4)]
     )
     def test_context_of_shape_one_is_its_point(self, baseline_cfg, axis, value):

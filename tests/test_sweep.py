@@ -113,6 +113,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="given together"):
             SweepSpec("wz", (0.05, 0.1), overlay_values=(1e-6, 2e-6))
 
+    @pytest.mark.parametrize("kind", [list, np.array], ids=["list", "ndarray"])
+    def test_any_sequence_of_values(self, baseline_cfg, kind):
+        # kept as tuples of floats: the spec is hashable and sweeps as the tuple spec
+        spec = SweepSpec("wz", kind([0.05, 0.1]), "sigma_aoa", kind([3e-5, 8e-5]))
+        tuples = SweepSpec("wz", (0.05, 0.1), "sigma_aoa", (3e-5, 8e-5))
+        assert spec == tuples and hash(spec) == hash(tuples)
+        assert all(type(v) is float for v in spec.values + spec.overlay_values)
+        rows = sweep(baseline_cfg, spec).rows
+        assert rows == sweep(baseline_cfg, tuples).rows and len(rows) == 4
+        spec = SweepSpec("wz", np.geomspace(0.05, 1.0, 12))
+        assert spec.values == tuple(np.geomspace(0.05, 1.0, 12).tolist())
+        with pytest.raises(ValueError, match="at least one value"):
+            SweepSpec("wz", np.array([]))
+        with pytest.raises(ValueError, match="increasing"):
+            SweepSpec("wz", [0.1, 0.05])
+
     @pytest.mark.parametrize(
         "values,overlay_values",
         [((0.05, math.nan, 0.1), ()), ((math.inf,), ()), ((0.05, 0.1), (1e-6, math.nan)), ((0.05,), (-math.inf,))],
@@ -201,6 +217,35 @@ class TestSweep:
             want = [int(ss.generate_state(1, dtype=np.uint64)[0])
                     for ss in real_seed_sequence(baseline_cfg.seed).spawn(4)]
             assert spawned == [(baseline_cfg.seed,)] and seeds == want
+
+    @pytest.mark.parametrize(
+        "base, spec",
+        [
+            (make_config(), SweepSpec("wz", (0.05, 0.1, 0.3), "sigma_aoa", (30e-6, 80e-6), engine="both")),
+            # theta_fov x B_lambda on the reference config: FoV and mu_b derived
+            (LinkConfig(), SweepSpec("theta_fov", (20e-6, 100e-6), "B_lambda", (1e-6, 1e-4), engine="monte_carlo")),
+            (make_config(), SweepSpec("sigma_theta_e", (20e-6, 300e-6), "wz", (0.05, 0.2), engine="monte_carlo")),
+            (make_config(), SweepSpec("wz", (0.07,), engine="both")),
+        ],
+        ids=["wz_both", "theta_fov_derived", "sigma_theta_e", "one_value"],
+    )
+    def test_mc_rows_are_each_points_own_run(self, base, spec):
+        # each Monte Carlo row is the run of the point's own context on the
+        # point's spawned seed, field for field (NaN equals NaN)
+        base = replace(base, n_slots=montecarlo.BATCH_SIZE + 3_000)
+        points = [(v, ov) for ov in spec.overlay_values or (None,) for v in spec.values]
+        seeds = np.random.SeedSequence(base.seed).spawn(len(points))
+        rows = [row for row in sweep(base, spec).rows if row["method"] == "monte_carlo"]
+        assert len(rows) == len(points)
+        for row, (v, ov), ss in zip(rows, points, seeds):
+            cfg = replace(base, **{spec.axis: v, **({spec.overlay: ov} if spec.overlay else {})})
+            seed = int(ss.generate_state(1, dtype=np.uint64)[0])
+            report = montecarlo.run(build_context(cfg), base.n_slots, seed).estimates
+            [want] = output.perf_rows(report, spec.axis, [v], spec.overlay or "", [ov])
+            assert row.keys() == want.keys()
+            for key, a in row.items():
+                b = want[key]
+                assert a == b or (math.isnan(a) and math.isnan(b)), f"{key}: {a!r} vs {b!r}"
 
     def test_invalid_point_reports_location(self, baseline_cfg):
         spec = SweepSpec(axis="wz", values=(0.1, 1e6))
