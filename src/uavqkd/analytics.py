@@ -14,9 +14,10 @@ The evaluation chain, conditioned on the lateral beam displacement rd:
 
 That average has a closed form for both capture models: the beam profile
 and the beam centre are Gaussian, so each Gaussian term of the capture
-model averages over the Rayleigh rd in erfc (grid) or in exp (exact).
-``beam`` evaluates both (``capture_grid_mean``, ``capture_exact_mean``),
-and the linearized analytics make no quadrature call.
+model averages over the Rayleigh rd in closed form: the grid's own mu_p(0)
+plus one erf term a segment (grid), or one exp (exact). ``beam`` evaluates
+both (``capture_grid_mean``, ``capture_exact_mean``), and the linearized
+analytics make no quadrature call.
 
 The linearization overestimates detection when c_pt * mu_p approaches
 0.1; a LinearizationWarning is emitted in that regime, and
@@ -304,7 +305,7 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     cols = ctx._cols
     sigma, wz, mu_p0, peak = cols["sigma_rd"], cols["wz"], cols["mu_p0"], cols["peak"]
     mean_mu_p = (capture_exact_mean(sigma, wz, ctx.ra) if ctx.mu_p_mode == "exact"
-                 else capture_grid_mean(ctx.grid, sigma, wz))
+                 else capture_grid_mean(ctx.grid, sigma))
     n, over = sigma.size, [v - 1.0 for v in peak.tolist() if v > _OVERFLOW]
     lin = [v for v in (ctx.c_pt * mu_p0).tolist() if v > 0.1]
     if over:
@@ -312,7 +313,7 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
                       CaptureOverflowWarning, stacklevel=2)
     if lin:
         warnings.warn(f"c_pt * mu_p(0) = {_span(lin, '.3f')} > 0.1 at {len(lin)} of {n} points: the small-signal "
-                      "linearization behind the analytic detection probability overstates it there (by 10.8% at "
+                      "linearization behind the analytic detection probability overstates it there (by +12.3% at "
                       "c_pt * mu_p(0) = 0.119, the reference link)", LinearizationWarning, stacklevel=2)
     return _out(ctx, ctx.c_pt * ctx.p_fov * mean_mu_p)
 

@@ -127,7 +127,8 @@ def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int):
     return (lambda i: np.hypot(s * g[0, i], s * g[1, i])), eta, accepted
 
 
-# Bound on an exact capture value: chndtr returns at most ~1e-14 above 1.
+# Bound on an exact capture value: chndtr returns at most ~1e-14 above 1, and
+# TestThinning checks the bound over the config box.
 _CAP_MAX_EXACT = 1.0 + 1e-9
 
 

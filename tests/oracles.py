@@ -3,12 +3,14 @@
 The Gamma-Gamma density and CDF here check the package's Gamma-Gamma
 sampler (moments and Kolmogorov-Smirnov tests); the package itself never
 needs them. The nested adaptive quadrature of the turbulence-averaged
-detection probability checks the package's fixed-node engine, and the
-long-double grid sum the package's grid kernel.
+detection probability checks the package's fixed-node engine, the
+long-double grid sum the package's grid kernel, and the 40-digit grid mean
+the grid model's closed-form Rayleigh mean.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, interpolate, special
 
@@ -139,3 +141,26 @@ def grid_sum(grid, rd) -> np.ndarray:
     c = grid.weights.astype(np.longdouble)
     scale = np.longdouble(-2.0) / np.longdouble(grid.wz) ** 2
     return np.array([np.sum(c * np.exp(scale * (x - r) ** 2)) for r in np.asarray(rd, dtype=np.longdouble)])
+
+
+def grid_mean(grid, sigma: float):
+    """sum_i c_i J(x_i), the mean of a one-point ``grid``'s sum over
+    rd ~ Rayleigh(``sigma``), from its stored ``centers`` and ``weights``
+    at 40 digits, in the form completing the square gives term by term:
+
+        J(x) = e^(-2 x^2 / s2) [e^(-z^2) + sqrt(pi) z erfc(-z)] wz^2 / s2,
+        s2 = wz^2 + 4 sigma^2,  z = 2 sqrt(2) sigma x / (wz sqrt(s2)).
+
+    Returned as an mpmath number, so a mean below the smallest double keeps
+    its value. numpy has no long-double erf, hence mpmath.
+    """
+    with mpmath.workdps(40):
+        wz, sigma = mpmath.mpf(grid.wz), mpmath.mpf(sigma)
+        s2 = wz**2 + 4 * sigma**2
+        scale = 2 * mpmath.sqrt(2) * sigma / (wz * mpmath.sqrt(s2))
+        total = mpmath.mpf(0)
+        for x, c in zip(grid.centers.tolist(), grid.weights.tolist()):
+            z = scale * x
+            total += c * mpmath.exp(-2 * mpmath.mpf(x) ** 2 / s2) * (
+                mpmath.exp(-(z**2)) + mpmath.sqrt(mpmath.pi) * z * mpmath.erfc(-z))
+        return total * wz**2 / s2

@@ -593,6 +593,79 @@ class TestCaptureGrid:
         assert math.ceil(18.0 * grid.wz / grid.dx) + 2 < grid.ng
 
 
+ROW_KINDS = ("one-segment", "windowed", "spike", "wider")
+
+
+def _row_kind(grid) -> str:
+    """How a one-point grid derives its mu_p0: the dense row sum over the
+    whole grid ("one-segment"), or ``_grid_sum`` over a window of it, over
+    spikes (2 dx > wz) or over wider blocks."""
+    if _half_block(grid.wz, grid.dx, grid.ng):
+        return "wider"
+    if 2.0 * grid.dx > grid.wz:
+        return "spike"
+    return "windowed" if beam._window(grid.wz, 0.0, grid.dx) < grid.ng else "one-segment"
+
+
+@st.composite
+def _mean_case(draw):
+    """(ra, wz, N_g <= 500, sigma = sigma_theta_e Lz) over the validator box,
+    of a grid of each row kind in turn: spikes below N_g = 4 ra / wz, wider
+    blocks from N_g = 2,336 ra / wz (wz >= 1,168 dx)."""
+    kind = draw(st.sampled_from(ROW_KINDS))
+    ra, wz = draw(log_uniform_field("ra")), draw(log_uniform_field("wz"))
+    spike = math.ceil(4.0 * ra / wz)
+    lo, hi = {"spike": (2, spike - 1), "wider": (max(32, math.ceil(2336.0 * ra / wz)), 500)}.get(kind, (spike, 500))
+    lo, hi = max(lo, 2), min(hi, 500)
+    assume(lo <= hi)
+    ng = draw(st.integers(lo, hi))
+    assume(_row_kind(build_grid(ra, wz, ng)) == kind)
+    return ra, wz, ng, draw(log_uniform_field("sigma_theta_e")) * draw(log_uniform_field("Lz"))
+
+
+class TestCaptureGridMean:
+    @settings(max_examples=150, deadline=None)
+    @given(_mean_case())
+    @example((0.15, 0.10, 10, 0.05))  # the reference link: one-segment blocks
+    @example((1.5, 0.03, 500, 0.05))  # windowed
+    @example((1.5, 0.005, 2, 5e-4))  # spikes, the mean far below the smallest double
+    @example((0.015, 10.0, 500, 200.0))  # wider blocks, sigma at the top of the box
+    @example((1.5, 0.005, 300, 1e-3))  # spikes: a sum without the odd part misses by 15 bounds
+    def test_matches_40_digit_oracle(self, case):
+        # against sum_i c_i J(x_i) at 40 digits, to the grid sum's own bound;
+        # a mean below the smallest normal double may come back as 0 or subnormal
+        ra, wz, ng, sigma = case
+        grid = build_grid(ra, wz, ng)
+        got = beam.capture_grid_mean(grid, np.array([sigma]))
+        assert got.shape == (1,)
+        truth = oracles.grid_mean(grid, sigma)
+        bound = 8.0 * np.finfo(float).eps * (1.0 + abs(mpmath.log(truth)))
+        assert abs(mpmath.mpf(got[0]) - truth) <= bound * truth + np.finfo(float).tiny
+
+    def test_draw_covers_every_row_kind(self):
+        kinds = set()
+
+        # derandomized: windowed grids are about 7% of the draws
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @given(_mean_case())
+        def record(case):
+            kinds.add(_row_kind(build_grid(*case[:3])))
+
+        record()
+        assert kinds == set(ROW_KINDS)
+
+    def test_zero_sigma_gives_mu_p0(self):
+        # z = 0 makes the sum 0 and wz^2 / s2 is exactly 1: bit for bit, on
+        # every row of a grid holding each row kind and on one-point grids
+        wz = np.array([1.0, 0.005, 0.03, 10.0])
+        rows = CaptureGrid(1.5, wz, 500)
+        assert {_row_kind(build_grid(1.5, w, 500)) for w in wz.tolist()} == set(ROW_KINDS)
+        assert np.array_equal(beam.capture_grid_mean(rows, np.zeros(wz.size)), rows.mu_p0)
+        for w in wz.tolist():
+            grid = build_grid(1.5, w, 500)
+            assert np.array_equal(beam.capture_grid_mean(grid, np.zeros(3)), np.full(3, grid.mu_p0))
+
+
 # sha256 of the bytes of capture_grid values (signs of zero included) and of
 # mu_p0, one digest for the grids of one-segment blocks and one for those of
 # wider blocks: any change to the arithmetic of the grid sum changes one.

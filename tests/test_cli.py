@@ -505,7 +505,7 @@ class TestGoldenOutput:
         ("bright", ["optimize", "--var", "theta_fov", "--qber-max", "1e-9", "--bounds", "5urad:200urad"]),
         ("link", ["validate", "--wz", "5cm,10cm", "--rd-max", "0.2", "--points", "4"]),
     ]
-    SHA256 = "15e6d6c7676c3f213d1743f931ec55b92fa938f707246ac63805765ae0cdfb38"
+    SHA256 = "fe6f71909c12ef33f25a48adffe5133ca3d9e0706f586115742e12b85377bc8b"
 
     def test_stdout_bytes_pinned(self, capsys, tmp_path):
         paths = {"link": tmp_path / "link.cfg", "bright": tmp_path / "bright.cfg"}

@@ -1,6 +1,6 @@
 """The layering of the package, read from its source with ``ast``: ``beam``
-is the one capture layer, so it alone calls ``scipy.special`` and reads the
-private members of ``CaptureGrid``."""
+is the one capture layer, so it alone calls ``scipy.special``, only ``erf``
+and ``chndtr`` of it, and reads the private members of ``CaptureGrid``."""
 
 import ast
 import pathlib
@@ -33,6 +33,15 @@ def _imported(tree: ast.AST) -> set[str]:
 def test_only_beam_imports_scipy_special(path):
     names = _imported(_tree(path))
     assert not {n for n in names if n == "scipy.special" or n.startswith("scipy.special.")}, path.name
+
+
+def test_beam_calls_only_erf_and_chndtr_of_scipy_special():
+    # what a pure-numpy runtime has left to replace: the chord weights' erf,
+    # the grid mean's erf and exact capture's chndtr
+    calls = {node.func.attr for node in ast.walk(_tree(SRC / "beam.py"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "special"}
+    assert calls == {"erf", "chndtr"}
 
 
 def test_init_keeps_its_scipy_integrate_import():

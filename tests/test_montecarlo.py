@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import make_context
+from conftest import log_uniform_field, make_context
 from oracles import gg_cdf_interpolator
 from uavqkd import config, montecarlo
 from uavqkd.analytics import detect_prob
@@ -312,6 +314,18 @@ class TestThinning:
             assert np.array_equal(detected, np.flatnonzero(sig))
             assert np.array_equal(got_n_b, n_b)
             assert np.array_equal(got_cand, np.flatnonzero(cand))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform_field("wz"), log_uniform_field("ra"), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(0.005, 1.5, [0.0, 0.5])  # b = 2 ra / wz = 600, rd inside the aperture
+    @example(10.0, 0.015, [0.0, 1.0])  # b = 0.003
+    def test_exact_capture_never_exceeds_the_thinning_bound(self, wz, ra, fractions):
+        # the thinning is exact only while no exact capture value exceeds
+        # _CAP_MAX_EXACT: over the box, rd = 0, rd = 1e-161 (a subnormal
+        # noncentrality) and draws up to ra + 12 wz, array and scalar path
+        rd = np.array([0.0, 1e-161] + [f * (ra + 12.0 * wz) for f in fractions])
+        assert capture_exact(rd, wz, ra).max() <= montecarlo._CAP_MAX_EXACT
+        assert max(capture_exact(r, wz, ra) for r in rd.tolist()) <= montecarlo._CAP_MAX_EXACT
 
     def test_capture_evals_counts_candidates(self, baseline_ctx):
         n = 2 * BATCH_SIZE + 1001
