@@ -150,6 +150,11 @@ def capture_exact_mean(sigma, wz, ra: float):
     Gaussian of variance sigma^2 per axis, so it lands on a centred Gaussian
     of variance (wz^2 + 4 sigma^2) / 4 per axis and the mean is
     1 - exp(-2 ra^2 / (wz^2 + 4 sigma^2)). At sigma = 0 it is mu_p(0).
+
+    It takes the checked columns of a context (a ``sigma`` >= 0 per point,
+    and the radii of a grid its constructor checked) and checks nothing
+    itself: a NaN argument gives a NaN, and a negative one the value of its
+    magnitude, not an error.
     """
     return -np.expm1(-2.0 * ra**2 / (wz**2 + 4.0 * sigma**2))
 
@@ -182,6 +187,13 @@ class CaptureGrid:
     """The grid model of an (ra, wz, N_g) triple: N_g segments of width
     dx = 2 ra / N_g, centred on x_i = (i + 0.5) dx - ra, of weights
     c_i = (2 dx / (sqrt(2 pi) wz)) erf(sqrt(2 / wz^2) sqrt(ra^2 - x_i^2)).
+
+    The model is defined for an integer N_g >= 2 (an int or numpy integer,
+    not a bool) and a finite ra > 0 and wz > 0, wz a float or a 1-D array
+    of such radii. The constructor checks that rule before it derives
+    anything and raises ValueError otherwise, so every grid is checked
+    once, however it is built: by ``build_grid``, as the P rows of a sweep,
+    or directly.
 
     The grid holds nothing per segment until a sum reads it: ``centers``
     and ``weights`` are read-only float arrays computed on first access and
@@ -229,9 +241,15 @@ class CaptureGrid:
         the dense row sum (``_row_sums``) for all such rows, equal bit
         for bit to ``_grid_sum``'s. Only those rows pay for it: every other
         row is summed by ``_grid_sum`` alone."""
-        object.__setattr__(self, "dx", 2.0 * self.ra / self.ng)
-        one, dx, ng = np.ndim(self.wz) == 0, self.dx, self.ng
-        wz = np.atleast_1d(self.wz)
+        one, ng, wz = np.ndim(self.wz) == 0, self.ng, np.atleast_1d(self.wz)
+        if isinstance(ng, bool) or not isinstance(ng, (int, np.integer)):
+            raise ValueError(f"grid segment count must be an integer, not {ng!r}")
+        if ng < 2:
+            raise ValueError("grid needs at least 2 segments")
+        if (not 0.0 < self.ra < math.inf or not (one or isinstance(self.wz, np.ndarray)) or wz.ndim > 1
+                or not ((wz > 0.0) & (wz < math.inf)).all()):
+            raise ValueError("the capture grid requires finite ra > 0 and wz > 0, wz a float or 1-D array")
+        object.__setattr__(self, "dx", dx := 2.0 * self.ra / ng)
         summed = (_window(wz, 0.0, dx) < ng) | (2.0 * dx > wz) | (_half_block(wz, dx, ng) > 0)
         mu_p0, peak = np.empty(wz.size), np.empty(wz.size)
         # float_power squares by C pow, as _grid_sum's float wz**2 does (numpy's
@@ -278,20 +296,14 @@ class CaptureGrid:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def build_grid(ra: float, wz: float, ng: int) -> CaptureGrid:
-    """Build (and cache) the capture grid for an (ra, wz, Ng) triple.
+    """The cached ``CaptureGrid(ra, wz, ng)``.
 
     Sweeps evaluate the same grid at thousands of displacements, hence the
     cache keyed by the three defining values and their types, so a float
-    ``ng`` is never served the grid of an equal int: ``ng`` must be an
-    integer (an int or numpy integer, not a bool), as ``config`` requires of
-    ``Ng``, on every call.
+    ``ng`` is never served the grid of an equal int. The cache checks
+    nothing: the constructor does (see ``CaptureGrid``), and as a failed
+    call is not cached, a bad triple raises on every call.
     """
-    if isinstance(ng, bool) or not isinstance(ng, (int, np.integer)):
-        raise ValueError(f"grid segment count must be an integer, not {ng!r}")
-    if ng < 2:
-        raise ValueError("grid needs at least 2 segments")
-    if not ra > 0 or not wz > 0:
-        raise ValueError("build_grid requires ra > 0 and wz > 0")
     return CaptureGrid(ra, wz, ng)
 
 
@@ -449,7 +461,11 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
     (s = 0) it is sum_i c_i exp(-2 (x_i - rd)^2 / wz^2) itself.
 
     The sum runs over a window of the blocks nearest rd, wide enough to hold
-    every block centre within 9 wz + s of it. Past centre[-1] + 20 wz every
+    every block centre within 9 wz + s of it. Where no block centre lies
+    within 9 wz + s to the left of rd (a gap between blocks of more than
+    that), the window starts one block earlier, at rd's left neighbour, so
+    the two blocks either side of rd are both summed and a value in the
+    deep tail keeps its largest terms. Past centre[-1] + 20 wz every
     segment's term is below e^-798, under the smallest double, so rd is
     clamped there: u * u and the series stay finite for any rd, and an
     infinite rd gives 0.
@@ -461,8 +477,7 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
     window of segments several wz wide). Other chunks make no extra pass.
     That moves only sums in the deep tail, in their last bits, and a sum of
     such terms alone is 0."""
-    nb = centre.size
-    wz2 = wz**2
+    nb, wz2 = centre.size, wz**2
     lim = 9.0 * wz + s
     k = min(nb, int(_window(wz, s, spacing)))  # blocks within lim
     step = max(1, _CHUNK // k)
@@ -477,6 +492,9 @@ def _grid_sum(centre: np.ndarray, m: np.ndarray, s: float, spacing: float, wz: f
             u = centre - r
         else:
             lo = np.minimum(np.searchsorted(centre, r[:, 0] - lim), nb - k)
+            # in a gap wider than lim the window would start right of rd and
+            # leave out its left neighbour, which may be the largest term
+            lo -= (centre[lo] > r[:, 0]) & (lo > 0)
             u = centre_w[lo]
             u -= r
         if len(m) == 1:
@@ -582,6 +600,10 @@ def capture_grid_mean(grid: CaptureGrid, sigma: np.ndarray) -> np.ndarray:
     relative of sum_i c_i J(x_i) summed at 40 digits over the stored centres
     and weights (``tests/oracles.grid_mean``), eps being the double epsilon
     and v the value, the grid sum's own bound (see ``capture_grid``).
+
+    Like ``capture_exact_mean`` it takes the checked columns of a context
+    (a ``sigma`` >= 0 per point, and a grid its constructor checked) and
+    checks nothing itself.
     """
     sigma, wz, mu_p0 = np.broadcast_arrays(sigma, grid.wz, grid.mu_p0)
     x, s2 = grid.centers, wz * wz + 4.0 * sigma * sigma

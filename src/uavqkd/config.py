@@ -118,15 +118,15 @@ class LinkConfig:
 # field -> (kind, lo, hi), in LinkConfig's declaration order
 _FIELDS: dict[str, tuple[str, float | None, float | None]] = {f.name: f.metadata["spec"] for f in fields(LinkConfig)}
 
-# the fields that may be None: one of each given-or-derived pair, theta_fov and mu_b
-_OPTIONAL = {"eta_atm", "alpha_a", "wz", "w0", "theta_fov", "mu_b"}
-
 # a field derived when unset -> its sources and evaluator (derived mu_b is not range-checked)
 _DERIVED = {
     "eta_atm": (("alpha_a", "Lz"), atm_transmittance),
     "wz": (("w0", "wavelength", "Lz"), beam_radius),
     "theta_fov": (("r_f", "L_f"), fov_geometry),
 }
+
+# the fields that may be None: each derived field, and those of default None (alpha_a, w0, mu_b)
+_OPTIONAL = set(_DERIVED) | {f.name for f in fields(LinkConfig) if f.default is None}
 
 
 def _resolved(cfg: LinkConfig, name: str) -> float:
@@ -203,9 +203,9 @@ def loads(text: str) -> LinkConfig:
         else:
             parsed = parse_quantity(val, kind, field=f"line {lineno}: {key}")
         overrides[key] = parsed
-    # A file that sets a source but not the field it derives asks for derivation.
-    for source, derived in (("alpha_a", "eta_atm"), ("w0", "wz")):
-        if source in overrides and derived not in overrides:
+    # A file that sets the first source of a derived field but not the field asks for derivation.
+    for derived, (sources, _) in _DERIVED.items():
+        if sources[0] in overrides and derived not in overrides:
             overrides[derived] = None
     cfg = replace(LinkConfig(), **overrides)
     validate(cfg)

@@ -20,7 +20,7 @@ from uavqkd.beam import build_grid, capture_exact, capture_grid
 from uavqkd.channel import background_mean, solid_angle
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, LinearizationWarning
-from uavqkd.sweep import SWEEPABLE
+from uavqkd.sweep import SWEEPABLE, optimize
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -383,9 +383,50 @@ class TestDetectProb:
         scaled = replace(scaled, mu_b=baseline_ctx.mu_b)
         assert detect_prob(scaled) == pytest.approx(detect_prob(baseline_ctx), rel=1e-10)
         assert evaluate(scaled).key_rate == pytest.approx(evaluate(baseline_ctx).key_rate, rel=1e-10)
+        # the FoV factors out of both engines: I / P_fov is one number over any
+        # (theta_fov, sigma_aoa, B_lambda), so a later coupling of the FoV into
+        # the capture path shows here. One array pass of 64 FoVs x 3 radiances
+        # (measured spread 2.6e-16 relative), a 64-point sigma_aoa axis, and the
+        # averaged engine at four points under both capture models
+        cfg, thetas = LinkConfig(), np.geomspace(0.5e-6, 2e-3, 64)
+        fov_by_b = config._derive(cfg, {"theta_fov": np.tile(thetas, 3), "B_lambda": np.repeat([0.0, 1e-6, 1e-3], 64)})
+        aoa = config._derive(cfg, {"sigma_aoa": np.geomspace(5e-6, 2e-3, 64)})
+        for ctx in (fov_by_b, aoa):
+            _assert_within_4_ulp(detect_prob(ctx) / ctx.p_fov)
+        points = [(0.5e-6, 5e-6, 0.0), (33e-6, 50e-6, 1e-6), (200e-6, 20e-6, 1e-4), (2e-3, 2e-3, 1e-3)]
+        contexts = [build_context(LinkConfig(theta_fov=t, sigma_aoa=s, B_lambda=b)) for t, s, b in points]
+        for mode in ("grid", "exact"):
+            averaged = [detect_prob(replace(c, mu_p_mode=mode), turbulence="averaged") / c.p_fov for c in contexts]
+            _assert_within_4_ulp(np.array(averaged))
+
+
+def _assert_within_4_ulp(values: np.ndarray) -> None:
+    """``values`` are one number up to 4 ulps of the largest."""
+    assert np.ptp(values) <= 4.0 * np.spacing(values.max()), np.ptp(values) / values.max()
 
 
 class TestKeyMetrics:
+    def test_qber_tends_to_the_radiance_limit_as_the_fov_shrinks(self):
+        # With I = P_fov I0 and mu_b = k Omega(theta_fov), as the FoV shrinks
+        # P_fov ~ theta^2 / (2 sigma_aoa^2) and Omega ~ pi theta^2, so the QBER
+        # tends to 0.5 r / (1 + r), r = 2 pi k sigma_aoa^2 / I0: no FoV meets a
+        # ceiling q above the radiance B* at which that limit is q
+        cfg = LinkConfig()
+        ctx = build_context(cfg)
+        i0 = evaluate(ctx).p_detect / ctx.p_fov
+        k_per_b = ctx.mu_b / solid_angle(ctx.theta_fov) / cfg.B_lambda  # mu_b is linear in B_lambda
+        r_per_b = 2.0 * math.pi * k_per_b * cfg.sigma_aoa**2 / i0
+        for b in (1e-6, 1e-5):
+            limit = 0.5 * r_per_b * b / (1.0 + r_per_b * b)
+            # 1.1e-4 relative, most of it solid_angle's 2 pi (1 - cos theta) cancellation
+            assert evaluate(build_context(replace(cfg, B_lambda=b, theta_fov=0.5e-6))).qber == pytest.approx(
+                limit, rel=5e-4)
+        q = 1e-3
+        b_star = q / (0.5 - q) / r_per_b  # 2.50e-6 W/m^2/sr/nm
+        assert b_star == pytest.approx(2.50e-6, rel=1e-3)
+        assert optimize(LinkConfig(B_lambda=0.98 * b_star), "theta_fov", q, (0.5e-6, 200e-6)).feasible
+        assert not optimize(LinkConfig(B_lambda=1.02 * b_star), "theta_fov", q, (0.5e-6, 200e-6)).feasible
+
     def test_dark_limit(self, baseline_ctx):
         ctx = replace(baseline_ctx, mu_b=0.0)
         i = detect_prob(ctx)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -28,6 +29,14 @@ from uavqkd.beam import (
 from uavqkd.errors import CaptureOverflowWarning
 
 RA = 0.15
+
+# the ways to build a grid of (ra, wz, ng): the cache, a one-point grid, and a
+# two-row grid whose second row has radius wz
+GRID_BUILDERS = {
+    "build_grid": build_grid,
+    "one point": CaptureGrid,
+    "second row": lambda ra, wz, ng: CaptureGrid(ra, np.array([0.1, wz]), ng),
+}
 
 
 def _rician_capture(rd, wz, ra):
@@ -332,6 +341,17 @@ class TestCaptureGrid:
         bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(truth)))
         assert np.all(np.abs(capture_grid(grid, rd) - truth) <= bound * truth)
 
+    def test_sum_in_a_gap_between_spikes_keeps_both_neighbours(self):
+        # segments 1/3 apart, 33 wz: where no centre lies within 9 wz left of
+        # rd, a window starting right of rd left out its left neighbour,
+        # giving half the sum at a gap's middle and 0 just left of it
+        grid = build_grid(1.5, 0.01, 9)
+        rd = np.linspace(0.0, 1.5, 46)
+        truth = oracles.grid_sum(grid, rd)
+        bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(truth)))
+        assert np.all(np.abs(capture_grid(grid, rd) - truth) <= bound * truth)
+        assert grid.mu_p0 == capture_grid(grid, 0.0)
+
     @pytest.mark.parametrize("ng", [10, 1000, 100_000])
     def test_value_does_not_depend_on_the_batch(self, ng):
         # a row's grid sum must not depend on its place in the batch: 2,000
@@ -385,8 +405,11 @@ class TestCaptureGrid:
             capture_grid(build_grid(RA, 0.1, 10), rd)
 
     def test_too_few_segments_rejected(self):
-        with pytest.raises(ValueError):
-            build_grid(RA, 0.1, 1)
+        # a one-segment grid built directly gave mu_p(0) = 2.39
+        for build, ng in itertools.product(GRID_BUILDERS.values(), [1, 0, -3, np.int64(1)]):
+            for _ in range(2):  # on a repeat call as on the first
+                with pytest.raises(ValueError, match="^grid needs at least 2 segments$"):
+                    build(RA, 0.1, ng)
 
     @pytest.mark.parametrize("ng", [10.0, 10.5, 1e5, True, np.float64(10.0), "10"],
                              ids=["10.0", "10.5", "1e5", "True", "float64", "str"])
@@ -394,10 +417,11 @@ class TestCaptureGrid:
         # no float, even an integral one, and no bool is a segment count, and
         # an equal int's cached grid must not answer for one
         build_grid(RA, 0.1, 10)
-        for _ in range(2):  # on a repeat call as on the first
-            with pytest.raises(ValueError, match="integer"):
-                build_grid(RA, 0.1, ng)
-        assert build_grid(RA, 0.1, np.int64(10)).ng == 10
+        for build in GRID_BUILDERS.values():
+            for _ in range(2):  # on a repeat call as on the first
+                with pytest.raises(ValueError, match="^grid segment count must be an integer, not "):
+                    build(RA, 0.1, ng)
+            assert build(RA, 0.1, np.int64(10)).ng == 10
         assert build_grid.cache_info().currsize >= 1 and callable(build_grid.cache_clear)
 
     def test_grid_of_rows_rejected(self):
@@ -423,10 +447,29 @@ class TestCaptureGrid:
         got = capture_grid(CaptureGrid(ra, np.array([0.1]), ng), 0.01)
         assert type(got) is float and got == capture_grid(CaptureGrid(ra, 0.1, ng), 0.01)
 
-    @pytest.mark.parametrize("ra,wz", [(math.nan, 0.1), (RA, math.nan), (0.0, 0.1), (RA, -0.1)])
+    @pytest.mark.parametrize("ra,wz", [(math.nan, 0.1), (RA, math.nan), (0.0, 0.1), (RA, 0.0), (-RA, 0.1),
+                                       (RA, -0.1), (math.inf, 0.1), (RA, math.inf)])
     def test_rejects_bad_geometry(self, ra, wz):
-        with pytest.raises(ValueError):
-            build_grid(ra, wz, 10)
+        # an infinite ra gave a NaN grid, a NaN row of a P-row grid a NaN
+        # mu_p0, and a zero or negative radius failed inside numpy
+        for build in GRID_BUILDERS.values():
+            for _ in range(2):  # on a repeat call as on the first
+                with pytest.raises(ValueError, match="^the capture grid requires finite ra > 0 and wz > 0"):
+                    build(ra, wz, 10)
+
+    def test_rejects_a_wz_that_is_not_a_float_or_a_1d_array(self):
+        # a list of radii built mu_p0 but failed as its weights were read
+        for wz in (np.full((2, 2), 0.1), np.full((1, 1), 0.1), [0.05, 0.1], (0.1,)):
+            with pytest.raises(ValueError, match="wz a float or 1-D array"):
+                CaptureGrid(RA, wz, 10)
+        assert CaptureGrid(RA, np.array(0.1), 10).mu_p0 == CaptureGrid(RA, 0.1, 10).mu_p0
+
+    def test_rules_are_checked_in_order(self):
+        # the segment count's type, then its size, then ra and wz
+        with pytest.raises(ValueError, match="integer"):
+            CaptureGrid(math.nan, np.array([0.1, math.nan]), 1.0)
+        with pytest.raises(ValueError, match="at least 2"):
+            CaptureGrid(math.nan, np.array([0.1, math.nan]), 1)
 
     def test_cache_returns_same_object(self):
         grid = build_grid(RA, 0.1, 10)
@@ -631,6 +674,7 @@ class TestCaptureGridMean:
     @example((1.5, 0.005, 2, 5e-4))  # spikes, the mean far below the smallest double
     @example((0.015, 10.0, 500, 200.0))  # wider blocks, sigma at the top of the box
     @example((1.5, 0.005, 300, 1e-3))  # spikes: a sum without the odd part misses by 15 bounds
+    @example((1.0, 0.01, 6, 1e-3))  # spikes 33 wz apart: a mu_p0 without rd = 0's left neighbour missed by 34 bounds
     def test_matches_40_digit_oracle(self, case):
         # against sum_i c_i J(x_i) at 40 digits, to the grid sum's own bound;
         # a mean below the smallest normal double may come back as 0 or subnormal

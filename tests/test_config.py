@@ -225,6 +225,12 @@ class TestLoads:
         assert cfg == LinkConfig(wz=None, w0=0.01)
         assert build_context(cfg).wz == pytest.approx(5.034e-2, rel=1e-3)
 
+    def test_r_f_in_a_file_keeps_theta_fov_derived(self):
+        # r_f is theta_fov's first source, as w0 is wz's: the FoV stays derived
+        cfg = loads("r_f = 10 um\n")
+        assert cfg == LinkConfig(r_f=1e-5) and cfg.theta_fov is None
+        assert build_context(cfg).theta_fov == math.atan2(1e-5, 0.15)
+
     def test_wz_in_a_file_wins_over_w0(self):
         cfg = loads("w0 = 1 cm\nwz = 8 cm")
         assert (cfg.w0, cfg.wz) == (0.01, 0.08)
@@ -344,6 +350,15 @@ class TestBuildContext:
     def test_required_field_rejected_when_none(self):
         with pytest.raises(ConfigError, match=r"^r_f is required$"):
             validate(replace(LinkConfig(), r_f=None))
+        # the fields that may be None: the derived ones, and those of default None
+        optional = {"eta_atm", "alpha_a", "wz", "w0", "theta_fov", "mu_b"}
+        for name in _FIELDS:
+            try:
+                validate(replace(LinkConfig(), **{name: None}))
+                message = ""
+            except ConfigError as exc:
+                message = str(exc)
+            assert (message == f"{name} is required") == (name not in optional), name
 
 
 _NUMERIC = [f.name for f in fields(LinkConfig) if isinstance(getattr(LinkConfig(), f.name), float)]
