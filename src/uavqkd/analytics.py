@@ -305,7 +305,7 @@ def detect_prob(ctx: AnalyticContext, *, turbulence: str = "linearized"):
     cols = ctx._cols
     sigma, wz, mu_p0, peak = cols["sigma_rd"], cols["wz"], cols["mu_p0"], cols["peak"]
     mean_mu_p = (capture_exact_mean(sigma, wz, ctx.ra) if ctx.mu_p_mode == "exact"
-                 else capture_grid_mean(ctx.grid, sigma))
+                 else capture_grid_mean(ctx.grid, ctx.sigma_rd))  # an unswept sigma_rd: one row a grid row
     n, over = sigma.size, [v - 1.0 for v in peak.tolist() if v > _OVERFLOW]
     lin = [v for v in (ctx.c_pt * mu_p0).tolist() if v > 0.1]
     if over:

@@ -56,6 +56,7 @@ from scipy import special
 
 from .errors import CaptureOverflowWarning
 
+_BOOLS = (bool, np.bool_)  # not a radius, though True > 0
 _CHUNK = 1 << 16  # elements per temporary in capture_grid and the turbulence average
 _OVERFLOW = 1.0 + 1e-6  # a grid capture value above this is reported
 _TERMS = 16  # Taylor terms per block of the blocked grid sum
@@ -95,14 +96,17 @@ def beam_radius(w0: float, wavelength: float, Lz: float) -> float:
 
 def _checked_wz(rd_ok: bool, wz, ra: float) -> float:
     """The one beam radius of a capture call, checked with ``ra`` and ``rd``:
-    ``wz`` itself, or the float an array of one element holds."""
-    if isinstance(wz, np.ndarray) and wz.size > 1:
+    ``wz`` itself, or the float an array of one element holds. A bool is
+    not a radius: a bool or numpy bool ``wz`` or ``ra``, or an array of
+    bools, is rejected like a radius <= 0."""
+    if isinstance(wz, np.ndarray) and wz.size != 1:
         raise ValueError("capture probability takes one beam radius wz: a grid or context of one point")
-    if not wz > 0 or not ra > 0:
+    wz = wz.item() if isinstance(wz, np.ndarray) else wz  # a bool array gives a bool
+    if not wz > 0 or not ra > 0 or isinstance(wz, _BOOLS) or isinstance(ra, _BOOLS):
         raise ValueError("capture probability requires wz > 0 and ra > 0")
     if not rd_ok:
         raise ValueError("rd is a displacement norm and must be >= 0")
-    return wz.item() if isinstance(wz, np.ndarray) else wz
+    return wz
 
 
 def capture_exact(rd, wz: float, ra: float):
@@ -190,10 +194,10 @@ class CaptureGrid:
 
     The model is defined for an integer N_g >= 2 (an int or numpy integer,
     not a bool) and a finite ra > 0 and wz > 0, wz a float or a 1-D array
-    of such radii. The constructor checks that rule before it derives
-    anything and raises ValueError otherwise, so every grid is checked
-    once, however it is built: by ``build_grid``, as the P rows of a sweep,
-    or directly.
+    of such radii (a bool, numpy bool or array of bools is no radius). The
+    constructor checks that rule before it derives anything and raises
+    ValueError otherwise, so every grid is checked once, however it is
+    built: by ``build_grid``, as the P rows of a sweep, or directly.
 
     The grid holds nothing per segment until a sum reads it: ``centers``
     and ``weights`` are read-only float arrays computed on first access and
@@ -247,7 +251,7 @@ class CaptureGrid:
         if ng < 2:
             raise ValueError("grid needs at least 2 segments")
         if (not 0.0 < self.ra < math.inf or not (one or isinstance(self.wz, np.ndarray)) or wz.ndim > 1
-                or not ((wz > 0.0) & (wz < math.inf)).all()):
+                or isinstance(self.ra, _BOOLS) or wz.dtype == bool or not ((wz > 0.0) & (wz < math.inf)).all()):
             raise ValueError("the capture grid requires finite ra > 0 and wz > 0, wz a float or 1-D array")
         object.__setattr__(self, "dx", dx := 2.0 * self.ra / ng)
         summed = (_window(wz, 0.0, dx) < ng) | (2.0 * dx > wz) | (_half_block(wz, dx, ng) > 0)
@@ -576,10 +580,12 @@ def capture_grid_mean(grid: CaptureGrid, sigma: np.ndarray) -> np.ndarray:
     """E[sum_i c_i exp(-2 (x_i - rd)^2 / wz^2)] over rd ~ Rayleigh(sigma): the
     mean of the grid model over the pointing error, per point.
 
-    ``sigma`` holds one entry per point, and each point reads the radius wz
-    and mu_p(0) of its row of ``grid`` (a one-point grid serves every
-    point). With s2 = wz^2 + 4 sigma^2, completing the square in the
-    Rayleigh integral of each Gaussian term gives
+    ``sigma`` is a float or holds one entry per point, and each point reads
+    the radius wz and mu_p(0) of its row of ``grid`` (a one-point grid
+    serves every point). The mean has one entry per distinct row: one for
+    a float ``sigma`` on a one-point grid, however many points share it,
+    else one per point. With s2 = wz^2 + 4 sigma^2, completing the square
+    in the Rayleigh integral of each Gaussian term gives
 
         J(x) = e^(-2 x^2 / s2) [e^(-z^2) + sqrt(pi) z erfc(-z)] wz^2 / s2,
         z = 2 sqrt(2) sigma x / (wz sqrt(s2)).
@@ -601,11 +607,11 @@ def capture_grid_mean(grid: CaptureGrid, sigma: np.ndarray) -> np.ndarray:
     and weights (``tests/oracles.grid_mean``), eps being the double epsilon
     and v the value, the grid sum's own bound (see ``capture_grid``).
 
-    Like ``capture_exact_mean`` it takes the checked columns of a context
-    (a ``sigma`` >= 0 per point, and a grid its constructor checked) and
-    checks nothing itself.
+    Like ``capture_exact_mean`` it takes checked values of a context (its
+    ``sigma_rd`` >= 0, and a grid its constructor checked) and checks
+    nothing itself.
     """
-    sigma, wz, mu_p0 = np.broadcast_arrays(sigma, grid.wz, grid.mu_p0)
+    sigma, wz, mu_p0 = np.broadcast_arrays(np.atleast_1d(sigma), grid.wz, grid.mu_p0)
     x, s2 = grid.centers, wz * wz + 4.0 * sigma * sigma
     scale = 2.0 * math.sqrt(2.0) * sigma / (wz * np.sqrt(s2))
 

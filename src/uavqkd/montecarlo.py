@@ -189,40 +189,14 @@ def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McRe
         counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes))
     detect, capture_evals, *outcomes = (int(c) for c in np.sum(counts, axis=0))
     _, s1, s2_ok, s2_err, s3, _ = outcomes
+    bits = s1 + s2_ok + s2_err + s3  # slots of exactly one effective detection: the key bits
 
-    n = n_slots
-    s2 = s2_ok + s2_err
-    bits = s1 + s2 + s3
-    p_detect = detect / n
-    p_s1, p_s2, p_s3 = s1 / n, s2 / n, s3 / n
-    peff = bits / n
-    qber_est = (s2_err / bits) if bits > 0 else float("nan")
-    r_q = ctx.R_q
-    se = {
-        "p_detect": _binom_se(p_detect, n),
-        "p_s1": _binom_se(p_s1, n),
-        "p_s2": _binom_se(p_s2, n),
-        "p_s3": _binom_se(p_s3, n),
-        "p_eff_one": _binom_se(peff, n),
-        "key_rate": r_q * _binom_se(peff, n),
-        "qber": _binom_se(qber_est, bits) if bits > 0 else float("nan"),
-    }
-    report = PerformanceReport(
-        p_detect=p_detect,
-        p_s1=p_s1,
-        p_s2=p_s2,
-        p_s3=p_s3,
-        p_eff_one=peff,
-        key_rate=r_q * peff,
-        qber=qber_est,
-        method="monte_carlo",
-        se=se,
-    )
-    return McReport(
-        n_slots=n_slots,
-        seed=seed,
-        batch_size=BATCH_SIZE,
-        estimates=report,
-        capture_evals=capture_evals,
-        outcomes=tuple(outcomes),
-    )
+    # the count estimates, each a count over n_slots, name the report's fields and their binomial errors
+    est = {name: count / n_slots for name, count in
+           (("p_detect", detect), ("p_s1", s1), ("p_s2", s2_ok + s2_err), ("p_s3", s3), ("p_eff_one", bits))}
+    se = {name: _binom_se(p, n_slots) for name, p in est.items()}
+    qber = s2_err / bits if bits > 0 else math.nan
+    se.update(key_rate=ctx.R_q * se["p_eff_one"], qber=_binom_se(qber, bits) if bits > 0 else math.nan)
+    report = PerformanceReport(**est, key_rate=ctx.R_q * est["p_eff_one"], qber=qber, method="monte_carlo", se=se)
+    return McReport(n_slots=n_slots, seed=seed, batch_size=BATCH_SIZE, estimates=report,
+                    capture_evals=capture_evals, outcomes=tuple(outcomes))

@@ -24,29 +24,13 @@ from .analytics import PerformanceReport
 
 __all__ = ["PERF_COLUMNS", "perf_rows", "render", "emit"]
 
-PERF_COLUMNS = [
-    "axis",
-    "axis_value",
-    "overlay",
-    "overlay_value",
-    "p_detect",
-    "p_s1",
-    "p_s2",
-    "p_s3",
-    "p_eff_one",
-    "key_rate_bps",
-    "qber",
-    "method",
-    "se_p_detect",
-    "se_p_eff_one",
-    "se_key_rate_bps",
-    "se_qber",
-]
-
 # column -> report field, of the values and (in ``report.se``) their standard errors
 _VALUES = {"p_detect": "p_detect", "p_s1": "p_s1", "p_s2": "p_s2", "p_s3": "p_s3",
            "p_eff_one": "p_eff_one", "key_rate_bps": "key_rate", "qber": "qber"}
 _ERRORS = {"se_p_detect": "p_detect", "se_p_eff_one": "p_eff_one", "se_key_rate_bps": "key_rate", "se_qber": "qber"}
+
+# the documented column order: the axis and overlay of a row, its values, its method, then their errors
+PERF_COLUMNS = ["axis", "axis_value", "overlay", "overlay_value", *_VALUES, "method", *_ERRORS]
 
 
 def perf_rows(

@@ -31,11 +31,12 @@ from uavqkd.errors import CaptureOverflowWarning
 RA = 0.15
 
 # the ways to build a grid of (ra, wz, ng): the cache, a one-point grid, and a
-# two-row grid whose second row has radius wz
+# two-row grid whose second row has radius wz, in an array of wz's own dtype
+# (so a bool wz gives an array of bools, not the radius 1.0)
 GRID_BUILDERS = {
     "build_grid": build_grid,
     "one point": CaptureGrid,
-    "second row": lambda ra, wz, ng: CaptureGrid(ra, np.array([0.1, wz]), ng),
+    "second row": lambda ra, wz, ng: CaptureGrid(ra, np.array([0.1, wz], dtype=np.asarray(wz).dtype), ng),
 }
 
 
@@ -207,10 +208,13 @@ class TestCaptureExact:
         with pytest.raises(ValueError):
             capture_exact(np.array([0.0, math.nan]), 0.1, RA)
 
-    @pytest.mark.parametrize("wz,ra", [(0.0, RA), (-0.1, RA), (0.1, 0.0), (0.1, -RA), (math.nan, RA), (0.1, math.nan)])
+    @pytest.mark.parametrize("wz,ra", [(0.0, RA), (-0.1, RA), (0.1, 0.0), (0.1, -RA), (math.nan, RA), (0.1, math.nan),
+                                       (True, RA), (0.1, True), (np.True_, RA), (0.1, np.True_), (np.array([True]), RA)])
     def test_rejects_nonpositive_geometry(self, wz, ra):
-        with pytest.raises(ValueError):
-            capture_exact(0.0, wz, ra)
+        # a bool is no radius: True > 0, and capture_exact(0.0, True, RA) gave the value of wz = 1 m
+        for capture in (capture_exact, capture_classical):
+            with pytest.raises(ValueError, match="^capture probability requires wz > 0 and ra > 0$"):
+                capture(0.0, wz, ra)
 
 
 class TestCaptureClassical:
@@ -448,10 +452,12 @@ class TestCaptureGrid:
         assert type(got) is float and got == capture_grid(CaptureGrid(ra, 0.1, ng), 0.01)
 
     @pytest.mark.parametrize("ra,wz", [(math.nan, 0.1), (RA, math.nan), (0.0, 0.1), (RA, 0.0), (-RA, 0.1),
-                                       (RA, -0.1), (math.inf, 0.1), (RA, math.inf)])
+                                       (RA, -0.1), (math.inf, 0.1), (RA, math.inf),
+                                       (RA, True), (True, 0.1), (RA, np.True_), (np.True_, 0.1)])
     def test_rejects_bad_geometry(self, ra, wz):
         # an infinite ra gave a NaN grid, a NaN row of a P-row grid a NaN
-        # mu_p0, and a zero or negative radius failed inside numpy
+        # mu_p0, a zero or negative radius failed inside numpy, and a bool
+        # radius built the grid of a 1 m radius
         for build in GRID_BUILDERS.values():
             for _ in range(2):  # on a repeat call as on the first
                 with pytest.raises(ValueError, match="^the capture grid requires finite ra > 0 and wz > 0"):

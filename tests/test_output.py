@@ -3,6 +3,7 @@ import io
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,23 @@ from uavqkd.sweep import SweepSpec, sweep
 @pytest.fixture
 def report(baseline_ctx):
     return analytics.evaluate(baseline_ctx)
+
+
+def _listed_columns(text: str) -> list[str]:
+    """The comma-separated column names of a schema listing."""
+    return [c.strip() for c in text.replace("\n", ",").split(",") if c.strip()]
+
+
+class TestSchema:
+    def test_readme_lists_the_columns_in_order(self):
+        # the block under README "Output schema" is the documented CSV order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Output schema\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+        assert _listed_columns(block) == output.PERF_COLUMNS
+
+    def test_module_docstring_lists_the_columns_in_order(self):
+        listing = output.__doc__.split("fixed):\n", 1)[1].split("\n\n", 1)[0]
+        assert _listed_columns(listing) == output.PERF_COLUMNS
 
 
 class TestRows:

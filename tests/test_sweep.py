@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from uavqkd import analytics, config, montecarlo, output
+from uavqkd import analytics, beam, config, montecarlo, output
 from uavqkd import sweep as sweep_module
 from uavqkd.config import LinkConfig, build_context
 from uavqkd.errors import CaptureOverflowWarning, ConfigError, LinearizationWarning
@@ -296,6 +297,29 @@ class TestArrayPass:
             tracemalloc.stop()
         assert len(result.rows) == 48
         assert peak < 0.5 * 48 * base.Ng * 8
+
+    @pytest.mark.parametrize("axis,lo,hi", [("theta_fov", 5e-6, 200e-6), ("sigma_aoa", 20e-6, 150e-6),
+                                            ("B_lambda", 1e-7, 1e-4)])
+    def test_unswept_sigma_and_wz_sum_one_grid_mean_row(self, monkeypatch, axis, lo, hi):
+        # sigma_rd and wz stay one value each, so every point shares one row of
+        # the grid's Rayleigh mean: a 64-point pass at N_g = 100,000 sums it
+        # once, not once a point
+        base, row_sums, summed = make_config(Ng=100_000), beam._row_sums, []
+
+        def spy(grid, wz, terms):
+            if sys._getframe(1).f_code.co_name == "capture_grid_mean":
+                summed.append(wz.size)
+            return row_sums(grid, wz, terms)
+
+        monkeypatch.setattr(beam, "_row_sums", spy)
+        assert len(sweep(base, SweepSpec(axis, tuple(np.linspace(lo, hi, 64).tolist()))).rows) == 64
+        assert summed == [1]
+
+    def test_theta_fov_on_a_fine_grid_matches_each_point(self):
+        # the one grid-mean row of a theta_fov x B_lambda pass at N_g = 100,000
+        # (wider blocks) gives each point's values bit for bit
+        spec = SweepSpec("theta_fov", (5e-6, 50e-6, 100e-6, 200e-6), "B_lambda", (1e-7, 1e-5, 1e-4))
+        _assert_array_pass_matches(make_config(Ng=100_000), spec)
 
     def test_wz_across_the_spikes_regime(self):
         # N_g = 2, ra = 1.5 m: dx = 1.5 m exceeds wz at the first four points,
