@@ -42,11 +42,26 @@ def atm_transmittance(alpha_a: float, Lz: float) -> float:
     return math.exp(-alpha_a * Lz)
 
 
-def gg_sample(rng: np.random.Generator, alpha: float, beta: float, size=None):
-    """Draw Gamma-Gamma variates as a product of two unit-mean Gammas."""
+def gg_sample(rng: np.random.Generator, alpha: float, beta: float, size=None, out=None):
+    """Draw Gamma-Gamma variates as a product of two unit-mean Gammas.
+
+    The values are ``rng.gamma(alpha, 1/alpha, size) * rng.gamma(beta,
+    1/beta, size)`` bit for bit: each factor is a ``standard_gamma`` draw
+    scaled in place, and the product is formed in place in the first.
+    ``out``, a float64 array of shape (2, size) whose rows are contiguous,
+    takes the two factors in its rows, so the draw allocates nothing; the
+    product is ``out[0]``. Without ``out`` the factors are two new arrays,
+    or floats for size=None.
+    """
     if not (alpha > 0 and beta > 0):
         raise ValueError("Gamma-Gamma parameters must be > 0")
-    return rng.gamma(alpha, 1.0 / alpha, size) * rng.gamma(beta, 1.0 / beta, size)
+    x_out, y_out = (None, None) if out is None else out
+    x = rng.standard_gamma(alpha, size, out=x_out)
+    x *= 1.0 / alpha
+    y = rng.standard_gamma(beta, size, out=y_out)
+    y *= 1.0 / beta
+    x *= y
+    return x
 
 
 def fov_accept_prob(theta_fov, sigma_aoa):

@@ -49,6 +49,19 @@ coin on the slots with one background count. The outcome counts come
 from the sorted index sets of the detections and of the slots with
 n_b != 0; no per-slot state array is built.
 
+Memory: the floats are drawn with the Generator's ``out=`` draws into a
+workspace of five m-slot rows (``_workspace``), which each thread
+allocates once a run and keeps: one worker runs the batches on the
+calling thread, more run them on a pool of threads with one workspace
+each. The five rows are the draw order's floor: the displacement normals,
+the fade and the angle-of-arrival normals are all live when the FoV test
+reads the last of them. Every later float goes into a row that is
+already dead: the second Gamma, the FoV squares, the detection uniform,
+the fade and uniform of the accepted slots, the thinning bound and the
+coin. Besides the rows a batch holds at most one m-slot integer array at
+a time, the accepted indices or the background counts (``poisson`` has
+no ``out``), and arrays over the candidates.
+
 FoV test: a slot is accepted when its angle-of-arrival normals satisfy
 z0^2 + z1^2 <= (theta_fov / sigma_aoa)^2, the predicate |theta_AoA| <=
 theta_fov in units of sigma_aoa (``_fov_accepted``).
@@ -61,6 +74,7 @@ approximations of the analytics.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -107,22 +121,35 @@ OUTCOMES = ("none", "s1", "s2_ok", "s2_err", "s3", "multi")
 
 def _fov_accepted(z: np.ndarray, sigma: float, theta: float) -> np.ndarray:
     """Indices of the slots with z0^2 + z1^2 <= (theta / sigma)^2, for the
-    (2, m) standard normals z of the angle of arrival."""
-    q = z[0] * z[0]
-    q += z[1] * z[1]  # in place: a third m-slot temporary raised mc-validate's peak RSS by 1-5 MB
+    (2, m) standard normals z of the angle of arrival. The squares are
+    formed in place: z is left holding them, its first row their sum."""
+    q = np.multiply(z[0], z[0], out=z[0])
+    q += np.multiply(z[1], z[1], out=z[1])
     return np.flatnonzero(q <= (theta / sigma) ** 2)
 
 
-def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int):
+def _workspace(m: int, w: np.ndarray | None = None) -> np.ndarray:
+    """Five m-slot float rows for a batch to draw into (module docstring,
+    "Memory"): a new (5, m) array, or a C-contiguous (5, m) view of the
+    front of the workspace w, one of at least m slots."""
+    return np.empty((5, m)) if w is None else w.reshape(-1)[: 5 * m].reshape(5, m)
+
+
+def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int, w: np.ndarray | None = None):
     """Channel realizations for m slots: (r_d, eta_turb, accepted).
 
     ``r_d(i)`` is the pointing displacement norm of the slots at the index
     array i, computed when asked; ``eta_turb`` is every slot's fade and
     ``accepted`` the sorted indices of the slots inside the field of view.
+    The draws fill the rows of ``_workspace(m, w)``: the displacement
+    normals rows 0-1, the fade row 2 (its second Gamma row 3) and the
+    angle-of-arrival normals rows 3-4, which the FoV test leaves holding
+    their squares.
     """
-    g = rng.standard_normal((2, m))
-    eta = gg_sample(rng, ctx.alpha, ctx.beta, m)
-    accepted = _fov_accepted(rng.standard_normal((2, m)), ctx.sigma_aoa, ctx.theta_fov)
+    w = _workspace(m, w)
+    g = rng.standard_normal(out=w[:2])
+    eta = gg_sample(rng, ctx.alpha, ctx.beta, m, out=w[2:4])
+    accepted = _fov_accepted(rng.standard_normal(out=w[3:]), ctx.sigma_aoa, ctx.theta_fov)
     s = ctx.sigma_rd
     return (lambda i: np.hypot(s * g[0, i], s * g[1, i])), eta, accepted
 
@@ -132,18 +159,29 @@ def _draw_channel(rng: np.random.Generator, ctx: AnalyticContext, m: int):
 _CAP_MAX_EXACT = 1.0 + 1e-9
 
 
-def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int):
-    """Draw and classify m slots: (outcome counts in OUTCOMES order,
-    detected, n_b, candidates). ``detected`` and ``candidates`` are sorted
-    slot indices; the candidates are the slots whose capture value was
-    computed (module docstring, "Thinning")."""
-    rd, eta, acc = _draw_channel(rng, ctx, m)
-    u = rng.random(m)
-    cand = acc[u[acc] < -np.expm1(-ctx.mu_t * (ctx.eta_atm * ctx.mu_d * _CAP_MAX_EXACT * eta[acc]))]
-    t = ctx.eta_atm * ctx.mu_d * capture_exact(rd(cand), ctx.wz, ctx.ra) * eta[cand]
-    det = cand[u[cand] < -np.expm1(-ctx.mu_t * t)]  # n_q >= 1
+def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int, w: np.ndarray | None = None):
+    """Draw and classify m slots into the rows of ``_workspace(m, w)``:
+    (outcome counts in OUTCOMES order, detected, n_b, candidates).
+    ``detected`` and ``candidates`` are sorted slot indices; the candidates
+    are the slots whose capture value was computed (module docstring,
+    "Thinning")."""
+    w = _workspace(m, w)
+    rd, eta, acc = _draw_channel(rng, ctx, m, w)
+    u = rng.random(out=w[3])  # over the FoV squares
+    # the accepted slots' fade, then uniform, into rows already read ("clip"
+    # clips no valid index; "raise" would copy through a new buffer)
+    eta = np.take(eta, acc, out=w[4, :acc.size], mode="clip")
+    u = np.take(u, acc, out=w[2, :acc.size], mode="clip")
+    bound = np.multiply(eta, ctx.eta_atm * ctx.mu_d * _CAP_MAX_EXACT, out=w[3, :acc.size])
+    bound *= -ctx.mu_t
+    np.negative(np.expm1(bound, out=bound), out=bound)
+    j = np.flatnonzero(u < bound)  # the candidates, as positions in acc
+    cand = acc[j]
+    del acc  # up to m indices: freed before the capture values and n_b
+    t = ctx.eta_atm * ctx.mu_d * capture_exact(rd(cand), ctx.wz, ctx.ra) * eta[j]
+    det = cand[u[j] < -np.expm1(-ctx.mu_t * t)]  # n_q >= 1
     n_b = rng.poisson(ctx.mu_b, m)
-    coin = rng.random(m)  # fair polarization coin: heads below 0.5
+    coin = rng.random(out=w[0])  # fair polarization coin: heads below 0.5
 
     bg = np.flatnonzero(n_b)
     one = bg[n_b[bg] == 1]
@@ -158,10 +196,10 @@ def _draw_slots(rng: np.random.Generator, ctx: AnalyticContext, m: int):
     return counts, det, n_b, cand
 
 
-def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int) -> np.ndarray:
+def _simulate_batch(ss: np.random.SeedSequence, ctx: AnalyticContext, m: int, w: np.ndarray) -> np.ndarray:
     """[detected slots, capture evaluations, then the count of each
-    outcome] for one seeded batch."""
-    counts, det, _, cand = _draw_slots(np.random.default_rng(ss), ctx, m)
+    outcome] for one seeded batch, drawn into the workspace w."""
+    counts, det, _, cand = _draw_slots(np.random.default_rng(ss), ctx, m, w)
     return np.concatenate(([det.size, cand.size], counts))
 
 
@@ -170,10 +208,12 @@ def _binom_se(p: float, n: int) -> float:
 
 
 def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McReport:
-    """Simulate ``n_slots`` quantum slots and aggregate the estimates; the
-    batches go through a pool of ``workers`` threads. Both counts are
-    integers >= 1 (an int or numpy integer, not a bool). ``ctx`` is one
-    point: a context of shape () or (1,)."""
+    """Simulate ``n_slots`` quantum slots and aggregate the estimates. One
+    worker runs the batches on the calling thread, more run them on a pool
+    of ``workers`` threads; each thread keeps one workspace for the run
+    (module docstring, "Memory"). Both counts are integers >= 1 (an int or
+    numpy integer, not a bool). ``ctx`` is one point: a context of shape ()
+    or (1,)."""
     for name, count in (("n_slots", n_slots), ("workers", workers)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, not {count!r}")
@@ -185,8 +225,18 @@ def run(ctx: AnalyticContext, n_slots: int, seed: int, workers: int = 1) -> McRe
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_SIZE] * (n_batches - 1) + [n_slots - BATCH_SIZE * (n_batches - 1)]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = list(pool.map(_simulate_batch, children, [ctx] * n_batches, sizes))
+    spaces = threading.local()  # each thread's workspace, kept for the whole run
+
+    def batch(ss: np.random.SeedSequence, m: int) -> np.ndarray:
+        if not hasattr(spaces, "w"):
+            spaces.w = _workspace(sizes[0])
+        return _simulate_batch(ss, ctx, m, spaces.w)
+
+    if workers == 1:
+        counts = list(map(batch, children, sizes))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(batch, children, sizes))
     detect, capture_evals, *outcomes = (int(c) for c in np.sum(counts, axis=0))
     _, s1, s2_ok, s2_err, s3, _ = outcomes
     bits = s1 + s2_ok + s2_err + s3  # slots of exactly one effective detection: the key bits

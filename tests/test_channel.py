@@ -128,6 +128,27 @@ class TestGammaGammaSampling:
         with pytest.raises(ValueError):
             gg_sample(rng, 0.0, BETA)
 
+    @pytest.mark.parametrize("alpha", [0.2, 25.0])
+    @pytest.mark.parametrize("beta", [0.2, 25.0])
+    def test_is_the_product_of_two_scaled_gammas(self, alpha, beta):
+        # bit for bit from one bit-generator state, into new arrays or into
+        # the rows of ``out``; a float for size=None
+        m, state = 1001, np.random.default_rng(31).bit_generator.state
+
+        def rng():
+            gen = np.random.default_rng()
+            gen.bit_generator.state = state
+            return gen
+
+        r = rng()
+        want = r.gamma(alpha, 1.0 / alpha, m) * r.gamma(beta, 1.0 / beta, m)
+        assert np.array_equal(gg_sample(rng(), alpha, beta, m), want)
+        out = np.empty((2, m + 5))[:, :m]  # contiguous rows of a block that is not
+        got = gg_sample(rng(), alpha, beta, m, out=out)
+        assert np.shares_memory(got, out[0]) and np.array_equal(got, want)
+        one, r = gg_sample(rng(), alpha, beta), rng()
+        assert type(one) is float and one == r.gamma(alpha, 1.0 / alpha) * r.gamma(beta, 1.0 / beta)
+
 
 class TestRayleigh:
     # the Rayleigh displacement is drawn by montecarlo._draw_channel and

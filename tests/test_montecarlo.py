@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +36,8 @@ def pin_channel(monkeypatch, rd=None, eta=None, fov=None):
     the others.
     """
 
-    def pinned(rng, ctx, m):
-        r, e, a = _draw_channel(rng, ctx, m)
+    def pinned(rng, ctx, m, *workspace):
+        r, e, a = _draw_channel(rng, ctx, m, *workspace)
         return (
             r if rd is None else (lambda i: np.full(np.size(i), rd)),
             e if eta is None else np.full(m, eta),
@@ -85,6 +86,18 @@ class TestDeterminism:
         serial = run(baseline_ctx, 4 * BATCH_SIZE, seed=7, workers=1)
         parallel = run(baseline_ctx, 4 * BATCH_SIZE, seed=7, workers=4)
         assert serial == parallel
+
+    def test_one_worker_starts_no_thread(self, baseline_ctx, monkeypatch):
+        # a partial last batch, drawn into the front of the workspace that
+        # the full batches used
+        n = 2 * BATCH_SIZE + 7
+        pooled = run(baseline_ctx, n, seed=5, workers=3)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 started a thread pool")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        assert run(baseline_ctx, n, seed=5, workers=1) == pooled
 
     def test_different_seeds_differ(self, baseline_ctx):
         a = run(baseline_ctx, N, seed=1)
@@ -344,7 +357,25 @@ class TestFovEdge:
         z = rng.standard_normal((2, BATCH_SIZE))
         for sigma, theta in ((50e-6, 100e-6), (5e-6, 2e-3), (2e-3, 5e-7), (5e-6, 5e-6)):
             want = np.flatnonzero(np.hypot(sigma * z[0], sigma * z[1]) <= theta)
-            assert np.array_equal(_fov_accepted(z, sigma, theta), want)
+            assert np.array_equal(_fov_accepted(z.copy(), sigma, theta), want)  # it squares z in place
+
+
+class TestMemory:
+    # A run keeps one five-row float workspace of BATCH_SIZE slots (2.5 MiB);
+    # a batch adds at most one m-slot integer array at a time, the accepted
+    # indices or the background counts, and small arrays over the
+    # candidates. One more row-sized array alive at once adds 0.5 MiB.
+    @pytest.mark.parametrize("fov, limit_mib", [(10.0, 3.6), (0.02, 3.1)], ids=["all_accepted", "almost_none"])
+    def test_traced_peak_of_a_run(self, fov, limit_mib):
+        ctx = make_context(theta_fov=fov * config.LinkConfig().sigma_aoa)
+        run(ctx, 1000, seed=1)  # first-call allocations outside the run's own
+        tracemalloc.start()
+        try:
+            run(ctx, 2 * BATCH_SIZE + 7, seed=27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 # sha256 of repr(McReport.estimates), recorded with the eager classifier
